@@ -40,7 +40,8 @@ def _canonical_label(raw: str, where: str) -> float:
 def _normalize(X: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(X, axis=1)
     max_norm = norms.max() if norms.size else 0.0
-    if max_norm > 1.0:
+    # an inf or NaN row is left as it is for validate_dataset to report
+    if 1.0 < max_norm < np.inf:
         X = X / max_norm
     return X
 

@@ -3,7 +3,13 @@
 All four losses are functions of the margin m = y * <theta, x>, so the
 per-example Hessian is always kappa * x x^T for a scalar curvature
 kappa = l''(m) >= 0. The vectorized `margin_*` helpers operate on whole
-margin arrays and back both the per-example API and `aggregate`.
+margin arrays and give l, l' and l'' separately.
+
+`aggregate` always returns the mean gradient and computes the mean value
+and the O(n p^2) mean Hessian only on request; `hessian` builds the
+Hessian alone. Each caller asks for what it uses: a training step for the
+gradient, a line-search candidate for value and gradient, and only an
+accepted Newton iterate or the sensitivity system matrix for a Hessian.
 """
 from __future__ import annotations
 
@@ -58,26 +64,38 @@ def margin_values(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
     return out
 
 
-def margin_derivs(spec: LossSpec, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors of l'(m) and l''(m)."""
+def margin_slopes(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
+    """Vector of first derivatives l'(m)."""
     m = np.asarray(margins, dtype=np.float64)
     if spec.kind == "logistic":
-        s = expit(m)
-        return s - 1.0, s * (1.0 - s)
+        return expit(m) - 1.0
     if spec.kind == "quadratic":
-        return m - 1.0, np.ones_like(m)
+        return m - 1.0
     if spec.kind == "smooth_hinge":
-        s = expit((1.0 - m) / spec.smooth_t)
-        return -s, s * (1.0 - s) / spec.smooth_t
+        return -expit((1.0 - m) / spec.smooth_t)
     h = spec.huber_h
     d1 = np.zeros_like(m)
-    d2 = np.zeros_like(m)
     band = np.abs(1.0 - m) <= h
     low = m < 1.0 - h
     d1[band] = -(1.0 + h - m[band]) / (2.0 * h)
     d1[low] = -1.0
-    d2[band] = 1.0 / (2.0 * h)
-    return d1, d2
+    return d1
+
+
+def margin_curvatures(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
+    """Vector of second derivatives l''(m)."""
+    m = np.asarray(margins, dtype=np.float64)
+    if spec.kind == "logistic":
+        s = expit(m)
+        return s * (1.0 - s)
+    if spec.kind == "quadratic":
+        return np.ones_like(m)
+    if spec.kind == "smooth_hinge":
+        s = expit((1.0 - m) / spec.smooth_t)
+        return s * (1.0 - s) / spec.smooth_t
+    d2 = np.zeros_like(m)
+    d2[np.abs(1.0 - m) <= spec.huber_h] = 1.0 / (2.0 * spec.huber_h)
+    return d2
 
 
 def loss_value(spec: LossSpec, theta: np.ndarray, ex: Example) -> float:
@@ -90,34 +108,54 @@ def loss_eval(spec: LossSpec, theta: np.ndarray, ex: Example) -> LossEval:
     """Value, gradient l'(m) y x, and curvature factor l''(m) for one example."""
     margin = ex.label * float(np.dot(theta, ex.features))
     marr = np.array([margin])
-    value = float(margin_values(spec, marr)[0])
-    d1, d2 = margin_derivs(spec, marr)
     return LossEval(
-        value=value,
-        grad=float(d1[0]) * ex.label * ex.features,
-        hess_factor=float(d2[0]),
+        value=float(margin_values(spec, marr)[0]),
+        grad=float(margin_slopes(spec, marr)[0]) * ex.label * ex.features,
+        hess_factor=float(margin_curvatures(spec, marr)[0]),
     )
 
 
-def aggregate(
-    spec: LossSpec, theta: np.ndarray, d: Dataset
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss, mean gradient and mean Hessian over the dataset.
-
-    The Hessian is the symmetric PSD matrix (1/n) sum_i kappa_i x_i x_i^T.
-    """
+def _margins(theta: np.ndarray, d: Dataset) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != d.p:
         raise ValueError(f"theta has length {theta.shape[0]}, dataset has p={d.p}")
-    m = d.labels * (d.features @ theta)
-    values = margin_values(spec, m)
-    d1, d2 = margin_derivs(spec, m)
-    n = d.n
-    L = float(values.mean())
-    gradL = d.features.T @ (d1 * d.labels) / n
-    hessL = (d.features * d2[:, None]).T @ d.features / n
-    hessL = 0.5 * (hessL + hessL.T)
+    return d.labels * (d.features @ theta)
+
+
+def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
+    hessL = (d.features * curvatures[:, None]).T @ d.features / d.n
+    return 0.5 * (hessL + hessL.T)
+
+
+def aggregate(
+    spec: LossSpec,
+    theta: np.ndarray,
+    d: Dataset,
+    *,
+    with_value: bool = True,
+    with_hessian: bool = True,
+) -> tuple[float | None, np.ndarray, np.ndarray | None]:
+    """Mean loss, mean gradient and mean Hessian over the dataset.
+
+    The gradient is always computed. The value costs O(n) transcendental
+    work and the Hessian O(n p^2), so callers that do not use them pass
+    with_value=False or with_hessian=False and get None in that slot;
+    the parts that are computed carry the same bits either way. The
+    Hessian is the symmetric PSD matrix (1/n) sum_i kappa_i x_i x_i^T.
+    """
+    m = _margins(theta, d)
+    L = float(margin_values(spec, m).mean()) if with_value else None
+    gradL = d.features.T @ (margin_slopes(spec, m) * d.labels) / d.n
+    hessL = _mean_hessian(d, margin_curvatures(spec, m)) if with_hessian else None
     return L, gradL, hessL
+
+
+def hessian(spec: LossSpec, theta: np.ndarray, d: Dataset) -> np.ndarray:
+    """Mean Hessian alone, for a point whose value and gradient are known.
+
+    Bit-identical to the third part of `aggregate` at the same theta.
+    """
+    return _mean_hessian(d, margin_curvatures(spec, _margins(theta, d)))
 
 
 # max |sigma (1-sigma) (1-2 sigma)|, the logistic third-derivative bound

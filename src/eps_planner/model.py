@@ -111,7 +111,9 @@ def validate_dataset(d: Dataset) -> Dataset:
     """Check all dataset invariants; return `d` unchanged if they hold.
 
     Raises DataError on: empty data, mixed dimensionality, labels outside
-    {-1, +1}, or a feature row with L2 norm above 1 + 1e-9.
+    {-1, +1}, a non-finite feature value, or a feature row with L2 norm
+    above 1 + 1e-9. Finiteness is checked first, so an inf or NaN row is
+    reported as such and not as a norm violation.
     """
     if d.n < 1:
         raise DataError("empty dataset")
@@ -120,14 +122,16 @@ def validate_dataset(d: Dataset) -> Dataset:
     bad = np.flatnonzero(~np.isin(d.labels, (-1.0, 1.0)))
     if bad.size:
         raise DataError(f"invalid label {d.labels[bad[0]]!r} at row {bad[0]}")
+    finite = np.isfinite(d.features)
+    if not finite.all():
+        row = np.flatnonzero(~finite.all(axis=1))[0]
+        raise DataError(f"non-finite feature value at row {row}")
     norms = np.linalg.norm(d.features, axis=1)
     over = np.flatnonzero(norms > 1.0 + NORM_SLACK)
     if over.size:
         raise DataError(
             f"feature norm {norms[over[0]]:.12g} exceeds 1 at row {over[0]}"
         )
-    if not np.all(np.isfinite(d.features)):
-        raise DataError("non-finite feature value")
     return d
 
 

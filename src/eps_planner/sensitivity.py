@@ -9,6 +9,11 @@ with W_eps = hess(L) + ((Lam + Delta_eps)/n) I, symmetric positive
 definite. One Cholesky solve therefore prices the model's response to a
 budget change, the chain rule turns it into a utility slope, and a
 first-order Taylor step extrapolates the utility to any other budget.
+
+The loss Hessian is built once, for W, and the slope needs only the loss
+gradient. Undamped, W is factored once: the factor that proves it
+positive definite is the one the solve uses. A damped solve (for
+sgd_repro iterates) still checks W before it factors W + damping I.
 """
 from __future__ import annotations
 
@@ -19,29 +24,35 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NoiseMismatchError, NumericalError
-from .losses import aggregate
+from .losses import aggregate, hessian
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
 from .perturbation import PerturbationAtEps, delta_coeff
 
 
-def assemble_w(model: PrivateModel, d: Dataset, spec: LossSpec) -> np.ndarray:
+def assemble_w(
+    model: PrivateModel, d: Dataset, spec: LossSpec, *, return_factor: bool = False
+) -> np.ndarray | tuple[np.ndarray, tuple[np.ndarray, bool]]:
     """The p x p system matrix hess(L) at theta_hat plus ((Lam+Delta_eps)/n) I.
 
     The scalar ridge terms enter as multiples of the identity: they are
     the Hessian of the quadratic perturbation terms. The result is
-    symmetric positive definite whenever Lam + Delta_eps > 0.
+    symmetric positive definite whenever Lam + Delta_eps > 0, and that is
+    checked by factoring it: NumericalError if the Cholesky factorization
+    fails. With return_factor=True the result is (W, cho_factor(W)), so a
+    solve against W reuses the factor of that check instead of factoring
+    W a second time.
     """
-    _, _, hessL = aggregate(spec, model.theta, d)
+    hessL = hessian(spec, model.theta, d)
     ridge = (model.reg_lambda + delta_coeff(spec.lambda_hess, model.budget.epsilon)) / d.n
     W = hessL + ridge * np.eye(d.p)
     try:
-        cho_factor(W, lower=True)
+        factor = cho_factor(W, lower=True)
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(W).min())
         raise NumericalError(
             f"system matrix is not positive definite (min eigenvalue {min_eig:.3e})"
         ) from None
-    return W
+    return (W, factor) if return_factor else W
 
 
 def dtheta_deps(
@@ -79,17 +90,18 @@ def dtheta_deps(
         )
 
     n = d.n
-    W = assemble_w(model, d, spec)
+    W, factor = assemble_w(model, d, spec, return_factor=True)
     if damping > 0:
         W = W + damping * np.eye(d.p)
+        try:
+            factor = cho_factor(W, lower=True)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(W).min())
+            raise NumericalError(
+                f"factorization failed (min eigenvalue {min_eig:.3e})"
+            ) from None
     rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / n
-    try:
-        v = cho_solve(cho_factor(W, lower=True), rhs)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(W).min())
-        raise NumericalError(
-            f"factorization failed (min eigenvalue {min_eig:.3e})"
-        ) from None
+    v = cho_solve(factor, rhs)
     ridge_lower = (
         model.reg_lambda + delta_coeff(spec.lambda_hess, model.budget.epsilon)
     ) / n
@@ -104,7 +116,7 @@ def utility_slope(
     model: PrivateModel, d: Dataset, spec: LossSpec, report: SensitivityReport
 ) -> float:
     """Chain rule: dF/deps = <grad of F at theta_hat, dtheta/deps>."""
-    _, gradL, _ = aggregate(spec, model.theta, d)
+    _, gradL, _ = aggregate(spec, model.theta, d, with_value=False, with_hessian=False)
     return float(gradL @ report.dtheta_deps)
 
 

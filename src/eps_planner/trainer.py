@@ -11,6 +11,11 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
                from zero, mirroring the experimental protocol of the
                original evaluations. No convergence guarantee.
 
+Each step computes only what it uses. An sgd step and the final gradient
+check evaluate the gradient alone; a Newton line-search candidate, value
+and gradient. The loss Hessian is built only at the start point and at
+each accepted iterate that has not yet converged: once per Newton step.
+
 Training is deterministic given (dataset, spec, config, budget, seed).
 """
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .losses import aggregate, margin_values
+from .losses import aggregate, hessian, margin_values
 from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget, PrivateModel
 from .perturbation import PerturbationAtEps, materialize
 
@@ -57,27 +62,24 @@ def perturbed_objective(
     spec: LossSpec,
     cfg: TrainConfig,
     pert: PerturbationAtEps,
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of the perturbed training objective."""
+    *,
+    with_value: bool = True,
+) -> tuple[float | None, np.ndarray]:
+    """Value and gradient of the perturbed training objective.
+
+    with_value=False skips the loss values and returns (None, gradient).
+    """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != d.p or pert.b.shape[0] != d.p:
         raise ValueError("dimension mismatch between theta, dataset and perturbation")
     n = d.n
-    L, gradL, _ = aggregate(spec, theta, d)
+    L, gradL, _ = aggregate(spec, theta, d, with_value=with_value, with_hessian=False)
     ridge = cfg.reg_lambda + pert.delta_eps_coeff
-    value = L + ridge / (2.0 * n) * float(theta @ theta) + float(pert.b @ theta) / n
     grad = gradL + (ridge * theta + pert.b) / n
+    if not with_value:
+        return None, grad
+    value = L + ridge / (2.0 * n) * float(theta @ theta) + float(pert.b @ theta) / n
     return value, grad
-
-
-def _objective_parts(theta, d, spec, cfg, pert):
-    n = d.n
-    L, gradL, hessL = aggregate(spec, theta, d)
-    ridge = cfg.reg_lambda + pert.delta_eps_coeff
-    value = L + ridge / (2.0 * n) * float(theta @ theta) + float(pert.b @ theta) / n
-    grad = gradL + (ridge * theta + pert.b) / n
-    hess = hessL + (ridge / n) * np.eye(d.p)
-    return value, grad, hess
 
 
 def train(
@@ -102,7 +104,7 @@ def train(
     else:
         theta, iters = _run_newton(theta, d, spec, cfg, pert)
 
-    _, grad = perturbed_objective(theta, d, spec, cfg, pert)
+    _, grad = perturbed_objective(theta, d, spec, cfg, pert, with_value=False)
     grad_norm = float(np.linalg.norm(grad))
     if not np.isfinite(grad_norm):
         raise NumericalError("non-finite gradient at solution")
@@ -119,26 +121,26 @@ def train(
 
 
 def _run_sgd(theta, d, spec, cfg, pert):
-    n = d.n
-    ridge = cfg.reg_lambda + pert.delta_eps_coeff
     lr = cfg.sgd_learning_rate
     for it in range(cfg.sgd_iterations):
-        _, gradL, _ = aggregate(spec, theta, d)
-        theta = theta - lr * (gradL + (ridge * theta + pert.b) / n)
+        _, grad = perturbed_objective(theta, d, spec, cfg, pert, with_value=False)
+        theta = theta - lr * grad
         if not np.all(np.isfinite(theta)):
             raise NumericalError(f"non-finite iterate at sgd step {it + 1}")
     return theta, cfg.sgd_iterations
 
 
 def _run_newton(theta, d, spec, cfg, pert):
-    value, grad, hess = _objective_parts(theta, d, spec, cfg, pert)
+    value, grad = perturbed_objective(theta, d, spec, cfg, pert)
     gnorm = float(np.linalg.norm(grad))
+    ridge_eye = ((cfg.reg_lambda + pert.delta_eps_coeff) / d.n) * np.eye(d.p)
     steps_taken = 0
     for it in range(cfg.max_exact_iterations):
         if not np.isfinite(value) or not np.isfinite(gnorm):
             raise NumericalError(f"non-finite objective at exact-solver step {it}")
         if gnorm <= cfg.stationarity_tol:
             return theta, steps_taken
+        hess = hessian(spec, theta, d) + ridge_eye
         step = _newton_step(hess, grad, d.p)
         slope = float(grad @ step)
         # Armijo backtracking on the objective value; once value differences
@@ -149,7 +151,7 @@ def _run_newton(theta, d, spec, cfg, pert):
         slack = 8.0 * np.spacing(max(1.0, abs(value)))
         while t >= 1e-14:
             cand = theta + t * step
-            cand_value, cand_grad, cand_hess = _objective_parts(cand, d, spec, cfg, pert)
+            cand_value, cand_grad = perturbed_objective(cand, d, spec, cfg, pert)
             cand_gnorm = float(np.linalg.norm(cand_grad))
             armijo_ok = (
                 cand_value <= value + 1e-4 * t * slope
@@ -157,9 +159,7 @@ def _run_newton(theta, d, spec, cfg, pert):
             )
             flat_ok = cand_value <= value + slack and cand_gnorm < 0.9 * gnorm
             if np.isfinite(cand_value) and (armijo_ok or flat_ok):
-                theta, value, grad, hess, gnorm = (
-                    cand, cand_value, cand_grad, cand_hess, cand_gnorm,
-                )
+                theta, value, grad, gnorm = cand, cand_value, cand_grad, cand_gnorm
                 accepted = True
                 steps_taken += 1
                 break

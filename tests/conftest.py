@@ -23,3 +23,29 @@ def quad_instance():
 def random_unit_ball(rng, p):
     v = rng.standard_normal(p)
     return v * rng.uniform() ** (1.0 / p) / np.linalg.norm(v)
+
+
+@pytest.fixture
+def hessian_builds(monkeypatch):
+    """List that records each loss Hessian trainer and sensitivity build.
+
+    An entry is appended per `hessian` call and per `aggregate` call that
+    asks for the Hessian part.
+    """
+    from eps_planner import losses, sensitivity, trainer
+
+    builds = []
+
+    def counting_aggregate(spec, theta, d, **kwargs):
+        if kwargs.get("with_hessian", True):
+            builds.append("aggregate")
+        return losses.aggregate(spec, theta, d, **kwargs)
+
+    def counting_hessian(spec, theta, d):
+        builds.append("hessian")
+        return losses.hessian(spec, theta, d)
+
+    for mod in (trainer, sensitivity):
+        monkeypatch.setattr(mod, "aggregate", counting_aggregate)
+        monkeypatch.setattr(mod, "hessian", counting_hessian)
+    return builds

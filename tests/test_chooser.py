@@ -77,6 +77,20 @@ class TestPlan:
         plan(d, spec, cfg, 0.5, 1e-3, measured, seed=1)
         assert trainer.TRAIN_CALL_COUNT - before == 1
 
+    def test_exact_plan_builds_newton_steps_plus_one_hessians(self, hessian_builds):
+        """One Hessian per Newton step (the start point and each accepted
+        iterate not yet converged) and one for W: none for line-search
+        candidates, the converged point, the final gradient check or the
+        utility slope."""
+        d = gen_synthetic(2000, 10, 2.0, 0)
+        spec = make_loss_spec("logistic", 10, "tight")
+        cfg = TrainConfig()
+        m = train(d, spec, cfg, PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(10, 0))
+        del hessian_builds[:]
+        result = plan(d, spec, cfg, 0.25, 1e-3, utility(m.theta, d, spec) - 0.01, seed=0)
+        assert result.model.iterations_used >= 3
+        assert len(hessian_builds) == result.model.iterations_used + 1
+
     def test_deterministic(self):
         d = gen_synthetic(100, 3, 1.0, 6)
         spec = make_loss_spec("logistic", 3, "tight")

@@ -92,6 +92,13 @@ class TestDataErrors:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_inf_feature_is_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "inf.csv"
+        f.write_text("f1,f2,label\n0.5,0.1,1\ninf,0.2,-1\n")
+        code = run_cli(["train", "--data", str(f), "--eps", "1.0"])
+        assert code == 2
+        assert "non-finite feature value at row 1" in capsys.readouterr().err
+
 
 class TestNumericalErrors:
     def test_unreachable_utility_is_exit_3(self, data_csv, capsys):
@@ -210,9 +217,16 @@ class TestSeedEnvVar:
 
 class TestCrossProcessDeterminism:
     def test_same_command_byte_identical_across_processes(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import eps_planner
+
+        # the child imports the same package tree as this process
+        src = os.path.dirname(os.path.dirname(eps_planner.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         for out in (out1, out2):
             proc = subprocess.run(
@@ -220,7 +234,7 @@ class TestCrossProcessDeterminism:
                  "--synthetic", "150,3,1.5", "--measure-eps", "0.25",
                  "--targets", "0.2,0.3", "--repeats", "2", "--seed", "5",
                  "--out", str(out)],
-                capture_output=True,
+                capture_output=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr.decode()
         assert out1.read_bytes() == out2.read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from eps_planner.losses import (
     aggregate,
     default_bounds,
+    hessian,
     loss_eval,
     loss_value,
     make_loss_spec,
@@ -138,6 +139,28 @@ class TestAggregate:
         d = Dataset(features=[[0.1, 0.2]], labels=[1])
         with pytest.raises(ValueError, match="length"):
             aggregate(spec_of("logistic"), np.zeros(3), d)
+        with pytest.raises(ValueError, match="length"):
+            hessian(spec_of("logistic"), np.zeros(3), d)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_partial_evaluations_equal_full_triple(self, kind):
+        """Skipping the value or the Hessian leaves the other parts'
+        bits unchanged; `hessian` alone gives the triple's Hessian."""
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((200, 6))
+        X /= np.linalg.norm(X, axis=1).max()
+        y = np.where(rng.uniform(size=200) < 0.5, 1.0, -1.0)
+        d = Dataset(X, y)
+        spec = spec_of(kind)
+        for scale in (0.3, 3.0):
+            theta = scale * rng.standard_normal(6)
+            L, g, H = aggregate(spec, theta, d)
+            L_vg, g_vg, H_vg = aggregate(spec, theta, d, with_hessian=False)
+            L_g, g_g, H_g = aggregate(spec, theta, d, with_value=False, with_hessian=False)
+            assert L_vg == L and H_vg is None
+            assert L_g is None and H_g is None
+            assert np.array_equal(g_vg, g) and np.array_equal(g_g, g)
+            assert np.array_equal(hessian(spec, theta, d), H)
 
 
 class TestDefaultBounds:

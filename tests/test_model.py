@@ -33,6 +33,12 @@ class TestValidateDataset:
         with pytest.raises(DataError, match="norm"):
             validate_dataset(d)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_names_row(self, bad):
+        d = Dataset(features=[[0.1, 0.2], [0.3, bad], [5.0, 0.0]], labels=[1, -1, 1])
+        with pytest.raises(DataError, match="non-finite feature value at row 1"):
+            validate_dataset(d)
+
     def test_norm_slack_accepted(self):
         d = Dataset(features=[[1.0 + 0.5e-9, 0.0]], labels=[1])
         assert validate_dataset(d) is d

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from eps_planner import sensitivity
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import NoiseMismatchError, NumericalError
 from eps_planner.losses import make_loss_spec
@@ -114,6 +116,28 @@ class TestDthetaDeps:
         rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
         resid = np.linalg.norm(W @ report.dtheta_deps - rhs)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("damping, factorizations", [(0.0, 1), (0.05, 2)])
+    def test_factors_w_once_when_undamped(self, monkeypatch, damping, factorizations):
+        """The factor that proves W positive definite is the one the
+        undamped solve uses; a damped solve also factors W + damping I."""
+        d = gen_synthetic(150, 4, 1.0, 19)
+        spec = make_loss_spec("logistic", 4, "tight")
+        noise = NoiseDraw.generate(4, 3)
+        model = train(d, spec, TrainConfig(), PrivacyBudget(0.4, 1e-3), noise)
+        pert = materialize(noise, spec.zeta, 1e-3, 0.4, spec.lambda_hess)
+        calls = []
+
+        def counting_cho_factor(a, **kwargs):
+            calls.append(a.shape)
+            return cho_factor(a, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "cho_factor", counting_cho_factor)
+        report = dtheta_deps(model, d, spec, pert, damping=damping)
+        assert len(calls) == factorizations
+        W = assemble_w(model, d, spec) + damping * np.eye(4)
+        rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
+        assert np.array_equal(report.dtheta_deps, cho_solve(cho_factor(W, lower=True), rhs))
 
     def test_rejects_foreign_noise(self, quad_instance):
         d, spec, model, _ = trained_quad(quad_instance)

@@ -148,6 +148,30 @@ class TestTrainSgdRepro:
             theta = theta - 0.05 * g
         assert np.array_equal(m.theta, theta)
 
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_equals_reference_loop_on_full_aggregate(self, kind):
+        """Gradient-only steps give the same bits as steps that evaluate
+        the full (value, gradient, Hessian) triple and use the gradient."""
+        d = gen_synthetic(300, 6, 1.5, 12)
+        spec = make_loss_spec(kind, 6, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        noise = NoiseDraw.generate(6, 4)
+        m = train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
+        pert = materialize(noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
+        ridge = cfg.reg_lambda + pert.delta_eps_coeff
+        theta = np.zeros(6)
+        for _ in range(cfg.sgd_iterations):
+            _, gradL, _ = aggregate(spec, theta, d)
+            theta = theta - cfg.sgd_learning_rate * (gradL + (ridge * theta + pert.b) / d.n)
+        assert np.array_equal(m.theta, theta)
+
+    def test_builds_no_hessian(self, hessian_builds):
+        d = gen_synthetic(100, 3, 1.0, 2)
+        spec = make_loss_spec("logistic", 3, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        train(d, spec, cfg, PrivacyBudget(0.1, 1e-3), NoiseDraw.generate(3, 0))
+        assert hessian_builds == []
+
     def test_loss_stays_finite_on_normalized_data(self):
         d = gen_synthetic(500, 8, 2.0, 77)
         spec = make_loss_spec("logistic", 8, "paper")
