@@ -6,7 +6,7 @@ budget -- or invert the relationship to pick the budget matching a
 utility requirement.
 """
 
-from .chooser import MagnitudeGapWarning, PlanResult, choose_epsilon, plan
+from .chooser import MagnitudeGapWarning, Measurement, PlanResult, choose_epsilon, measure, plan
 from .data import gen_synthetic, load_dataset, write_csv_dataset
 from .errors import (
     DataError,
@@ -74,8 +74,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MagnitudeGapWarning",
+    "Measurement",
     "PlanResult",
     "choose_epsilon",
+    "measure",
     "plan",
     "gen_synthetic",
     "load_dataset",

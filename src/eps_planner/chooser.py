@@ -2,7 +2,8 @@
 
 Train once at a measuring budget, measure the utility and its slope in
 eps, and read the budget expected to reach a requested utility off the
-resulting affine predictor.
+resulting affine predictor. `measure` is that train-and-measure step;
+`plan`, the experiment harnesses and the CLI all go through it.
 """
 from __future__ import annotations
 
@@ -55,6 +56,39 @@ def choose_epsilon(line: ExtrapolationLine, expected_utility: float) -> float:
 
 
 @dataclass(frozen=True)
+class Measurement:
+    """One training at a measuring budget and what it measures there."""
+
+    model: PrivateModel
+    report: SensitivityReport
+    line: ExtrapolationLine
+
+
+def measure(
+    d: Dataset, spec: LossSpec, cfg: TrainConfig, eps: float, delta: float, seed: int
+) -> Measurement:
+    """Train once at `eps` and measure the utility and its slope there.
+
+    The noise draw is NoiseDraw.generate(d.p, seed). An sgd_repro iterate
+    is not stationary, so its sensitivity solve is damped by
+    (Lam + Delta_eps)/n: it solves against a convex quadratic
+    approximation of the loss around the iterate. Exact models are
+    solved undamped. The report carries the slope as dF_deps.
+    """
+    noise = NoiseDraw.generate(d.p, seed)
+    model = train(d, spec, cfg, PrivacyBudget(epsilon=eps, delta=delta), noise)
+    pert = materialize(noise, spec.zeta, delta, eps, spec.lambda_hess)
+    sgd = cfg.solver_mode == "sgd_repro"
+    damping = (cfg.reg_lambda + pert.delta_eps_coeff) / d.n if sgd else 0.0
+    report = dtheta_deps(model, d, spec, pert, damping=damping, allow_nonstationary=sgd)
+    slope = utility_slope(model, d, spec, report)
+    line = ExtrapolationLine(
+        measure_eps=eps, base_utility=utility(model.theta, d, spec), slope=slope
+    )
+    return Measurement(model=model, report=replace(report, dF_deps=slope), line=line)
+
+
+@dataclass(frozen=True)
 class PlanResult:
     """Everything one planning run produces."""
 
@@ -74,39 +108,17 @@ def plan(
     delta: float,
     expected_utility: float,
     seed: int,
-    damping: float = 0.0,
 ) -> PlanResult:
     """Run the selection procedure end to end with exactly one training.
 
-    Train at the measuring budget, compute the utility slope there by the
-    implicit-differentiation solve, invert the affine predictor at the
-    requested utility, and attach the Taylor-remainder scale for the
-    resulting budget pair. Deploying at the chosen budget should use a
-    fresh noise draw (privacy calibration is per release); this function
-    never trains a second time.
+    Measure at the measuring budget (see `measure`), invert the affine
+    predictor at the requested utility, and attach the Taylor-remainder
+    scale for the resulting budget pair. Deploying at the chosen budget
+    should use a fresh noise draw (privacy calibration is per release);
+    this function never trains a second time.
     """
-    budget = PrivacyBudget(epsilon=measure_eps, delta=delta)
-    noise = NoiseDraw.generate(d.p, seed)
-    model = train(d, spec, cfg, budget, noise)
-
-    pert = materialize(noise, spec.zeta, delta, measure_eps, spec.lambda_hess)
-    report = dtheta_deps(
-        model,
-        d,
-        spec,
-        pert,
-        damping=damping,
-        allow_nonstationary=(cfg.solver_mode == "sgd_repro"),
-    )
-    slope = utility_slope(model, d, spec, report)
-    report = replace(report, dF_deps=slope)
-
-    line = ExtrapolationLine(
-        measure_eps=measure_eps,
-        base_utility=utility(model.theta, d, spec),
-        slope=slope,
-    )
-    eps_hat = choose_epsilon(line, expected_utility)
+    m = measure(d, spec, cfg, measure_eps, delta, seed)
+    eps_hat = choose_epsilon(m.line, expected_utility)
     scale = error_scale(measure_eps, eps_hat, d.n)
 
     ratio = max(eps_hat, measure_eps) / min(eps_hat, measure_eps)
@@ -120,9 +132,9 @@ def plan(
             stacklevel=2,
         )
     return PlanResult(
-        model=model,
-        report=report,
-        line=line,
+        model=m.model,
+        report=m.report,
+        line=m.line,
         chosen_eps=eps_hat,
         scale=scale,
         magnitude_warning=gap,

@@ -30,6 +30,7 @@ from .model import NoiseDraw, PrivacyBudget
 from .trainer import classification_error_rate, train, utility
 
 SEED_ENV_VAR = "EPS_PLANNER_SEED"
+SUMMARY_OUT_HELP = "path of the JSON run summary"
 
 
 def positive_float(text: str) -> float:
@@ -171,15 +172,14 @@ def build_parser(config: dict | None = None) -> _Parser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, data=False):
-        if data:
-            p.add_argument("--data", help="dataset file path")
-            p.add_argument("--format", choices=("csv", "sparse_text"), default="csv")
-            p.add_argument("--label-col", default="label", help="csv label column name")
-            p.add_argument(
-                "--synthetic", type=synthetic_spec,
-                help="use generated data: n,p,separation",
-            )
+    def add_common(p, *, out_help="CSV table path; the run summary goes to PATH.summary.json"):
+        p.add_argument("--data", help="dataset file path")
+        p.add_argument("--format", choices=("csv", "sparse_text"), default="csv")
+        p.add_argument("--label-col", default="label", help="csv label column name")
+        p.add_argument(
+            "--synthetic", type=synthetic_spec,
+            help="use generated data: n,p,separation",
+        )
         p.add_argument("--loss", choices=("logistic", "huber_svm", "quadratic", "smooth_hinge"),
                        default="logistic")
         p.add_argument("--bounds", choices=("paper", "tight"), default="tight")
@@ -190,35 +190,35 @@ def build_parser(config: dict | None = None) -> _Parser:
         p.add_argument("--solver", choices=("exact", "sgd"), default="sgd")
         p.add_argument("--huber-h", type=positive_float, default=0.1)
         p.add_argument("--smooth-t", type=positive_float, default=0.1)
-        p.add_argument("--out", help="output path (CSV table; summary gets .summary.json)")
+        p.add_argument("--out", help=out_help)
 
     p_train = sub.add_parser("train", help="train one private model")
-    add_common(p_train, data=True)
+    add_common(p_train, out_help=SUMMARY_OUT_HELP)
     p_train.add_argument("--eps", type=positive_float, required="eps" not in config)
 
     p_est = sub.add_parser("estimate", help="estimated vs actual loss over a target grid")
-    add_common(p_est, data=True)
+    add_common(p_est)
     p_est.add_argument("--measure-eps", type=eps_list, default=experiments.DEFAULT_MEASURING_LOW)
     p_est.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
 
     p_choose = sub.add_parser("choose-eps", help="pick the budget for an expected utility")
-    add_common(p_choose, data=True)
+    add_common(p_choose, out_help=SUMMARY_OUT_HELP)
     p_choose.add_argument("--measure-eps", type=eps_list, default=(0.25,))
     p_choose.add_argument("--target-utility", type=float,
                           required="target_utility" not in config)
 
     p_sweep = sub.add_parser("sweep-measuring", help="average error per measuring point")
-    add_common(p_sweep, data=True)
+    add_common(p_sweep)
     p_sweep.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
 
     p_samp = sub.add_parser("sweep-samples", help="estimation error against sample count")
-    add_common(p_samp, data=True)
+    add_common(p_samp)
     p_samp.add_argument("--measure-eps", type=eps_list, default=(0.25,))
     p_samp.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
     p_samp.add_argument("--samples", type=targets_spec, default=experiments.DEFAULT_SAMPLE_GRID)
 
     p_oracle = sub.add_parser("oracle-compare", help="finite-difference check of the solve")
-    add_common(p_oracle, data=True)
+    add_common(p_oracle)
     p_oracle.add_argument("--measure-eps", type=eps_list, default=(0.25, 1.0))
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
@@ -295,33 +295,37 @@ def _seed_scheme(cfg: experiments.ExperimentConfig) -> dict:
     }
 
 
-def _write_outputs(args, command, rows, columns, extra=None):
+def _write_outputs(args, command, rows, columns):
+    """The table as CSV to --out, with its run summary beside it, or to stdout."""
     if getattr(args, "out", None):
-        _write_csv(args.out, rows, columns)
-        summary = {
-            "command": command,
-            "inputs": _jsonable_args(args),
-            "seeds": _seed_scheme(_experiment_config(args)),
-            "versions": _versions(),
-        }
-        if extra:
-            summary.update(extra)
-        with open(args.out + ".summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, rows, columns)
+        _write_summary(
+            args.out + ".summary.json", command, args,
+            seeds=_seed_scheme(_experiment_config(args)),
+        )
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+        _write_csv(sys.stdout, rows, columns)
 
 
-def _write_csv(path, rows, columns):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+def _write_csv(fh, rows, columns):
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_cell(row[c]) for c in columns])
+
+
+def _write_summary(path, command, args, **sections):
+    """The run summary JSON: command, resolved inputs, versions and `sections`."""
+    summary = {
+        "command": command,
+        "inputs": _jsonable_args(args),
+        "versions": _versions(),
+        **sections,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cell(value):
@@ -364,15 +368,7 @@ def cmd_train(args) -> int:
         "seed": args.seed,
     }
     if args.out:
-        summary = {
-            "command": "train",
-            "inputs": _jsonable_args(args),
-            "result": result,
-            "versions": _versions(),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_summary(args.out, "train", args, result=result)
     print(
         f"trained at eps={args.eps} delta={args.delta}: "
         f"loss={result['utility']:.6f} error_rate={result['error_rate']:.4f} "
@@ -389,17 +385,17 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_choose_eps(args) -> int:
+    if len(args.measure_eps) != 1:
+        raise UsageError(
+            f"choose-eps measures at one budget, got --measure-eps {list(args.measure_eps)}"
+        )
     cfg = _experiment_config(args)
     d = experiments.resolve_dataset(cfg)
     spec = experiments.loss_spec_for(cfg, d.p)
     tcfg = experiments.train_config_for(cfg)
-    me = args.measure_eps[0]
-    damping = (
-        experiments.recommended_damping(cfg.reg_lambda, spec.lambda_hess, me, d.n)
-        if tcfg.solver_mode == "sgd_repro"
-        else 0.0
+    result = plan(
+        d, spec, tcfg, args.measure_eps[0], args.delta, args.target_utility, args.seed
     )
-    result = plan(d, spec, tcfg, me, args.delta, args.target_utility, args.seed, damping=damping)
     print(f"chosen_eps: {result.chosen_eps!r}")
     print(
         f"line: measure_eps={result.line.measure_eps!r} "
@@ -409,22 +405,14 @@ def cmd_choose_eps(args) -> int:
     if result.magnitude_warning:
         print("warning: chosen and measuring eps differ by more than an order of magnitude")
     if args.out:
-        summary = {
-            "command": "choose-eps",
-            "inputs": _jsonable_args(args),
-            "result": {
-                "chosen_eps": result.chosen_eps,
-                "measure_eps": result.line.measure_eps,
-                "base_utility": result.line.base_utility,
-                "slope": result.line.slope,
-                "remainder_scale": result.scale.scale,
-                "magnitude_warning": result.magnitude_warning,
-            },
-            "versions": _versions(),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_summary(args.out, "choose-eps", args, result={
+            "chosen_eps": result.chosen_eps,
+            "measure_eps": result.line.measure_eps,
+            "base_utility": result.line.base_utility,
+            "slope": result.line.slope,
+            "remainder_scale": result.scale.scale,
+            "magnitude_warning": result.magnitude_warning,
+        })
     return 0
 
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chooser import measure
 from .data import gen_synthetic, load_dataset
 from .model import Dataset, NoiseDraw, PrivacyBudget
 from .losses import make_loss_spec
-from .perturbation import delta_coeff, materialize
-from .sensitivity import dtheta_deps, utility_slope
 from .trainer import TrainConfig, train, utility
 
 DEFAULT_TARGETS_LOW = tuple(round(0.05 * i, 2) for i in range(1, 21))
@@ -99,25 +98,6 @@ def train_config_for(cfg: ExperimentConfig) -> TrainConfig:
     return TrainConfig(reg_lambda=cfg.reg_lambda, solver_mode=cfg.solver_mode)
 
 
-def recommended_damping(reg_lambda: float, lambda_hess: float, eps: float, n: int) -> float:
-    """(Lam + Delta_eps)/n: the quadratic-approximation ridge suggested for
-    sensitivity solves around non-stationary iterates."""
-    return (reg_lambda + delta_coeff(lambda_hess, eps)) / n
-
-
-def _measure_once(d, spec, tcfg, eps, delta, seed):
-    """Train at a measuring budget and return (base utility, slope)."""
-    budget = PrivacyBudget(eps, delta)
-    noise = NoiseDraw.generate(d.p, seed)
-    model = train(d, spec, tcfg, budget, noise)
-    pert = materialize(noise, spec.zeta, delta, eps, spec.lambda_hess)
-    sgd = tcfg.solver_mode == "sgd_repro"
-    damping = recommended_damping(tcfg.reg_lambda, spec.lambda_hess, eps, d.n) if sgd else 0.0
-    report = dtheta_deps(model, d, spec, pert, damping=damping, allow_nonstationary=sgd)
-    slope = utility_slope(model, d, spec, report)
-    return utility(model.theta, d, spec), slope
-
-
 def _actual_once(d, spec, tcfg, eps, delta, seed):
     budget = PrivacyBudget(eps, delta)
     noise = NoiseDraw.generate(d.p, seed)
@@ -145,10 +125,8 @@ def _estimate_means(d, spec, tcfg, measure_eps, grid, cfg) -> np.ndarray:
     grid_arr = np.asarray(grid, dtype=np.float64)
     acc = np.zeros(len(grid))
     for r in range(cfg.repeats):
-        base, slope = _measure_once(
-            d, spec, tcfg, measure_eps, cfg.delta, cfg.base_seed + r
-        )
-        acc += base + slope * (grid_arr - measure_eps)
+        line = measure(d, spec, tcfg, measure_eps, cfg.delta, cfg.base_seed + r).line
+        acc += line.base_utility + line.slope * (grid_arr - measure_eps)
     return acc / cfg.repeats
 
 
@@ -235,10 +213,11 @@ def experiment_sample_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> 
 def oracle_compare(cfg: ExperimentConfig, d: Dataset | None = None, fd_step_factor: float = 1e-4) -> list[dict]:
     """Brute-force check of the implicit-differentiation solve.
 
-    For each measuring eps and repeat: solve for dtheta/deps and the
-    utility slope analytically, then recompute both by central finite
-    differences of exact retraining at eps +/- h with the SAME noise
-    draw, and report relative errors. Requires the exact solver.
+    For each measuring eps and repeat: measure dtheta/deps and the
+    utility slope analytically with `measure`, then recompute both by
+    central finite differences of exact retraining at eps +/- h with the
+    SAME noise draw, and report relative errors. Requires the exact
+    solver.
     """
     d = resolve_dataset(cfg) if d is None else d
     spec = loss_spec_for(cfg, d.p)
@@ -253,21 +232,17 @@ def oracle_compare(cfg: ExperimentConfig, d: Dataset | None = None, fd_step_fact
         h = fd_step_factor * me
         for r in range(cfg.repeats):
             seed = cfg.base_seed + r
-            noise = NoiseDraw.generate(d.p, seed)
-            model = train(d, spec, tcfg, PrivacyBudget(me, cfg.delta), noise)
-            pert = materialize(noise, spec.zeta, cfg.delta, me, spec.lambda_hess)
-            report = dtheta_deps(model, d, spec, pert)
-            slope = utility_slope(model, d, spec, report)
-
+            m = measure(d, spec, tcfg, me, cfg.delta, seed)
+            noise = m.model.noise
             lo = train(d, spec, tcfg, PrivacyBudget(me - h, cfg.delta), noise)
             hi = train(d, spec, tcfg, PrivacyBudget(me + h, cfg.delta), noise)
             v_fd = (hi.theta - lo.theta) / (2.0 * h)
             slope_fd = (utility(hi.theta, d, spec) - utility(lo.theta, d, spec)) / (2.0 * h)
 
             dtheta_rel = float(
-                np.linalg.norm(report.dtheta_deps - v_fd) / max(np.linalg.norm(v_fd), 1e-300)
+                np.linalg.norm(m.report.dtheta_deps - v_fd) / max(np.linalg.norm(v_fd), 1e-300)
             )
-            slope_rel = float(abs(slope - slope_fd) / max(abs(slope_fd), 1e-300))
+            slope_rel = float(abs(m.line.slope - slope_fd) / max(abs(slope_fd), 1e-300))
             rows.append(
                 {
                     "measure_eps": me,

@@ -1,13 +1,19 @@
 """JSON text serialization for the core domain types.
 
-Floats survive the round trip exactly: json emits them via repr, which
-is shortest-round-trip in Python 3, so re-reading reproduces every field
+One codec serves every core type: an object becomes a dict tagged with
+its type name and holding each dataclass field under the field's name.
+Arrays are written as lists and nested core types recurse. Floats
+survive the round trip exactly: json emits them via repr, which is
+shortest-round-trip in Python 3, so re-reading reproduces every field
 bit for bit.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
+
+import numpy as np
 
 from .model import (
     Dataset,
@@ -20,106 +26,48 @@ from .model import (
     SensitivityReport,
 )
 
+# type tag -> core type
+CORE_TYPES = {
+    cls.__name__: cls
+    for cls in (
+        Example,
+        Dataset,
+        PrivacyBudget,
+        LossSpec,
+        NoiseDraw,
+        PrivateModel,
+        SensitivityReport,
+        ExtrapolationLine,
+    )
+}
+
 
 def to_dict(obj: Any) -> dict:
     """Plain-dict form of any core type, tagged with its type name."""
-    if isinstance(obj, Example):
-        return {"type": "Example", "features": list(obj.features), "label": obj.label}
-    if isinstance(obj, Dataset):
-        return {
-            "type": "Dataset",
-            "features": [list(row) for row in obj.features],
-            "labels": list(obj.labels),
-        }
-    if isinstance(obj, PrivacyBudget):
-        return {"type": "PrivacyBudget", "epsilon": obj.epsilon, "delta": obj.delta}
-    if isinstance(obj, LossSpec):
-        return {
-            "type": "LossSpec",
-            "kind": obj.kind,
-            "zeta": obj.zeta,
-            "lambda_hess": obj.lambda_hess,
-            "s_third": obj.s_third,
-            "huber_h": obj.huber_h,
-            "smooth_t": obj.smooth_t,
-        }
-    if isinstance(obj, NoiseDraw):
-        return {"type": "NoiseDraw", "base_u": list(obj.base_u), "seed": obj.seed}
-    if isinstance(obj, PrivateModel):
-        return {
-            "type": "PrivateModel",
-            "theta": list(obj.theta),
-            "budget": to_dict(obj.budget),
-            "reg_lambda": obj.reg_lambda,
-            "noise": to_dict(obj.noise),
-            "loss": to_dict(obj.loss),
-            "grad_norm_at_solution": obj.grad_norm_at_solution,
-            "solver_mode": obj.solver_mode,
-            "iterations_used": obj.iterations_used,
-        }
-    if isinstance(obj, SensitivityReport):
-        return {
-            "type": "SensitivityReport",
-            "dtheta_deps": list(obj.dtheta_deps),
-            "w_min_eigen_lower": obj.w_min_eigen_lower,
-            "damping_added": obj.damping_added,
-            "dF_deps": obj.dF_deps,
-        }
-    if isinstance(obj, ExtrapolationLine):
-        return {
-            "type": "ExtrapolationLine",
-            "measure_eps": obj.measure_eps,
-            "base_utility": obj.base_utility,
-            "slope": obj.slope,
-        }
-    raise TypeError(f"not a serializable core type: {type(obj).__name__}")
+    tag = type(obj).__name__
+    if CORE_TYPES.get(tag) is not type(obj):
+        raise TypeError(f"not a serializable core type: {tag}")
+    out = {"type": tag}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif type(value) in CORE_TYPES.values():
+            value = to_dict(value)
+        out[f.name] = value
+    return out
 
 
 def from_dict(payload: dict) -> Any:
     """Rebuild a core type from its to_dict form."""
-    kind = payload.get("type")
-    if kind == "Example":
-        return Example(features=payload["features"], label=payload["label"])
-    if kind == "Dataset":
-        return Dataset(features=payload["features"], labels=payload["labels"])
-    if kind == "PrivacyBudget":
-        return PrivacyBudget(epsilon=payload["epsilon"], delta=payload["delta"])
-    if kind == "LossSpec":
-        return LossSpec(
-            kind=payload["kind"],
-            zeta=payload["zeta"],
-            lambda_hess=payload["lambda_hess"],
-            s_third=payload["s_third"],
-            huber_h=payload["huber_h"],
-            smooth_t=payload["smooth_t"],
-        )
-    if kind == "NoiseDraw":
-        return NoiseDraw(base_u=payload["base_u"], seed=payload["seed"])
-    if kind == "PrivateModel":
-        return PrivateModel(
-            theta=payload["theta"],
-            budget=from_dict(payload["budget"]),
-            reg_lambda=payload["reg_lambda"],
-            noise=from_dict(payload["noise"]),
-            loss=from_dict(payload["loss"]),
-            grad_norm_at_solution=payload["grad_norm_at_solution"],
-            solver_mode=payload["solver_mode"],
-            iterations_used=payload["iterations_used"],
-        )
-    if kind == "SensitivityReport":
-        return SensitivityReport(
-            dtheta_deps=payload["dtheta_deps"],
-            w_min_eigen_lower=payload["w_min_eigen_lower"],
-            damping_added=payload["damping_added"],
-            dF_deps=payload["dF_deps"],
-        )
-    if kind == "ExtrapolationLine":
-        return ExtrapolationLine(
-            measure_eps=payload["measure_eps"],
-            base_utility=payload["base_utility"],
-            slope=payload["slope"],
-        )
-    raise TypeError(f"unknown serialized type tag: {kind!r}")
+    cls = CORE_TYPES.get(payload.get("type"))
+    if cls is None:
+        raise TypeError(f"unknown serialized type tag: {payload.get('type')!r}")
+    values = {}
+    for f in dataclasses.fields(cls):
+        value = payload[f.name]
+        values[f.name] = from_dict(value) if isinstance(value, dict) else value
+    return cls(**values)
 
 
 def dumps(obj: Any) -> str:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from eps_planner import trainer
-from eps_planner.chooser import MagnitudeGapWarning, choose_epsilon, plan
+from eps_planner.chooser import MagnitudeGapWarning, choose_epsilon, measure, plan
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import FlatSlopeError, UnreachableUtilityError
 from eps_planner.losses import make_loss_spec
 from eps_planner.model import ExtrapolationLine, NoiseDraw, PrivacyBudget
-from eps_planner.sensitivity import extrapolate
+from eps_planner.perturbation import delta_coeff, materialize
+from eps_planner.sensitivity import dtheta_deps, extrapolate, utility_slope
 from eps_planner.trainer import TrainConfig, train, utility
 
 
@@ -37,11 +38,37 @@ class TestChooseEpsilon:
             choose_epsilon(self.LINE, 1.5)  # would need eps <= 0
 
 
+class TestMeasure:
+    @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])
+    def test_equals_low_level_sequence(self, solver_mode):
+        """measure() is train, materialize, dtheta_deps and utility_slope,
+        bit for bit, with the solve damped by (Lam + Delta_eps)/n for
+        sgd_repro iterates and undamped for exact ones."""
+        d = gen_synthetic(500, 4, 1.5, 2)
+        spec = make_loss_spec("logistic", 4, "tight")
+        cfg = TrainConfig(reg_lambda=0.01, solver_mode=solver_mode)
+        m = measure(d, spec, cfg, 0.3, 1e-3, seed=5)
+
+        sgd = solver_mode == "sgd_repro"
+        damping = (0.01 + delta_coeff(spec.lambda_hess, 0.3)) / d.n if sgd else 0.0
+        noise = NoiseDraw.generate(4, 5)
+        model = train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
+        pert = materialize(noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
+        report = dtheta_deps(model, d, spec, pert, damping=damping, allow_nonstationary=sgd)
+        slope = utility_slope(model, d, spec, report)
+
+        assert m.model == model
+        assert np.array_equal(m.report.dtheta_deps, report.dtheta_deps)
+        assert m.report.damping_added == damping
+        assert (damping > 0) == sgd
+        assert m.report.w_min_eigen_lower == report.w_min_eigen_lower
+        assert m.report.dF_deps == slope
+        assert m.line == ExtrapolationLine(0.3, utility(model.theta, d, spec), slope)
+
+
 def quad_setup():
     """One-example quadratic instance and the line plan(seed=0) will see."""
     from eps_planner.model import Dataset, LossSpec
-    from eps_planner.perturbation import materialize
-    from eps_planner.sensitivity import dtheta_deps, utility_slope
 
     d = Dataset(features=[[1.0]], labels=[1.0])
     spec = LossSpec(kind="quadratic", zeta=2.0, lambda_hess=1.0, s_third=0.0)

@@ -125,6 +125,34 @@ class TestChooseEps:
         summary = json.loads(out.read_text())
         assert summary["result"]["chosen_eps"] > 0
 
+    def test_several_measure_eps_is_usage_error(self, data_csv, capsys):
+        code = run_cli(["choose-eps", "--data", data_csv, "--measure-eps", "0.25,0.5",
+                        "--target-utility", "0.40", "--seed", "7", "--solver", "exact"])
+        assert code == 1
+        assert "--measure-eps" in capsys.readouterr().err
+
+    def test_sgd_matches_library_plan(self, data_csv, tmp_path):
+        """choose-eps --solver sgd and library plan() with sgd_repro pick
+        the same budget bit for bit: both damp the solve the same way."""
+        from eps_planner.chooser import measure, plan
+        from eps_planner.data import load_dataset
+        from eps_planner.losses import make_loss_spec
+        from eps_planner.sensitivity import extrapolate
+        from eps_planner.trainer import TrainConfig
+
+        d = load_dataset(data_csv, "csv")
+        spec = make_loss_spec("logistic", d.p, "tight")
+        cfg = TrainConfig(reg_lambda=0.01, solver_mode="sgd_repro")
+        target = extrapolate(measure(d, spec, cfg, 0.25, 1e-3, 7).line, 0.5)
+        want = plan(d, spec, cfg, 0.25, 1e-3, target, seed=7).chosen_eps
+
+        out = tmp_path / "plan.json"
+        code = run_cli(["choose-eps", "--data", data_csv, "--measure-eps", "0.25",
+                        "--delta", "1e-3", "--target-utility", repr(target),
+                        "--seed", "7", "--solver", "sgd", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["result"]["chosen_eps"] == want
+
 
 class TestEstimate:
     def test_csv_deterministic_across_runs(self, tmp_path):
@@ -146,10 +174,10 @@ class TestEstimate:
         seeds = summary["seeds"]["estimate_seeds"]
         assert seeds == [21, 22]
 
+        from eps_planner.chooser import measure
         from eps_planner.experiments import (
             ExperimentConfig,
             SyntheticSpec,
-            _measure_once,
             loss_spec_for,
             train_config_for,
         )
@@ -165,7 +193,7 @@ class TestEstimate:
         spec = loss_spec_for(cfg, d.p)
         tcfg = train_config_for(cfg)
         est = np.mean([
-            _measure_once(d, spec, tcfg, 0.3, 1e-3, s)[0] for s in seeds
+            measure(d, spec, tcfg, 0.3, 1e-3, s).line.base_utility for s in seeds
         ])
         lines = out.read_text().splitlines()
         header = lines[0].split(",")

@@ -73,14 +73,15 @@ class TestEstimateVsActual:
     def test_self_target_matches_measured_mean(self):
         """At the target equal to the measuring point the estimate is the
         repeat-averaged measured utility itself."""
-        from eps_planner.experiments import _measure_once, loss_spec_for, train_config_for
+        from eps_planner.chooser import measure
+        from eps_planner.experiments import loss_spec_for, train_config_for
 
         cfg = ExperimentConfig(measure_eps_list=(0.25,), target_grid=(0.25,), **SMALL)
         d = resolve_dataset(cfg)
         spec = loss_spec_for(cfg, d.p)
         tcfg = train_config_for(cfg)
         bases = [
-            _measure_once(d, spec, tcfg, 0.25, cfg.delta, cfg.base_seed + r)[0]
+            measure(d, spec, tcfg, 0.25, cfg.delta, cfg.base_seed + r).line.base_utility
             for r in range(cfg.repeats)
         ]
         rows = experiment_estimate_vs_actual(cfg)

@@ -69,3 +69,32 @@ def test_noise_draw_floats_bit_exact():
 def test_unknown_type_rejected():
     with pytest.raises(TypeError):
         dumps(object())
+
+
+def test_private_model_dumps_bytes_pinned():
+    """The field-driven codec writes the exact text of the hand-written
+    per-type encoder it replaced."""
+    model = PrivateModel(
+        theta=[0.5, -1.25, 3e-17],
+        budget=PrivacyBudget(0.25, 1e-3),
+        reg_lambda=0.01,
+        noise=NoiseDraw(base_u=[0.1, -2.0, 1.5], seed=7),
+        loss=LossSpec(kind="logistic", zeta=0.25, lambda_hess=0.25, s_third=0.1),
+        grad_norm_at_solution=3.2e-14,
+        solver_mode="exact",
+        iterations_used=12,
+    )
+    assert dumps(model) == (
+        '{"type": "PrivateModel", "theta": [0.5, -1.25, 3e-17], '
+        '"budget": {"type": "PrivacyBudget", "epsilon": 0.25, "delta": 0.001}, '
+        '"reg_lambda": 0.01, '
+        '"noise": {"type": "NoiseDraw", "base_u": [0.1, -2.0, 1.5], "seed": 7}, '
+        '"loss": {"type": "LossSpec", "kind": "logistic", "zeta": 0.25, '
+        '"lambda_hess": 0.25, "s_third": 0.1, "huber_h": 0.1, "smooth_t": 0.1}, '
+        '"grad_norm_at_solution": 3.2e-14, "solver_mode": "exact", "iterations_used": 12}'
+    )
+
+
+def test_unknown_tag_rejected():
+    with pytest.raises(TypeError):
+        loads('{"type": "Trace"}')
