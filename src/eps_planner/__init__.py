@@ -26,17 +26,13 @@ from .experiments import (
     oracle_compare,
 )
 from .losses import (
-    LossEval,
     aggregate,
     default_bounds,
-    loss_eval,
-    loss_value,
     make_loss_spec,
     smooth_hinge,
 )
 from .model import (
     Dataset,
-    Example,
     ExtrapolationLine,
     LossSpec,
     NoiseDraw,
@@ -95,15 +91,11 @@ __all__ = [
     "experiment_measuring_sweep",
     "experiment_sample_sweep",
     "oracle_compare",
-    "LossEval",
     "aggregate",
     "default_bounds",
-    "loss_eval",
-    "loss_value",
     "make_loss_spec",
     "smooth_hinge",
     "Dataset",
-    "Example",
     "ExtrapolationLine",
     "LossSpec",
     "NoiseDraw",

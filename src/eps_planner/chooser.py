@@ -3,7 +3,9 @@
 Train once at a measuring budget, measure the utility and its slope in
 eps, and read the budget expected to reach a requested utility off the
 resulting affine predictor. `measure` is that train-and-measure step;
-`plan`, the experiment harnesses and the CLI all go through it.
+`plan`, the experiment harnesses and the CLI all go through it. The
+sensitivity solve it calls forms its own system, damping included, so
+`measure` only opts non-stationary sgd_repro iterates in.
 """
 from __future__ import annotations
 
@@ -70,17 +72,16 @@ def measure(
     """Train once at `eps` and measure the utility and its slope there.
 
     The noise draw is NoiseDraw.generate(d.p, seed). An sgd_repro iterate
-    is not stationary, so its sensitivity solve is damped by
-    (Lam + Delta_eps)/n: it solves against a convex quadratic
-    approximation of the loss around the iterate. Exact models are
-    solved undamped. The report carries the slope as dF_deps.
+    is not stationary, so measure opts in to its sensitivity solve, which
+    dtheta_deps damps by (Lam + Delta_eps)/n; exact models are solved
+    undamped. The report carries the slope as dF_deps.
     """
     noise = NoiseDraw.generate(d.p, seed)
     model = train(d, spec, cfg, PrivacyBudget(epsilon=eps, delta=delta), noise)
     pert = materialize(noise, spec.zeta, delta, eps, spec.lambda_hess)
-    sgd = cfg.solver_mode == "sgd_repro"
-    damping = (cfg.reg_lambda + pert.delta_eps_coeff) / d.n if sgd else 0.0
-    report = dtheta_deps(model, d, spec, pert, damping=damping, allow_nonstationary=sgd)
+    report = dtheta_deps(
+        model, d, spec, pert, allow_nonstationary=cfg.solver_mode == "sgd_repro"
+    )
     slope = utility_slope(model, d, spec, report)
     line = ExtrapolationLine(
         measure_eps=eps, base_utility=utility(model.theta, d, spec), slope=slope

@@ -172,7 +172,9 @@ def build_parser(config: dict | None = None) -> _Parser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, out_help="CSV table path; the run summary goes to PATH.summary.json"):
+    def add_common(
+        p, *, out_help="CSV table path; the run summary goes to PATH.summary.json", solver="sgd"
+    ):
         p.add_argument("--data", help="dataset file path")
         p.add_argument("--format", choices=("csv", "sparse_text"), default="csv")
         p.add_argument("--label-col", default="label", help="csv label column name")
@@ -187,7 +189,7 @@ def build_parser(config: dict | None = None) -> _Parser:
         p.add_argument("--delta", type=positive_float, default=1e-3)
         p.add_argument("--repeats", type=positive_int, default=10)
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--solver", choices=("exact", "sgd"), default="sgd")
+        p.add_argument("--solver", choices=("exact", "sgd"), default=solver)
         p.add_argument("--huber-h", type=positive_float, default=0.1)
         p.add_argument("--smooth-t", type=positive_float, default=0.1)
         p.add_argument("--out", help=out_help)
@@ -202,7 +204,7 @@ def build_parser(config: dict | None = None) -> _Parser:
     p_est.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
 
     p_choose = sub.add_parser("choose-eps", help="pick the budget for an expected utility")
-    add_common(p_choose, out_help=SUMMARY_OUT_HELP)
+    add_common(p_choose, out_help=SUMMARY_OUT_HELP, solver="exact")
     p_choose.add_argument("--measure-eps", type=eps_list, default=(0.25,))
     p_choose.add_argument("--target-utility", type=float,
                           required="target_utility" not in config)

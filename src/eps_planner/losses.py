@@ -14,21 +14,11 @@ accepted Newton iterate or the sensitivity system matrix for a Hessian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .model import Dataset, Example, LossSpec
-
-
-@dataclass(frozen=True)
-class LossEval:
-    """Per-example value, gradient and rank-one Hessian factor."""
-
-    value: float
-    grad: np.ndarray
-    hess_factor: float
+from .model import Dataset, LossSpec
 
 
 def _softplus(x):
@@ -96,23 +86,6 @@ def margin_curvatures(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
     d2 = np.zeros_like(m)
     d2[np.abs(1.0 - m) <= spec.huber_h] = 1.0 / (2.0 * spec.huber_h)
     return d2
-
-
-def loss_value(spec: LossSpec, theta: np.ndarray, ex: Example) -> float:
-    """l(y * <theta, x>) for one example."""
-    margin = ex.label * float(np.dot(theta, ex.features))
-    return float(margin_values(spec, np.array([margin]))[0])
-
-
-def loss_eval(spec: LossSpec, theta: np.ndarray, ex: Example) -> LossEval:
-    """Value, gradient l'(m) y x, and curvature factor l''(m) for one example."""
-    margin = ex.label * float(np.dot(theta, ex.features))
-    marr = np.array([margin])
-    return LossEval(
-        value=float(margin_values(spec, marr)[0]),
-        grad=float(margin_slopes(spec, marr)[0]) * ex.label * ex.features,
-        hess_factor=float(margin_curvatures(spec, marr)[0]),
-    )
 
 
 def _margins(theta: np.ndarray, d: Dataset) -> np.ndarray:

@@ -6,7 +6,7 @@ validation live in this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,35 +24,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One labelled record: a normalized feature vector and a +/-1 label."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _readonly(np.atleast_1d(self.features)))
-        object.__setattr__(self, "label", int(self.label))
-
-    @property
-    def p(self) -> int:
-        return self.features.shape[0]
+class _FieldwiseEq:
+    """Equality over the dataclass fields: np.array_equal for arrays, ==
+    for the rest. Defining __eq__ here leaves the subclasses unhashable."""
 
     def __eq__(self, other):
-        if not isinstance(other, Example):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.label == other.label and np.array_equal(self.features, other.features)
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(_FieldwiseEq):
     """Ordered collection of examples, stored as dense arrays.
 
     `features` is the n x p matrix of stacked feature rows and `labels`
-    the matching +/-1 vector; `examples` views the same storage row by
-    row. Construction does not validate the content invariants; call
-    validate_dataset for that.
+    the matching +/-1 vector. Construction does not validate the content
+    invariants; call validate_dataset for that.
     """
 
     features: np.ndarray
@@ -68,18 +59,6 @@ class Dataset:
         object.__setattr__(self, "features", _readonly(X))
         object.__setattr__(self, "labels", _readonly(y))
 
-    @classmethod
-    def from_examples(cls, examples) -> "Dataset":
-        examples = list(examples)
-        if not examples:
-            raise DataError("empty dataset")
-        ps = {ex.p for ex in examples}
-        if len(ps) != 1:
-            raise DataError(f"dimension mismatch across examples: {sorted(ps)}")
-        X = np.stack([ex.features for ex in examples])
-        y = np.array([ex.label for ex in examples], dtype=np.float64)
-        return cls(X, y)
-
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -88,23 +67,9 @@ class Dataset:
     def p(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def examples(self) -> list[Example]:
-        return [Example(self.features[i], int(self.labels[i])) for i in range(self.n)]
-
-    def example(self, i: int) -> Example:
-        return Example(self.features[i], int(self.labels[i]))
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.features[idx], self.labels[idx])
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return np.array_equal(self.features, other.features) and np.array_equal(
-            self.labels, other.labels
-        )
 
 
 def validate_dataset(d: Dataset) -> Dataset:
@@ -181,7 +146,7 @@ class LossSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class NoiseDraw:
+class NoiseDraw(_FieldwiseEq):
     """The fixed standard-normal base vector u behind the linear noise term.
 
     Generated once per training run; scaling by sigma(eps) later makes the
@@ -207,11 +172,6 @@ class NoiseDraw:
     def p(self) -> int:
         return self.base_u.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, NoiseDraw):
-            return NotImplemented
-        return self.seed == other.seed and np.array_equal(self.base_u, other.base_u)
-
 
 def _box_muller(p: int, seed: int) -> np.ndarray:
     """Standard normals via Box-Muller over numpy's PCG64 bit generator.
@@ -231,7 +191,7 @@ def _box_muller(p: int, seed: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PrivateModel:
+class PrivateModel(_FieldwiseEq):
     """A trained parameter vector together with everything that produced it."""
 
     theta: np.ndarray
@@ -260,23 +220,9 @@ class PrivateModel:
     def theta_norm(self) -> float:
         return float(np.linalg.norm(self.theta))
 
-    def __eq__(self, other):
-        if not isinstance(other, PrivateModel):
-            return NotImplemented
-        return (
-            np.array_equal(self.theta, other.theta)
-            and self.budget == other.budget
-            and self.reg_lambda == other.reg_lambda
-            and self.noise == other.noise
-            and self.loss == other.loss
-            and self.grad_norm_at_solution == other.grad_norm_at_solution
-            and self.solver_mode == other.solver_mode
-            and self.iterations_used == other.iterations_used
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class SensitivityReport:
+class SensitivityReport(_FieldwiseEq):
     """Result of the implicit-differentiation solve at one budget.
 
     dtheta_deps is d(theta-hat)/d(eps); dF_deps the utility slope once
@@ -295,16 +241,6 @@ class SensitivityReport:
             raise ValueError("w_min_eigen_lower must be positive")
         if self.damping_added < 0:
             raise ValueError("damping_added must be nonnegative")
-
-    def __eq__(self, other):
-        if not isinstance(other, SensitivityReport):
-            return NotImplemented
-        return (
-            np.array_equal(self.dtheta_deps, other.dtheta_deps)
-            and self.w_min_eigen_lower == other.w_min_eigen_lower
-            and self.damping_added == other.damping_added
-            and self.dF_deps == other.dF_deps
-        )
 
 
 @dataclass(frozen=True)

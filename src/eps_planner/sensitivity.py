@@ -10,10 +10,13 @@ definite. One Cholesky solve therefore prices the model's response to a
 budget change, the chain rule turns it into a utility slope, and a
 first-order Taylor step extrapolates the utility to any other budget.
 
-The loss Hessian is built once, for W, and the slope needs only the loss
-gradient. Undamped, W is factored once: the factor that proves it
-positive definite is the one the solve uses. A damped solve (for
-sgd_repro iterates) still checks W before it factors W + damping I.
+`dtheta_deps` owns that system. It forms the ridge (Lam + Delta_eps)/n
+from the model it is given and, for a non-stationary sgd_repro iterate,
+derives its own damping from the same ridge and solves against
+W + damping I instead. The loss Hessian is built once, for W, and the
+matrix solved is factored once: the Cholesky factor that solves it is
+also its positive-definiteness check. The slope needs only the loss
+gradient.
 """
 from __future__ import annotations
 
@@ -29,30 +32,20 @@ from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, Sensitivi
 from .perturbation import PerturbationAtEps, delta_coeff
 
 
-def assemble_w(
-    model: PrivateModel, d: Dataset, spec: LossSpec, *, return_factor: bool = False
-) -> np.ndarray | tuple[np.ndarray, tuple[np.ndarray, bool]]:
+def _ridge(model: PrivateModel, spec: LossSpec, n: int) -> float:
+    # Hessian of the quadratic terms: the regularizer and Delta_eps
+    return (model.reg_lambda + delta_coeff(spec.lambda_hess, model.budget.epsilon)) / n
+
+
+def assemble_w(model: PrivateModel, d: Dataset, spec: LossSpec) -> np.ndarray:
     """The p x p system matrix hess(L) at theta_hat plus ((Lam+Delta_eps)/n) I.
 
     The scalar ridge terms enter as multiples of the identity: they are
     the Hessian of the quadratic perturbation terms. The result is
-    symmetric positive definite whenever Lam + Delta_eps > 0, and that is
-    checked by factoring it: NumericalError if the Cholesky factorization
-    fails. With return_factor=True the result is (W, cho_factor(W)), so a
-    solve against W reuses the factor of that check instead of factoring
-    W a second time.
+    symmetric positive definite whenever Lam + Delta_eps > 0; it is not
+    factored here, dtheta_deps checks it by factoring the matrix it solves.
     """
-    hessL = hessian(spec, model.theta, d)
-    ridge = (model.reg_lambda + delta_coeff(spec.lambda_hess, model.budget.epsilon)) / d.n
-    W = hessL + ridge * np.eye(d.p)
-    try:
-        factor = cho_factor(W, lower=True)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(W).min())
-        raise NumericalError(
-            f"system matrix is not positive definite (min eigenvalue {min_eig:.3e})"
-        ) from None
-    return (W, factor) if return_factor else W
+    return hessian(spec, model.theta, d) + _ridge(model, spec, d.n) * np.eye(d.p)
 
 
 def dtheta_deps(
@@ -60,7 +53,6 @@ def dtheta_deps(
     d: Dataset,
     spec: LossSpec,
     pert: PerturbationAtEps,
-    damping: float = 0.0,
     allow_nonstationary: bool = False,
 ) -> SensitivityReport:
     """Solve for d(theta_hat)/d(eps) at the model's own budget.
@@ -69,12 +61,12 @@ def dtheta_deps(
     noise draw and budget (checked by identity). Models trained in
     sgd_repro mode are not stationary, so the implicit-differentiation
     identity does not hold exactly; pass allow_nonstationary=True to
-    proceed anyway, ideally with damping >= (Lam + Delta_eps)/n, which
-    amounts to solving against a convex quadratic approximation of the
-    loss around the returned iterate.
+    proceed anyway. Their solve is then damped by (Lam + Delta_eps)/n,
+    which amounts to solving against a convex quadratic approximation of
+    the loss around the returned iterate; exact models are solved
+    undamped. The solved matrix is factored once, and that factorization
+    is the definiteness check: NumericalError if it fails.
     """
-    if damping < 0:
-        raise ValueError("damping must be nonnegative")
     if model.solver_mode == "sgd_repro" and not allow_nonstationary:
         raise NumericalError(
             "model was trained in sgd_repro mode and is not stationary; "
@@ -89,25 +81,22 @@ def dtheta_deps(
             "perturbation was materialized from a different noise draw than the model's"
         )
 
-    n = d.n
-    W, factor = assemble_w(model, d, spec, return_factor=True)
+    ridge = _ridge(model, spec, d.n)
+    damping = ridge if model.solver_mode == "sgd_repro" else 0.0
+    W = assemble_w(model, d, spec)
     if damping > 0:
         W = W + damping * np.eye(d.p)
-        try:
-            factor = cho_factor(W, lower=True)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(W).min())
-            raise NumericalError(
-                f"factorization failed (min eigenvalue {min_eig:.3e})"
-            ) from None
-    rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / n
-    v = cho_solve(factor, rhs)
-    ridge_lower = (
-        model.reg_lambda + delta_coeff(spec.lambda_hess, model.budget.epsilon)
-    ) / n
+    try:
+        factor = cho_factor(W, lower=True)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(W).min())
+        raise NumericalError(
+            f"system matrix is not positive definite (min eigenvalue {min_eig:.3e})"
+        ) from None
+    rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
     return SensitivityReport(
-        dtheta_deps=v,
-        w_min_eigen_lower=ridge_lower + damping,
+        dtheta_deps=cho_solve(factor, rhs),
+        w_min_eigen_lower=ridge + damping,
         damping_added=damping,
     )
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .model import (
     Dataset,
-    Example,
     ExtrapolationLine,
     LossSpec,
     NoiseDraw,
@@ -30,7 +29,6 @@ from .model import (
 CORE_TYPES = {
     cls.__name__: cls
     for cls in (
-        Example,
         Dataset,
         PrivacyBudget,
         LossSpec,

@@ -49,3 +49,25 @@ def hessian_builds(monkeypatch):
         monkeypatch.setattr(mod, "aggregate", counting_aggregate)
         monkeypatch.setattr(mod, "hessian", counting_hessian)
     return builds
+
+
+@pytest.fixture
+def cho_factor_calls(monkeypatch):
+    """List that records the module of each Cholesky factorization that
+    trainer and sensitivity run: "trainer" or "sensitivity"."""
+    from scipy.linalg import cho_factor
+
+    from eps_planner import sensitivity, trainer
+
+    calls = []
+
+    def counting(site):
+        def cho_factor_at_site(a, **kwargs):
+            calls.append(site)
+            return cho_factor(a, **kwargs)
+
+        return cho_factor_at_site
+
+    for mod, site in ((trainer, "trainer"), (sensitivity, "sensitivity")):
+        monkeypatch.setattr(mod, "cho_factor", counting(site))
+    return calls

@@ -54,11 +54,12 @@ class TestMeasure:
         noise = NoiseDraw.generate(4, 5)
         model = train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
-        report = dtheta_deps(model, d, spec, pert, damping=damping, allow_nonstationary=sgd)
+        report = dtheta_deps(model, d, spec, pert, allow_nonstationary=sgd)
         slope = utility_slope(model, d, spec, report)
 
         assert m.model == model
         assert np.array_equal(m.report.dtheta_deps, report.dtheta_deps)
+        assert report.damping_added == damping
         assert m.report.damping_added == damping
         assert (damping > 0) == sgd
         assert m.report.w_min_eigen_lower == report.w_min_eigen_lower
@@ -117,6 +118,25 @@ class TestPlan:
         result = plan(d, spec, cfg, 0.25, 1e-3, utility(m.theta, d, spec) - 0.01, seed=0)
         assert result.model.iterations_used >= 3
         assert len(hessian_builds) == result.model.iterations_used + 1
+
+    def test_exact_plan_factors_once_per_newton_step_and_once_for_w(self, cho_factor_calls):
+        d = gen_synthetic(2000, 10, 2.0, 0)
+        spec = make_loss_spec("logistic", 10, "tight")
+        cfg = TrainConfig()
+        m = train(d, spec, cfg, PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(10, 0))
+        del cho_factor_calls[:]
+        result = plan(d, spec, cfg, 0.25, 1e-3, utility(m.theta, d, spec) - 0.01, seed=0)
+        assert result.model.iterations_used >= 3
+        assert cho_factor_calls.count("trainer") == result.model.iterations_used
+        assert cho_factor_calls.count("sensitivity") == 1
+
+    def test_sgd_measure_factors_only_the_damped_system(self, cho_factor_calls):
+        d = gen_synthetic(500, 4, 1.5, 2)
+        spec = make_loss_spec("logistic", 4, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        m = measure(d, spec, cfg, 0.3, 1e-3, seed=5)
+        assert m.report.damping_added > 0
+        assert cho_factor_calls == ["sensitivity"]
 
     def test_deterministic(self):
         d = gen_synthetic(100, 3, 1.0, 6)

@@ -110,6 +110,17 @@ class TestNumericalErrors:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["exact", "sgd"])
+    def test_indefinite_system_is_exit_3(self, data_csv, monkeypatch, capsys, solver):
+        from eps_planner import sensitivity
+
+        monkeypatch.setattr(sensitivity, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        code = run_cli(["choose-eps", "--data", data_csv, "--measure-eps", "0.25",
+                        "--delta", "1e-3", "--target-utility", "0.40",
+                        "--seed", "7", "--solver", solver])
+        assert code == 3
+        assert "not positive definite" in capsys.readouterr().err
+
 
 class TestChooseEps:
     def test_happy_path_prints_line(self, data_csv, tmp_path, capsys):
@@ -124,6 +135,16 @@ class TestChooseEps:
         assert "remainder_scale:" in printed
         summary = json.loads(out.read_text())
         assert summary["result"]["chosen_eps"] > 0
+
+    def test_default_solver_is_exact(self, data_csv, capsys):
+        args = ["choose-eps", "--data", data_csv, "--measure-eps", "0.25",
+                "--delta", "1e-3", "--target-utility", "0.40", "--seed", "7"]
+        assert run_cli(args) == 0
+        default = capsys.readouterr().out
+        assert run_cli(args + ["--solver", "exact"]) == 0
+        assert default == capsys.readouterr().out
+        assert run_cli(args + ["--solver", "sgd"]) == 0
+        assert default != capsys.readouterr().out
 
     def test_several_measure_eps_is_usage_error(self, data_csv, capsys):
         code = run_cli(["choose-eps", "--data", data_csv, "--measure-eps", "0.25,0.5",

@@ -7,12 +7,13 @@ from eps_planner.losses import (
     aggregate,
     default_bounds,
     hessian,
-    loss_eval,
-    loss_value,
     make_loss_spec,
+    margin_curvatures,
+    margin_slopes,
+    margin_values,
     smooth_hinge,
 )
-from eps_planner.model import Dataset, Example
+from eps_planner.model import Dataset
 
 LOG2 = math.log(2.0)
 
@@ -23,88 +24,102 @@ def spec_of(kind):
     return make_loss_spec(kind, p=3, mode="tight")
 
 
-def example_with_margin(margin):
+def one_row(x, y):
+    return Dataset(features=[x], labels=[y])
+
+
+def row_with_margin(margin):
     # unit feature along the first axis: margin equals theta[0]
-    return Example([1.0, 0.0, 0.0], 1), np.array([margin, 0.0, 0.0])
+    return one_row([1.0, 0.0, 0.0], 1), np.array([margin, 0.0, 0.0])
+
+
+def value(spec, theta, d):
+    return aggregate(spec, theta, d, with_hessian=False)[0]
+
+
+def gradient(spec, theta, d):
+    return aggregate(spec, theta, d, with_value=False, with_hessian=False)[1]
 
 
 class TestLossValue:
     def test_logistic_at_zero_margin(self):
-        ex, theta = example_with_margin(0.0)
-        assert loss_value(spec_of("logistic"), theta, ex) == pytest.approx(LOG2, rel=1e-12)
+        d, theta = row_with_margin(0.0)
+        assert value(spec_of("logistic"), theta, d) == pytest.approx(LOG2, rel=1e-12)
 
     def test_huber_flat_branch(self):
-        ex, theta = example_with_margin(1.2)
-        assert loss_value(spec_of("huber_svm"), theta, ex) == 0.0
+        d, theta = row_with_margin(1.2)
+        assert value(spec_of("huber_svm"), theta, d) == 0.0
 
     def test_huber_middle_branch(self):
         # (1 + 0.1 - 1.0)^2 / (4 * 0.1)
-        ex, theta = example_with_margin(1.0)
-        assert loss_value(spec_of("huber_svm"), theta, ex) == pytest.approx(0.025, rel=1e-12)
+        d, theta = row_with_margin(1.0)
+        assert value(spec_of("huber_svm"), theta, d) == pytest.approx(0.025, rel=1e-12)
 
     def test_huber_linear_branch(self):
-        ex, theta = example_with_margin(0.5)
-        assert loss_value(spec_of("huber_svm"), theta, ex) == pytest.approx(0.5, rel=1e-12)
+        d, theta = row_with_margin(0.5)
+        assert value(spec_of("huber_svm"), theta, d) == pytest.approx(0.5, rel=1e-12)
 
     def test_logistic_extreme_margins_stay_finite(self):
-        ex, theta = example_with_margin(-800.0)
-        assert loss_value(spec_of("logistic"), theta, ex) == pytest.approx(800.0, rel=1e-12)
-        ex, theta = example_with_margin(800.0)
-        assert loss_value(spec_of("logistic"), theta, ex) == 0.0
+        d, theta = row_with_margin(-800.0)
+        assert value(spec_of("logistic"), theta, d) == pytest.approx(800.0, rel=1e-12)
+        d, theta = row_with_margin(800.0)
+        assert value(spec_of("logistic"), theta, d) == 0.0
 
 
 class TestLossEval:
+    """Gradient and curvature of one row; with the unit feature of
+    row_with_margin the curvature l''(m) is the Hessian's [0, 0] entry."""
+
     def test_logistic_at_zero_margin(self):
-        ex, theta = example_with_margin(0.0)
-        ev = loss_eval(spec_of("logistic"), theta, ex)
-        assert ev.grad[0] == pytest.approx(-0.5, rel=1e-12)
-        assert ev.hess_factor == pytest.approx(0.25, rel=1e-12)
+        d, theta = row_with_margin(0.0)
+        spec = spec_of("logistic")
+        assert gradient(spec, theta, d)[0] == pytest.approx(-0.5, rel=1e-12)
+        assert hessian(spec, theta, d)[0, 0] == pytest.approx(0.25, rel=1e-12)
 
     def test_quadratic_at_minimum(self):
-        ex, theta = example_with_margin(1.0)
-        ev = loss_eval(spec_of("quadratic"), theta, ex)
-        assert np.allclose(ev.grad, 0.0)
-        assert ev.hess_factor == 1.0
+        d, theta = row_with_margin(1.0)
+        spec = spec_of("quadratic")
+        assert np.allclose(gradient(spec, theta, d), 0.0)
+        assert hessian(spec, theta, d)[0, 0] == 1.0
 
     def test_huber_linear_branch(self):
-        ex, theta = example_with_margin(0.5)
-        ev = loss_eval(spec_of("huber_svm"), theta, ex)
-        assert ev.grad[0] == pytest.approx(-1.0, rel=1e-12)
-        assert ev.hess_factor == 0.0
+        d, theta = row_with_margin(0.5)
+        spec = spec_of("huber_svm")
+        assert gradient(spec, theta, d)[0] == pytest.approx(-1.0, rel=1e-12)
+        assert hessian(spec, theta, d)[0, 0] == 0.0
 
     def test_grad_carries_label_and_features(self):
         spec = spec_of("logistic")
-        ex = Example([0.0, 0.6, 0.0], -1)
+        d = one_row([0.0, 0.6, 0.0], -1)
         theta = np.array([0.0, 0.5, 0.0])
-        ev = loss_eval(spec, theta, ex)
         margin = -0.3
         lprime = 1.0 / (1.0 + math.exp(-margin)) - 1.0
-        assert ev.grad[1] == pytest.approx(lprime * (-1) * 0.6, rel=1e-12)
+        assert gradient(spec, theta, d)[1] == pytest.approx(lprime * (-1) * 0.6, rel=1e-12)
 
 
 class TestAggregate:
     def test_single_example_equals_per_example(self):
+        """One row: l(m), l'(m) y x and l''(m) x x^T from the margin helpers."""
         spec = spec_of("logistic")
-        ex = Example([0.3, -0.4, 0.5], -1)
-        d = Dataset.from_examples([ex])
+        x = np.array([0.3, -0.4, 0.5])
+        d = one_row(x, -1)
         theta = np.array([0.2, 0.1, -0.7])
+        m = np.array([-1.0 * float(x @ theta)])
         L, g, H = aggregate(spec, theta, d)
-        ev = loss_eval(spec, theta, ex)
-        assert L == pytest.approx(ev.value, rel=1e-12)
-        np.testing.assert_allclose(g, ev.grad, rtol=1e-12)
+        assert L == pytest.approx(margin_values(spec, m)[0], rel=1e-12)
+        np.testing.assert_allclose(g, margin_slopes(spec, m)[0] * -1.0 * x, rtol=1e-12)
         np.testing.assert_allclose(
-            H, ev.hess_factor * np.outer(ex.features, ex.features), rtol=1e-12
+            H, margin_curvatures(spec, m)[0] * np.outer(x, x), rtol=1e-12
         )
 
     def test_mean_of_identical_examples(self):
         spec = spec_of("quadratic")
-        ex = Example([0.5, 0.5, 0.0], 1)
-        d = Dataset.from_examples([ex, ex])
+        d = Dataset(features=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], labels=[1, 1])
         theta = np.array([1.0, -1.0, 0.3])
         L, g, H = aggregate(spec, theta, d)
-        ev = loss_eval(spec, theta, ex)
-        assert L == pytest.approx(ev.value, rel=1e-12)
-        np.testing.assert_allclose(g, ev.grad, rtol=1e-12)
+        L1, g1, H1 = aggregate(spec, theta, one_row([0.5, 0.5, 0.0], 1))
+        assert L == pytest.approx(L1, rel=1e-12)
+        np.testing.assert_allclose(g, g1, rtol=1e-12)
 
     def test_hessian_matches_finite_differences(self):
         """Entrywise central differences of the mean gradient, 1e-5 abs."""
@@ -203,9 +218,9 @@ class TestSmoothHinge:
             smooth_hinge(0.0, 1.0)
 
 
-def _sample_pair(rng, kind, spec, p=4):
-    """Random (theta, example) with ||x|| <= 1; Huber margins kept >= 1e-3
-    away from the two curvature kinks."""
+def _sample_row(rng, kind, spec, p=4):
+    """Random (theta, one-row dataset) with ||x|| <= 1; Huber margins kept
+    >= 1e-3 away from the two curvature kinks."""
     while True:
         x = rng.standard_normal(p)
         x *= rng.uniform(0.3, 1.0) / np.linalg.norm(x)
@@ -216,7 +231,7 @@ def _sample_pair(rng, kind, spec, p=4):
             h = spec.huber_h
             if min(abs(m - (1 - h)), abs(m - (1 + h))) < 1e-3:
                 continue
-        return np.asarray(theta), Example(x, y)
+        return np.asarray(theta), one_row(x, y)
 
 
 class TestDerivativeProperties:
@@ -225,34 +240,33 @@ class TestDerivativeProperties:
         rng = np.random.default_rng(7)
         spec = spec_of(kind)
         for _ in range(100):
-            theta, ex = _sample_pair(rng, kind, spec)
-            ev = loss_eval(spec, theta, ex)
+            theta, d = _sample_row(rng, kind, spec)
+            grad = gradient(spec, theta, d)
             h = 1e-6
             for j in range(len(theta)):
                 e = np.zeros_like(theta)
                 e[j] = h
-                fd = (loss_value(spec, theta + e, ex) - loss_value(spec, theta - e, ex)) / (2 * h)
-                assert fd == pytest.approx(ev.grad[j], rel=1e-5, abs=1e-8)
+                fd = (value(spec, theta + e, d) - value(spec, theta - e, d)) / (2 * h)
+                assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-8)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_hessian_matches_finite_differences(self, kind):
         rng = np.random.default_rng(8)
         spec = spec_of(kind)
         for _ in range(100):
-            theta, ex = _sample_pair(rng, kind, spec)
-            ev = loss_eval(spec, theta, ex)
-            H = ev.hess_factor * np.outer(ex.features, ex.features)
+            theta, d = _sample_row(rng, kind, spec)
+            H = hessian(spec, theta, d)
             h = 1e-6
             for j in range(len(theta)):
                 e = np.zeros_like(theta)
                 e[j] = h
-                gp = loss_eval(spec, theta + e, ex).grad
-                gm = loss_eval(spec, theta - e, ex).grad
+                gp = gradient(spec, theta + e, d)
+                gm = gradient(spec, theta - e, d)
                 np.testing.assert_allclose((gp - gm) / (2 * h), H[:, j], rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_tight_bounds_hold(self, kind):
-        """||grad|| <= zeta and hess_factor * ||x||^2 <= lambda_hess under
+        """||grad|| <= zeta and l''(m) * ||x||^2 <= lambda_hess under
         ||x|| <= 1 (theta kept in the unit ball for the quadratic case)."""
         rng = np.random.default_rng(9)
         spec = spec_of(kind)
@@ -262,7 +276,7 @@ class TestDerivativeProperties:
             y = 1 if rng.uniform() < 0.5 else -1
             theta = rng.standard_normal(3)
             theta *= rng.uniform(0.0, 1.0) / np.linalg.norm(theta)
-            ev = loss_eval(spec, theta, Example(x, y))
-            assert np.linalg.norm(ev.grad) <= spec.zeta + 1e-12
-            assert ev.hess_factor * float(x @ x) <= spec.lambda_hess + 1e-12
-            assert ev.hess_factor >= 0.0
+            kappa = margin_curvatures(spec, np.array([y * float(x @ theta)]))[0]
+            assert np.linalg.norm(gradient(spec, theta, one_row(x, y))) <= spec.zeta + 1e-12
+            assert kappa * float(x @ x) <= spec.lambda_hess + 1e-12
+            assert kappa >= 0.0

@@ -4,11 +4,12 @@ import pytest
 from eps_planner.errors import DataError
 from eps_planner.model import (
     Dataset,
-    Example,
     ExtrapolationLine,
     LossSpec,
     NoiseDraw,
     PrivacyBudget,
+    PrivateModel,
+    SensitivityReport,
     validate_dataset,
 )
 
@@ -22,11 +23,6 @@ class TestValidateDataset:
         d = Dataset(features=[[0.5]], labels=[0.0])
         with pytest.raises(DataError, match="label"):
             validate_dataset(d)
-
-    def test_dimension_mismatch(self):
-        exs = [Example([0.1, 0.2, 0.3], 1), Example([0.1, 0.2, 0.3, 0.4], -1)]
-        with pytest.raises(DataError, match="dimension mismatch"):
-            Dataset.from_examples(exs)
 
     def test_norm_above_one(self):
         d = Dataset(features=[[1.0, 1.0]], labels=[1])
@@ -45,7 +41,7 @@ class TestValidateDataset:
 
     def test_empty(self):
         with pytest.raises(DataError, match="empty"):
-            Dataset.from_examples([])
+            validate_dataset(Dataset(features=np.zeros((0, 3)), labels=[]))
 
 
 class TestNoiseDraw:
@@ -95,13 +91,12 @@ class TestDomainValidation:
 
 
 class TestDatasetStorage:
-    def test_examples_view_matches_arrays(self):
+    def test_rows_match_arrays(self):
         d = Dataset(features=[[0.1, 0.2], [0.3, 0.4]], labels=[1, -1])
-        exs = d.examples
-        assert len(exs) == d.n == 2
+        assert d.n == 2
         assert d.p == 2
-        assert exs[1].label == -1
-        assert np.array_equal(exs[1].features, [0.3, 0.4])
+        assert d.labels[1] == -1
+        assert np.array_equal(d.features[1], [0.3, 0.4])
 
     def test_features_read_only(self):
         d = Dataset(features=[[0.1]], labels=[1])
@@ -113,3 +108,39 @@ class TestDatasetStorage:
         s = d.subset([2, 0])
         assert np.array_equal(s.features[:, 0], [0.3, 0.1])
         assert np.array_equal(s.labels, [1, 1])
+
+
+class TestEquality:
+    def model(self, **changes):
+        fields = dict(
+            theta=[0.5, -1.25], budget=PrivacyBudget(0.25, 1e-3), reg_lambda=0.01,
+            noise=NoiseDraw(base_u=[0.1, -2.0], seed=7),
+            loss=LossSpec(kind="logistic", zeta=1.0, lambda_hess=0.25, s_third=0.1),
+            grad_norm_at_solution=3.2e-14, solver_mode="exact", iterations_used=12,
+        )
+        return PrivateModel(**{**fields, **changes})
+
+    def test_models_differing_only_in_iterations_used(self):
+        assert self.model() == self.model()
+        assert self.model() != self.model(iterations_used=13)
+
+    def test_arrays_compared_by_value(self):
+        assert self.model(theta=np.array([0.5, -1.25])) == self.model()
+        assert self.model() != self.model(theta=[0.5, -1.5])
+        assert self.model() != self.model(noise=NoiseDraw(base_u=[0.1, -2.0], seed=8))
+        assert Dataset([[0.1]], [1]) == Dataset([[0.1]], [1])
+        assert Dataset([[0.1]], [1]) != Dataset([[0.1]], [-1])
+
+    def test_other_types_not_equal(self):
+        report = SensitivityReport(dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0)
+        assert report != self.model()
+        assert report == SensitivityReport(dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0)
+        assert report != SensitivityReport(
+            dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0, dF_deps=0.1
+        )
+
+    def test_unhashable(self):
+        for obj in (self.model(), self.model().noise, Dataset([[0.1]], [1]),
+                    SensitivityReport(dtheta_deps=[0.5], w_min_eigen_lower=1.0)):
+            with pytest.raises(TypeError):
+                hash(obj)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from eps_planner.model import (
     PrivacyBudget,
     PrivateModel,
 )
-from eps_planner.perturbation import materialize
+from eps_planner.perturbation import delta_coeff, materialize
 from eps_planner.sensitivity import (
     assemble_w,
     dtheta_deps,
@@ -117,14 +118,16 @@ class TestDthetaDeps:
         resid = np.linalg.norm(W @ report.dtheta_deps - rhs)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(rhs))
 
-    @pytest.mark.parametrize("damping, factorizations", [(0.0, 1), (0.05, 2)])
-    def test_factors_w_once_when_undamped(self, monkeypatch, damping, factorizations):
-        """The factor that proves W positive definite is the one the
-        undamped solve uses; a damped solve also factors W + damping I."""
+    @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])
+    def test_factors_solved_matrix_once(self, monkeypatch, solver_mode):
+        """The matrix solved (W exact, W + damping I for sgd_repro) is
+        factored once, and that factor, which also proves it positive
+        definite, is the one the solve uses."""
         d = gen_synthetic(150, 4, 1.0, 19)
         spec = make_loss_spec("logistic", 4, "tight")
         noise = NoiseDraw.generate(4, 3)
-        model = train(d, spec, TrainConfig(), PrivacyBudget(0.4, 1e-3), noise)
+        cfg = TrainConfig(solver_mode=solver_mode)
+        model = train(d, spec, cfg, PrivacyBudget(0.4, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.4, spec.lambda_hess)
         calls = []
 
@@ -133,9 +136,11 @@ class TestDthetaDeps:
             return cho_factor(a, **kwargs)
 
         monkeypatch.setattr(sensitivity, "cho_factor", counting_cho_factor)
-        report = dtheta_deps(model, d, spec, pert, damping=damping)
-        assert len(calls) == factorizations
-        W = assemble_w(model, d, spec) + damping * np.eye(4)
+        sgd = solver_mode == "sgd_repro"
+        report = dtheta_deps(model, d, spec, pert, allow_nonstationary=sgd)
+        assert len(calls) == 1
+        assert (report.damping_added > 0) == sgd
+        W = assemble_w(model, d, spec) + report.damping_added * np.eye(4)
         rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
         assert np.array_equal(report.dtheta_deps, cho_solve(cho_factor(W, lower=True), rhs))
 
@@ -161,24 +166,44 @@ class TestDthetaDeps:
         pert = materialize(noise, spec.zeta, 1e-3, 0.5, spec.lambda_hess)
         with pytest.raises(NumericalError, match="sgd_repro"):
             dtheta_deps(model, d, spec, pert)
-        report = dtheta_deps(model, d, spec, pert, damping=0.01, allow_nonstationary=True)
-        assert report.damping_added == 0.01
+        report = dtheta_deps(model, d, spec, pert, allow_nonstationary=True)
+        assert report.damping_added == (0.01 + delta_coeff(spec.lambda_hess, 0.5)) / d.n
 
     def test_damping_raises_certified_floor(self, quad_instance):
         d, spec, model, pert = trained_quad(quad_instance)
         plain = dtheta_deps(model, d, spec, pert)
-        damped = dtheta_deps(model, d, spec, pert, damping=0.5)
-        assert damped.w_min_eigen_lower == pytest.approx(plain.w_min_eigen_lower + 0.5)
+        sgd_model = replace(model, solver_mode="sgd_repro")
+        damped = dtheta_deps(sgd_model, d, spec, pert, allow_nonstationary=True)
+        # the damping is the ridge (Lam + Delta_eps)/n = (0 + 2)/1
+        assert damped.damping_added == 2.0
+        assert damped.w_min_eigen_lower == pytest.approx(plain.w_min_eigen_lower + 2.0)
         # (W + damping I) v = rhs: v shrinks as damping grows
         assert abs(damped.dtheta_deps[0]) < abs(plain.dtheta_deps[0])
+
+
+class TestIndefiniteSystem:
+    @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])
+    def test_failed_factorization_is_numerical_error(self, monkeypatch, solver_mode):
+        """A loss Hessian with an eigenvalue below -2 ridge leaves both W
+        and W + damping I indefinite: the factorization that solves the
+        system must raise, naming the smallest eigenvalue."""
+        d = gen_synthetic(60, 3, 1.0, 7)
+        spec = make_loss_spec("logistic", 3, "tight")
+        cfg = TrainConfig(solver_mode=solver_mode)
+        noise = NoiseDraw.generate(3, 2)
+        model = train(d, spec, cfg, PrivacyBudget(0.5, 1e-3), noise)
+        pert = materialize(noise, spec.zeta, 1e-3, 0.5, spec.lambda_hess)
+        ridge = (cfg.reg_lambda + delta_coeff(spec.lambda_hess, 0.5)) / d.n
+        assert -1.0 < -2.0 * ridge
+        monkeypatch.setattr(sensitivity, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        with pytest.raises(NumericalError, match="not positive definite .min eigenvalue"):
+            dtheta_deps(model, d, spec, pert, allow_nonstationary=solver_mode == "sgd_repro")
 
 
 class TestUtilitySlope:
     def test_zero_direction_gives_zero(self, quad_instance):
         d, spec, model, pert = trained_quad(quad_instance)
         report = dtheta_deps(model, d, spec, pert)
-        from dataclasses import replace
-
         zeroed = replace(report, dtheta_deps=np.zeros(1))
         assert utility_slope(model, d, spec, zeroed) == 0.0
 

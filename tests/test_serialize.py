@@ -6,7 +6,6 @@ import pytest
 
 from eps_planner.model import (
     Dataset,
-    Example,
     ExtrapolationLine,
     LossSpec,
     NoiseDraw,
@@ -26,7 +25,6 @@ def sample_objects():
     budget = PrivacyBudget(epsilon=0.25, delta=1e-3)
     spec = LossSpec(kind="huber_svm", zeta=1.0, lambda_hess=5.0, s_third=0.0, huber_h=0.1)
     noise = NoiseDraw.generate(7, 99)
-    yield Example(features=r.uniform(-0.3, 0.3, 7), label=-1)
     yield Dataset(features=r.uniform(-0.3, 0.3, (5, 7)), labels=[1, -1, 1, 1, -1])
     yield budget
     yield spec
