@@ -56,7 +56,6 @@ from .sensitivity import (
     error_scale,
     extrapolate,
     utility_slope,
-    worst_case_bound,
 )
 from .trainer import (
     TrainConfig,
@@ -115,7 +114,6 @@ __all__ = [
     "error_scale",
     "extrapolate",
     "utility_slope",
-    "worst_case_bound",
     "TrainConfig",
     "classification_error_rate",
     "perturbed_objective",

@@ -10,7 +10,7 @@ sensitivity solve it calls forms its own system, damping included, so
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import FlatSlopeError, UnreachableUtilityError
 from .model import (
@@ -74,7 +74,7 @@ def measure(
     The noise draw is NoiseDraw.generate(d.p, seed). An sgd_repro iterate
     is not stationary, so measure opts in to its sensitivity solve, which
     dtheta_deps damps by (Lam + Delta_eps)/n; exact models are solved
-    undamped. The report carries the slope as dF_deps.
+    undamped.
     """
     noise = NoiseDraw.generate(d.p, seed)
     model = train(d, spec, cfg, PrivacyBudget(epsilon=eps, delta=delta), noise)
@@ -86,7 +86,7 @@ def measure(
     line = ExtrapolationLine(
         measure_eps=eps, base_utility=utility(model.theta, d, spec), slope=slope
     )
-    return Measurement(model=model, report=replace(report, dF_deps=slope), line=line)
+    return Measurement(model=model, report=report, line=line)
 
 
 @dataclass(frozen=True)

@@ -106,56 +106,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-_OPTION_TYPES = {
-    "data": str,
-    "format": str,
-    "label-col": str,
-    "synthetic": synthetic_spec,
-    "loss": str,
-    "bounds": str,
-    "reg-lambda": float,
-    "delta": positive_float,
-    "eps": positive_float,
-    "measure-eps": eps_list,
-    "targets": targets_spec,
-    "repeats": positive_int,
-    "seed": int,
-    "solver": str,
-    "out": str,
-    "target-utility": float,
-    "samples": targets_spec,
-    "n": positive_int,
-    "p": positive_int,
-    "separation": float,
-    "huber-h": positive_float,
-    "smooth-t": positive_float,
-}
-
-
-def _load_config(path: str) -> dict:
-    """Flat key=value text; keys match flag names without the leading dashes."""
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _OPTION_TYPES:
-            raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        try:
-            values[key.replace("-", "_")] = _OPTION_TYPES[key](raw)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from None
-    return values
-
-
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
@@ -166,9 +116,8 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
-def build_parser(config: dict | None = None) -> _Parser:
-    config = config or {}
-    parser = _Parser(prog="eps-planner", description=__doc__)
+def build_parser() -> _Parser:
+    parser = _Parser(prog="eps-planner", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -196,7 +145,7 @@ def build_parser(config: dict | None = None) -> _Parser:
 
     p_train = sub.add_parser("train", help="train one private model")
     add_common(p_train, out_help=SUMMARY_OUT_HELP)
-    p_train.add_argument("--eps", type=positive_float, required="eps" not in config)
+    p_train.add_argument("--eps", type=positive_float, required=True)
 
     p_est = sub.add_parser("estimate", help="estimated vs actual loss over a target grid")
     add_common(p_est)
@@ -206,8 +155,7 @@ def build_parser(config: dict | None = None) -> _Parser:
     p_choose = sub.add_parser("choose-eps", help="pick the budget for an expected utility")
     add_common(p_choose, out_help=SUMMARY_OUT_HELP, solver="exact")
     p_choose.add_argument("--measure-eps", type=eps_list, default=(0.25,))
-    p_choose.add_argument("--target-utility", type=float,
-                          required="target_utility" not in config)
+    p_choose.add_argument("--target-utility", type=float, required=True)
 
     p_sweep = sub.add_parser("sweep-measuring", help="average error per measuring point")
     add_common(p_sweep)
@@ -224,40 +172,79 @@ def build_parser(config: dict | None = None) -> _Parser:
     p_oracle.add_argument("--measure-eps", type=eps_list, default=(0.25, 1.0))
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
-    p_gen.add_argument("--n", type=positive_int, required="n" not in config)
-    p_gen.add_argument("--p", type=positive_int, required="p" not in config)
+    p_gen.add_argument("--n", type=positive_int, required=True)
+    p_gen.add_argument("--p", type=positive_int, required=True)
     p_gen.add_argument("--separation", type=float, default=2.0)
     p_gen.add_argument("--seed", type=int, default=_default_seed())
-    p_gen.add_argument("--out", required="out" not in config)
+    p_gen.add_argument("--out", required=True)
 
-    # config values become defaults everywhere they apply; CLI flags win
-    if config:
-        parser.set_defaults(**config)
-        for sp in sub.choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in known})
     return parser
 
 
-def _peek_config(argv) -> dict:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return _load_config(argv[i + 1])
-        if tok.startswith("--config="):
-            return _load_config(tok.split("=", 1)[1])
-    return {}
+def _long_flags(parser: argparse.ArgumentParser) -> dict:
+    """{flag name without the leading dashes: its action}, --help aside."""
+    return {
+        opt[2:]: action for action in parser._actions if action.dest != "help"
+        for opt in action.option_strings if opt.startswith("--")
+    }
+
+
+def _with_config(parser: _Parser, argv: list) -> list:
+    """argv with the lines of its --config file spliced in as flags.
+
+    Each `key=value` line becomes `--key=value` right after the
+    subcommand (the top level takes only --config, so that is the first
+    command name not read as its value), and a flag typed on the command
+    line comes later and wins. A line is checked against the
+    subcommand's own flag, type and choices included; keys that only
+    other subcommands take are skipped, any other key is an error.
+    """
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    path, i = None, 0
+    while i < len(argv) and argv[i] not in commands:
+        if argv[i] == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+            i += 1
+        elif argv[i].startswith("--config="):
+            path = argv[i].split("=", 1)[1]
+        i += 1
+    if path is None or i == len(argv):
+        return argv
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from None
+    subparser = commands[argv[i]]
+    own = _long_flags(subparser)
+    known = set().union(*(_long_flags(c) for c in commands.values()))
+    tokens = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = (s.strip() for s in line.split("=", 1))
+        if key not in known:
+            raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
+        if key in own:
+            try:
+                subparser._get_values(own[key], [raw])
+            except argparse.ArgumentError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
+            tokens.append(f"--{key}={raw}")
+    return argv[:i + 1] + tokens + argv[i + 1:]
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:
-    if getattr(args, "data", None) is None and getattr(args, "synthetic", None) is None:
-        synthetic = experiments.SyntheticSpec()
-    else:
-        synthetic = args.synthetic or experiments.SyntheticSpec()
     return experiments.ExperimentConfig(
-        dataset_path=getattr(args, "data", None),
+        dataset_path=args.data,
         data_format=args.format,
         label_col=args.label_col,
-        synthetic=synthetic,
+        synthetic=args.synthetic or experiments.SyntheticSpec(),
         loss_kind=args.loss,
         bounds_mode=args.bounds,
         reg_lambda=args.reg_lambda,
@@ -295,19 +282,6 @@ def _seed_scheme(cfg: experiments.ExperimentConfig) -> dict:
         ),
         "subsample_seed": cfg.base_seed + experiments.SUBSAMPLE_SEED_OFFSET,
     }
-
-
-def _write_outputs(args, command, rows, columns):
-    """The table as CSV to --out, with its run summary beside it, or to stdout."""
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, rows, columns)
-        _write_summary(
-            args.out + ".summary.json", command, args,
-            seeds=_seed_scheme(_experiment_config(args)),
-        )
-    else:
-        _write_csv(sys.stdout, rows, columns)
 
 
 def _write_csv(fh, rows, columns):
@@ -379,13 +353,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    cfg = _experiment_config(args)
-    rows = experiments.experiment_estimate_vs_actual(cfg)
-    _write_outputs(args, "estimate", rows, experiments.ESTIMATE_COLUMNS)
-    return 0
-
-
 def cmd_choose_eps(args) -> int:
     if len(args.measure_eps) != 1:
         raise UsageError(
@@ -418,24 +385,26 @@ def cmd_choose_eps(args) -> int:
     return 0
 
 
-def cmd_sweep_measuring(args) -> int:
+# the table commands: experiment function and CSV column order
+_TABLES = {
+    "estimate": (experiments.experiment_estimate_vs_actual, experiments.ESTIMATE_COLUMNS),
+    "sweep-measuring": (experiments.experiment_measuring_sweep, experiments.SWEEP_COLUMNS),
+    "sweep-samples": (experiments.experiment_sample_sweep, experiments.SAMPLE_COLUMNS),
+    "oracle-compare": (experiments.oracle_compare, experiments.ORACLE_COLUMNS),
+}
+
+
+def cmd_table(args) -> int:
+    """The table as CSV to --out, with its run summary beside it, or to stdout."""
+    experiment, columns = _TABLES[args.command]
     cfg = _experiment_config(args)
-    rows = experiments.experiment_measuring_sweep(cfg)
-    _write_outputs(args, "sweep-measuring", rows, experiments.SWEEP_COLUMNS)
-    return 0
-
-
-def cmd_sweep_samples(args) -> int:
-    cfg = _experiment_config(args)
-    rows = experiments.experiment_sample_sweep(cfg)
-    _write_outputs(args, "sweep-samples", rows, experiments.SAMPLE_COLUMNS)
-    return 0
-
-
-def cmd_oracle_compare(args) -> int:
-    cfg = _experiment_config(args)
-    rows = experiments.oracle_compare(cfg)
-    _write_outputs(args, "oracle-compare", rows, experiments.ORACLE_COLUMNS)
+    rows = experiment(cfg)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, rows, columns)
+        _write_summary(args.out + ".summary.json", args.command, args, seeds=_seed_scheme(cfg))
+    else:
+        _write_csv(sys.stdout, rows, columns)
     return 0
 
 
@@ -448,21 +417,17 @@ def cmd_gen_data(args) -> int:
 
 _HANDLERS = {
     "train": cmd_train,
-    "estimate": cmd_estimate,
     "choose-eps": cmd_choose_eps,
-    "sweep-measuring": cmd_sweep_measuring,
-    "sweep-samples": cmd_sweep_samples,
-    "oracle-compare": cmd_oracle_compare,
     "gen-data": cmd_gen_data,
+    **dict.fromkeys(_TABLES, cmd_table),
 }
 
 
 def run_cli(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _peek_config(argv)
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(_with_config(parser, argv))
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,9 @@ DEFAULT_SAMPLE_GRID = (1000, 4000, 16000)
 ACTUAL_SEED_OFFSET = 1_000_003
 SUBSAMPLE_SEED_OFFSET = 7_777
 
+# oracle-compare's central-difference step, relative to the measuring eps
+ORACLE_FD_STEP_REL = 1e-4
+
 ESTIMATE_COLUMNS = ("measure_eps", "target_eps", "estimated_loss", "actual_loss", "abs_error")
 SWEEP_COLUMNS = ("measure_eps", "avg_abs_error")
 SAMPLE_COLUMNS = ("n", "target_eps", "estimated_loss", "actual_loss", "abs_error")
@@ -210,14 +213,14 @@ def experiment_sample_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> 
     return rows
 
 
-def oracle_compare(cfg: ExperimentConfig, d: Dataset | None = None, fd_step_factor: float = 1e-4) -> list[dict]:
+def oracle_compare(cfg: ExperimentConfig, d: Dataset | None = None) -> list[dict]:
     """Brute-force check of the implicit-differentiation solve.
 
     For each measuring eps and repeat: measure dtheta/deps and the
     utility slope analytically with `measure`, then recompute both by
-    central finite differences of exact retraining at eps +/- h with the
-    SAME noise draw, and report relative errors. Requires the exact
-    solver.
+    central finite differences of exact retraining at eps +/- h, with
+    h = ORACLE_FD_STEP_REL * eps and the SAME noise draw, and report
+    relative errors. Requires the exact solver.
     """
     d = resolve_dataset(cfg) if d is None else d
     spec = loss_spec_for(cfg, d.p)
@@ -229,7 +232,7 @@ def oracle_compare(cfg: ExperimentConfig, d: Dataset | None = None, fd_step_fact
     )
     rows = []
     for me in cfg.measure_eps_list:
-        h = fd_step_factor * me
+        h = ORACLE_FD_STEP_REL * me
         for r in range(cfg.repeats):
             seed = cfg.base_seed + r
             m = measure(d, spec, tcfg, me, cfg.delta, seed)

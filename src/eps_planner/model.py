@@ -225,15 +225,13 @@ class PrivateModel(_FieldwiseEq):
 class SensitivityReport(_FieldwiseEq):
     """Result of the implicit-differentiation solve at one budget.
 
-    dtheta_deps is d(theta-hat)/d(eps); dF_deps the utility slope once
-    attached (None until computed). w_min_eigen_lower is the certified
+    dtheta_deps is d(theta-hat)/d(eps); w_min_eigen_lower is the certified
     lower bound on the solved system's spectrum.
     """
 
     dtheta_deps: np.ndarray
     w_min_eigen_lower: float
     damping_added: float = 0.0
-    dF_deps: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dtheta_deps", _readonly(np.atleast_1d(self.dtheta_deps)))

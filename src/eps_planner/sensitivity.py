@@ -20,7 +20,6 @@ gradient.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,20 +144,3 @@ def error_scale(measure_eps: float, target_eps: float, n: int) -> ErrorScale:
     scale = (measure_eps - target_eps) ** 2 / (n * tilde**3)
     return ErrorScale(measure_eps=measure_eps, target_eps=target_eps, n=n, scale=scale)
 
-
-def worst_case_bound(
-    zeta: float, theta_norm: float, p: int, delta: float, eps: float, n: int
-) -> float:
-    """Conservative excess-risk order bound zeta ||theta|| sqrt(p ln(1/delta)) / (eps n).
-
-    The classical worst-case utility guarantee for objective-perturbed
-    learners, with unit constant. Kept for contrast with the empirical
-    extrapolation, which it typically overshoots by orders of magnitude.
-    """
-    if not zeta > 0 or not theta_norm > 0 or p < 1 or n < 1:
-        raise ValueError("zeta, theta_norm must be positive and p, n >= 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return zeta * theta_norm * math.sqrt(p * math.log(1.0 / delta)) / (eps * n)

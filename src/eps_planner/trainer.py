@@ -141,7 +141,7 @@ def _run_newton(theta, d, spec, cfg, pert):
         if gnorm <= cfg.stationarity_tol:
             return theta, steps_taken
         hess = hessian(spec, theta, d) + ridge_eye
-        step = _newton_step(hess, grad, d.p)
+        step = _newton_step(hess, grad)
         slope = float(grad @ step)
         # Armijo backtracking on the objective value; once value differences
         # fall below float resolution, accept on gradient-norm progress with
@@ -174,15 +174,16 @@ def _run_newton(theta, d, spec, cfg, pert):
     )
 
 
-def _newton_step(hess, grad, p):
-    # ridge keeps hess positive definite; jitter covers borderline conditioning
-    jitter = 0.0
-    for _ in range(3):
-        try:
-            return cho_solve(cho_factor(hess + jitter * np.eye(p), lower=True), -grad)
-        except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, 1e-12)
-    return -grad  # fall back to a gradient step
+def _newton_step(hess, grad):
+    # the ridge keeps hess positive definite; a failed factor is an error
+    try:
+        factor = cho_factor(hess, lower=True)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(hess).min())
+        raise NumericalError(
+            f"Newton matrix is not positive definite (min eigenvalue {min_eig:.3e})"
+        ) from None
+    return cho_solve(factor, -grad)
 
 
 def utility(theta: np.ndarray, d: Dataset, spec: LossSpec) -> float:

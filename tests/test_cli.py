@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from eps_planner.cli import run_cli, targets_spec
+from eps_planner.cli import _long_flags, _with_config, build_parser, run_cli, targets_spec
 from eps_planner.data import gen_synthetic, write_csv_dataset
 from eps_planner.experiments import DEFAULT_TARGETS_HIGH, DEFAULT_TARGETS_LOW
 
@@ -21,8 +22,6 @@ class TestTargetsSpec:
         assert len(DEFAULT_TARGETS_HIGH) == 19
 
     def test_rejects_malformed(self):
-        import argparse
-
         for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2"):
             with pytest.raises(argparse.ArgumentTypeError):
                 targets_spec(bad)
@@ -120,6 +119,15 @@ class TestNumericalErrors:
                         "--seed", "7", "--solver", solver])
         assert code == 3
         assert "not positive definite" in capsys.readouterr().err
+
+    def test_indefinite_newton_matrix_is_exit_3(self, data_csv, monkeypatch, capsys):
+        from eps_planner import trainer
+
+        monkeypatch.setattr(trainer, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        code = run_cli(["train", "--data", data_csv, "--eps", "0.5", "--seed", "3",
+                        "--solver", "exact"])
+        assert code == 3
+        assert "Newton matrix is not positive definite" in capsys.readouterr().err
 
 
 class TestChooseEps:
@@ -222,6 +230,25 @@ class TestEstimate:
         assert cell == pytest.approx(est, rel=1e-12)
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# one valid value per long flag
+FLAG_SAMPLES = {
+    "data": "x.csv", "format": "sparse_text", "label-col": "y", "synthetic": "100,3,1.5",
+    "loss": "huber_svm", "bounds": "paper", "reg-lambda": "0.5", "delta": "0.01",
+    "repeats": "3", "seed": "4", "solver": "exact", "huber-h": "0.2", "smooth-t": "0.3",
+    "out": "o.csv", "eps": "0.5", "measure-eps": "0.5,1.0", "targets": "0.3:0.5:0.1",
+    "target-utility": "0.4", "samples": "100,200", "n": "50", "p": "3", "separation": "1.5",
+}
+COMMAND_FLAGS = [
+    (command, flag)
+    for command, sub in _subparsers(build_parser()).items()
+    for flag in _long_flags(sub)
+]
+
+
 class TestConfigFile:
     def test_config_supplies_flags_cli_wins(self, data_csv, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -249,6 +276,58 @@ class TestConfigFile:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("frobnicate=1\n")
         assert run_cli(["--config", str(cfgfile), "train", "--eps", "1"]) == 1
+
+    def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys):
+        """`--conf FILE` is rejected rather than parsed with its file unread."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("solver=exact\n")
+        code = run_cli(["--conf", str(cfgfile), "train", "--synthetic", "100,3,1.0",
+                        "--eps", "1.0"])
+        assert code == 1
+        assert "trained" not in capsys.readouterr().out
+
+    def test_bad_choice_names_path_and_line(self, data_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data={data_csv}\neps=0.5\nsolver=bogus\n")
+        assert run_cli(["--config", str(cfgfile), "train"]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfgfile}:3: argument --solver: invalid choice: 'bogus'" in err
+
+    def test_bad_value_names_path_and_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("# budget\n\neps=abc\n")
+        assert run_cli(["--config", str(cfgfile), "train", "--synthetic", "100,3,1.0"]) == 1
+        assert f"{cfgfile}:3: argument --eps:" in capsys.readouterr().err
+
+    def test_other_commands_keys_leave_summary(self, data_csv, tmp_path, capsys):
+        """Keys that only other subcommands take are skipped, so they do
+        not reach the run summary's inputs."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            f"data={data_csv}\ntarget-utility=0.45\nseed=7\neps=9\nn=7\nsamples=5\n"
+        )
+        out = tmp_path / "plan.json"
+        assert run_cli(["--config", str(cfgfile), "choose-eps", "--out", str(out)]) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert inputs["target_utility"] == 0.45
+        assert not {"eps", "n", "samples"} & set(inputs)
+
+    @pytest.mark.parametrize("command,flag", COMMAND_FLAGS)
+    def test_every_flag_has_a_config_form(self, tmp_path, command, flag):
+        """A config line `flag=value` parses exactly as `--flag value`."""
+        parser = build_parser()
+        flags = _long_flags(_subparsers(parser)[command])
+        required = [f"--{f}={FLAG_SAMPLES[f]}" for f, a in flags.items()
+                    if a.required and f != flag]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{flag}={FLAG_SAMPLES[flag]}\n")
+        argv = _with_config(parser, ["--config", str(cfgfile), command] + required)
+        assert argv[3] == f"--{flag}={FLAG_SAMPLES[flag]}"
+        from_config = parser.parse_args(argv)
+        from_flag = parser.parse_args([command, f"--{flag}", FLAG_SAMPLES[flag]] + required)
+        assert from_config.config == str(cfgfile)
+        from_config.config = None
+        assert vars(from_config) == vars(from_flag)
 
 
 class TestSeedEnvVar:

@@ -136,7 +136,7 @@ class TestEquality:
         assert report != self.model()
         assert report == SensitivityReport(dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0)
         assert report != SensitivityReport(
-            dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0, dF_deps=0.1
+            dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0, damping_added=0.1
         )
 
     def test_unhashable(self):

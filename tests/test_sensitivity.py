@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +23,6 @@ from eps_planner.sensitivity import (
     error_scale,
     extrapolate,
     utility_slope,
-    worst_case_bound,
 )
 from eps_planner.trainer import TrainConfig, train, utility
 
@@ -310,23 +308,3 @@ class TestErrorScale:
     def test_symmetric_direction_uses_min(self):
         assert error_scale(0.1, 1.0, 5).scale == error_scale(1.0, 0.1, 5).scale
 
-
-class TestWorstCaseBound:
-    def test_doubling_eps_halves(self):
-        a = worst_case_bound(1.0, 1.0, 4, 1e-3, 0.5, 100)
-        b = worst_case_bound(1.0, 1.0, 4, 1e-3, 1.0, 100)
-        assert b == a / 2.0
-
-    def test_unit_example(self):
-        assert worst_case_bound(1.0, 1.0, 1, 1.0 / math.e, 1.0, 1) == pytest.approx(
-            1.0, rel=1e-12
-        )
-
-    def test_paper_scale_example(self):
-        # zeta = 2 sqrt(104) rounded as printed, p=104, delta=1e-3
-        val = worst_case_bound(20.396, 1.0, 104, 1e-3, 0.25, 10_000)
-        assert val == pytest.approx(0.21867046878202137, rel=1e-6)
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            worst_case_bound(1.0, 1.0, 1, 0.0, 1.0, 1)

@@ -42,8 +42,7 @@ def sample_objects():
     yield SensitivityReport(
         dtheta_deps=r.standard_normal(7),
         w_min_eigen_lower=0.004,
-        damping_added=0.0,
-        dF_deps=-0.3715,
+        damping_added=0.0025,
     )
     yield SensitivityReport(
         dtheta_deps=r.standard_normal(7),

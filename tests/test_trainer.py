@@ -124,6 +124,18 @@ class TestTrainExact:
         m = train(d, spec, cfg, PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(5, 4))
         assert m.grad_norm_at_solution <= 1e-8
 
+    def test_indefinite_newton_matrix_raises(self, monkeypatch):
+        """A Newton matrix that does not factor is an error, not a gradient step."""
+        from eps_planner import trainer
+
+        monkeypatch.setattr(trainer, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        d = gen_synthetic(80, 4, 1.0, 23)
+        spec = make_loss_spec("logistic", 4, "tight")
+        with pytest.raises(
+            NumericalError, match=r"Newton matrix is not positive definite \(min eigenvalue -"
+        ):
+            train(d, spec, TrainConfig(), PrivacyBudget(0.5, 1e-3), NoiseDraw.generate(4, 9))
+
 
 class TestTrainSgdRepro:
     def test_runs_exactly_100_steps(self):
