@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from importlib import metadata
 
@@ -61,6 +62,14 @@ def eps_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from None
     if not values or any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError(f"{text!r} must list positive numbers")
+    return values
+
+
+def sample_counts(text: str) -> tuple:
+    """Comma list of positive integer sample counts: "1000,4000,16000"."""
+    values = tuple(positive_int(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} must list positive integers")
     return values
 
 
@@ -165,7 +174,7 @@ def build_parser() -> _Parser:
     add_common(p_samp)
     p_samp.add_argument("--measure-eps", type=eps_list, default=(0.25,))
     p_samp.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
-    p_samp.add_argument("--samples", type=targets_spec, default=experiments.DEFAULT_SAMPLE_GRID)
+    p_samp.add_argument("--samples", type=sample_counts, default=experiments.DEFAULT_SAMPLE_GRID)
 
     p_oracle = sub.add_parser("oracle-compare", help="finite-difference check of the solve")
     add_common(p_oracle)
@@ -187,6 +196,11 @@ def _long_flags(parser: argparse.ArgumentParser) -> dict:
         opt[2:]: action for action in parser._actions if action.dest != "help"
         for opt in action.option_strings if opt.startswith("--")
     }
+
+
+# `#` opens a comment at the start of a line or after whitespace, so a
+# value such as a path may itself contain `#`
+_COMMENT = re.compile(r"(^|\s)#.*")
 
 
 def _with_config(parser: _Parser, argv: list) -> list:
@@ -222,7 +236,7 @@ def _with_config(parser: _Parser, argv: list) -> list:
     known = set().union(*(_long_flags(c) for c in commands.values()))
     tokens = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", line).strip()
         if not line:
             continue
         if "=" not in line:
@@ -253,7 +267,7 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
         target_grid=tuple(getattr(args, "targets", experiments.DEFAULT_TARGETS_LOW)),
         repeats=args.repeats,
         base_seed=args.seed,
-        sample_grid=tuple(int(v) for v in getattr(args, "samples", experiments.DEFAULT_SAMPLE_GRID)),
+        sample_grid=tuple(getattr(args, "samples", experiments.DEFAULT_SAMPLE_GRID)),
         solver_mode="sgd_repro" if args.solver == "sgd" else "exact",
         huber_h=args.huber_h,
         smooth_t=args.smooth_t,

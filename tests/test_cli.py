@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from eps_planner.cli import _long_flags, _with_config, build_parser, run_cli, targets_spec
+from eps_planner.cli import (
+    _long_flags, _with_config, build_parser, run_cli, sample_counts, targets_spec,
+)
 from eps_planner.data import gen_synthetic, write_csv_dataset
 from eps_planner.experiments import DEFAULT_TARGETS_HIGH, DEFAULT_TARGETS_LOW
 
@@ -25,6 +27,16 @@ class TestTargetsSpec:
         for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2"):
             with pytest.raises(argparse.ArgumentTypeError):
                 targets_spec(bad)
+
+
+class TestSampleCounts:
+    def test_comma_list(self):
+        assert sample_counts("100, 200,4000") == (100, 200, 4000)
+
+    def test_rejects_fractions_and_non_positive(self):
+        for bad in ("100.9,200.2", "0,100", "-5", "", "a,b"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                sample_counts(bad)
 
 
 @pytest.fixture
@@ -299,6 +311,21 @@ class TestConfigFile:
         assert run_cli(["--config", str(cfgfile), "train", "--synthetic", "100,3,1.0"]) == 1
         assert f"{cfgfile}:3: argument --eps:" in capsys.readouterr().err
 
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path, capsys):
+        """`#` opens a comment only at the start of a line or after whitespace."""
+        folder = tmp_path / "a#b"
+        folder.mkdir()
+        data = folder / "d.csv"
+        write_csv_dataset(gen_synthetic(300, 4, 1.5, 7), str(data))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            f"# a run\ndata={data}\neps=0.5\t# budget\nseed=7  # note\nsolver=exact\n"
+        )
+        out = tmp_path / "train.json"
+        assert run_cli(["--config", str(cfgfile), "train", "--out", str(out)]) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert (inputs["data"], inputs["eps"], inputs["seed"]) == (str(data), 0.5, 7)
+
     def test_other_commands_keys_leave_summary(self, data_csv, tmp_path, capsys):
         """Keys that only other subcommands take are skipped, so they do
         not reach the run summary's inputs."""
@@ -389,6 +416,14 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,target_eps,estimated_loss,actual_loss,abs_error"
         assert len(lines) == 5
+
+    def test_sweep_samples_rejects_fractional_counts(self, tmp_path, capsys):
+        out = tmp_path / "samples.csv"
+        code = run_cli(["sweep-samples", "--synthetic", "400,3,1.5",
+                        "--samples", "100.9,200.2", "--out", str(out)])
+        assert code == 1
+        assert "argument --samples: '100.9' is not an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_compare_stdout(self, capsys):
         code = run_cli(["oracle-compare", "--synthetic", "150,3,1.5",

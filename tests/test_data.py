@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from eps_planner.data import gen_synthetic, load_dataset, write_csv_dataset
+from eps_planner import data
+from eps_planner.data import BLOCK_ROWS, gen_synthetic, load_dataset, write_csv_dataset
 from eps_planner.errors import DataError
 from eps_planner.losses import make_loss_spec
 from eps_planner.model import NoiseDraw, PrivacyBudget
@@ -42,6 +43,28 @@ class TestCsvLoader:
         f = tmp_path / "d.csv"
         f.write_text("f1,label\n0.5,1\nxyz,1\n")
         with pytest.raises(DataError, match="line 3"):
+            load_dataset(str(f), "csv")
+
+    def test_error_names_physical_line(self, tmp_path):
+        """Blank lines count: the bad row is line 5 of the file."""
+        f = tmp_path / "d.csv"
+        f.write_text("f1,label\n0.5,1\n\n\nxyz,1\n")
+        with pytest.raises(DataError, match=r"^line 5: could not convert string to float: 'xyz'$"):
+            load_dataset(str(f), "csv")
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, BLOCK_ROWS])
+    def test_quoted_record_spans_lines(self, tmp_path, monkeypatch, block_rows):
+        """A quoted field may hold a newline; the record after it is
+        numbered by physical line, wherever the blocks split the file."""
+        monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+        body = 'f1,label\n"0.5\n",1\n\n"0.25",0\n'
+        f = tmp_path / "d.csv"
+        f.write_text(body)
+        d = load_dataset(str(f), "csv")
+        assert d.features.tolist() == [[0.5], [0.25]]
+        assert d.labels.tolist() == [1.0, -1.0]
+        f.write_text(body + "xyz,1\n")
+        with pytest.raises(DataError, match=r"^line 6: could not convert string to float: 'xyz'$"):
             load_dataset(str(f), "csv")
 
     def test_missing_label_column(self, tmp_path):
@@ -102,6 +125,12 @@ class TestSparseLoader:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(str(f), "sparse_text")
 
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        f = tmp_path / "d.sp"
+        f.write_text("+1 1:0.5\n-1 99999999999999999999:0.5\n")
+        with pytest.raises(DataError, match="^line 2: feature index 99999999999999999999 is too large$"):
+            load_dataset(str(f), "sparse_text")
+
     def test_zero_based_index_rejected(self, tmp_path):
         f = tmp_path / "d.sp"
         f.write_text("+1 0:0.5\n")
@@ -149,3 +178,78 @@ class TestCsvRoundTrip:
         write_csv_dataset(d, str(path))
         back = load_dataset(str(path), "csv")
         assert back == d
+
+
+def write_svmlight(d, path):
+    """Sparse text for d with a comment line, blank lines, trailing
+    comments, labels written as 1/+1 and 0/-1, and on some lines a decoy
+    value for index 1 that the real one, written later, replaces."""
+    lines = ["# round-trip file"]
+    for i, (x, y) in enumerate(zip(d.features.tolist(), d.labels.tolist())):
+        label = ("+1" if i % 2 else "1") if y > 0 else ("0" if i % 3 else "-1")
+        feats = [f"{j + 1}:{v!r}" for j, v in enumerate(x)]
+        if i % 5 == 0:
+            feats.insert(0, "1:999.0")
+        lines.append(" ".join([label] + feats) + (" # note" if i % 7 == 0 else ""))
+        if i % 500 == 0 or i in (BLOCK_ROWS - 2, BLOCK_ROWS - 1):
+            lines.append("")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestBlockBoundaries:
+    """Files longer than one block: 2 * BLOCK_ROWS + 3 rows."""
+
+    N = 2 * BLOCK_ROWS + 3
+
+    def test_csv_round_trip_is_bit_identical(self, tmp_path):
+        d = gen_synthetic(self.N, 4, 1.5, 3)
+        path = tmp_path / "d.csv"
+        write_csv_dataset(d, str(path))
+        lines = path.read_text().splitlines()
+        for i in range(1, len(lines), 3):  # labels as 0 / +1
+            lines[i] = lines[i][:-3] + ",0" if lines[i].endswith(",-1") else lines[i][:-2] + ",+1"
+        for i in sorted((2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS), reverse=True):
+            lines.insert(i, "")
+        path.write_text("\n".join(lines) + "\n")
+        back = load_dataset(str(path), "csv")
+        assert back.features.tobytes() == d.features.tobytes()
+        assert back.labels.tobytes() == d.labels.tobytes()
+
+    def test_svmlight_round_trip_is_bit_identical(self, tmp_path):
+        d = gen_synthetic(self.N, 4, 1.5, 4)
+        path = tmp_path / "d.svm"
+        write_svmlight(d, str(path))
+        back = load_dataset(str(path), "sparse_text", p=d.p + 2)
+        assert back.features.shape == (self.N, d.p + 2)
+        assert back.features[:, :d.p].tobytes() == d.features.tobytes()
+        assert not back.features[:, d.p:].any()
+        assert back.labels.tobytes() == d.labels.tobytes()
+
+    # format, a bad line, and its DataError message, pinned verbatim
+    MALFORMED = [
+        ("sparse_text", "+1 1:0.5 2:1:3", "line {line}: bad feature token '2:1:3'"),
+        ("sparse_text", "+1 5 1:2:3", "line {line}: bad feature token '5'"),
+        ("sparse_text", "+1 0:0.5", "line {line}: feature index 0 is not 1-based"),
+        ("sparse_text", "+1 1:abc", "line {line}: bad feature token '1:abc'"),
+        ("sparse_text", "x 1:0.5", "unknown label symbol 'x' at line {line}"),
+        ("csv", "0.5,0.5,1", "line {line}: expected 2 fields, got 3"),
+        ("csv", "abc,1", "line {line}: could not convert string to float: 'abc'"),
+        ("csv", '"1,5",1', "line {line}: could not convert string to float: '1,5'"),
+        ("csv", "0.5,x", "unknown label symbol 'x' at line {line}"),
+    ]
+
+    @pytest.mark.parametrize("fmt,bad,message", MALFORMED)
+    @pytest.mark.parametrize("row", [3, BLOCK_ROWS + 5])
+    def test_malformed_line_is_named(self, tmp_path, fmt, bad, message, row):
+        if fmt == "csv":
+            head, good = ["f1,label"], "0.25,1"
+        else:
+            head, good = [], "-1 1:0.25 2:0.5"
+        rows = [good] * (BLOCK_ROWS + 10)
+        rows[row] = bad
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(head + rows) + "\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(str(path), fmt)
+        assert str(info.value) == message.format(line=len(head) + row + 1)
