@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -34,13 +35,27 @@ SEED_ENV_VAR = "EPS_PLANNER_SEED"
 SUMMARY_OUT_HELP = "path of the JSON run summary"
 
 
-def positive_float(text: str) -> float:
+def finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative number")
     return value
 
 
@@ -55,12 +70,9 @@ def positive_int(text: str) -> int:
 
 
 def eps_list(text: str) -> tuple:
-    """Comma list of positive budgets: "0.1,0.25,0.75"."""
-    try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from None
-    if not values or any(v <= 0 for v in values):
+    """Comma list of positive finite budgets: "0.1,0.25,0.75"."""
+    values = tuple(positive_float(v) for v in text.split(",") if v.strip())
+    if not values:
         raise argparse.ArgumentTypeError(f"{text!r} must list positive numbers")
     return values
 
@@ -79,10 +91,7 @@ def targets_spec(text: str) -> tuple:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"{text!r} is not start:stop:step")
-        try:
-            start, stop, step = (float(v) for v in parts)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not start:stop:step") from None
+        start, stop, step = (finite_float(v) for v in parts)
         if step <= 0 or start <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         out = []
@@ -143,7 +152,7 @@ def build_parser() -> _Parser:
         p.add_argument("--loss", choices=("logistic", "huber_svm", "quadratic", "smooth_hinge"),
                        default="logistic")
         p.add_argument("--bounds", choices=("paper", "tight"), default="tight")
-        p.add_argument("--reg-lambda", type=float, default=0.01)
+        p.add_argument("--reg-lambda", type=nonnegative_float, default=0.01)
         p.add_argument("--delta", type=positive_float, default=1e-3)
         p.add_argument("--repeats", type=positive_int, default=10)
         p.add_argument("--seed", type=int, default=_default_seed())
@@ -164,7 +173,7 @@ def build_parser() -> _Parser:
     p_choose = sub.add_parser("choose-eps", help="pick the budget for an expected utility")
     add_common(p_choose, out_help=SUMMARY_OUT_HELP, solver="exact")
     p_choose.add_argument("--measure-eps", type=eps_list, default=(0.25,))
-    p_choose.add_argument("--target-utility", type=float, required=True)
+    p_choose.add_argument("--target-utility", type=finite_float, required=True)
 
     p_sweep = sub.add_parser("sweep-measuring", help="average error per measuring point")
     add_common(p_sweep)

@@ -10,6 +10,15 @@ and the O(n p^2) mean Hessian only on request; `hessian` builds the
 Hessian alone. Each caller asks for what it uses: a training step for the
 gradient, a line-search candidate for value and gradient, and only an
 accepted Newton iterate or the sensitivity system matrix for a Hessian.
+
+Both build the Hessian the same way: streamed over row blocks of about
+HESSIAN_BLOCK_BYTES (512 KB) of features, each block adding its
+curvature-weighted outer products to one p x p sum, so the extra memory
+is one block, not a scaled copy of all n rows. Rows of curvature exactly
+0 add nothing and are dropped before the product: huber_svm outside its
+band, and logistic or smooth_hinge rows whose sigmoid saturates to 1.
+NaN curvatures are kept, so non-finite input stays loud. Data that fits
+in one block gets the single product's bits.
 """
 from __future__ import annotations
 
@@ -95,8 +104,24 @@ def _margins(theta: np.ndarray, d: Dataset) -> np.ndarray:
     return d.labels * (d.features @ theta)
 
 
+# bytes of features per Hessian row block: a block and its scaled copy
+# stay in cache, and the build's extra memory does not grow with n
+HESSIAN_BLOCK_BYTES = 512 * 1024
+
+
 def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
-    hessL = (d.features * curvatures[:, None]).T @ d.features / d.n
+    rows = max(1, HESSIAN_BLOCK_BYTES // (8 * d.p))
+    hessL = None
+    for start in range(0, d.n, rows):
+        xb = d.features[start : start + rows]
+        kb = curvatures[start : start + rows]
+        # a row of zero curvature adds nothing; NaN rows are kept
+        curved = kb != 0.0
+        if not curved.all():
+            xb, kb = xb[curved], kb[curved]
+        block = (xb * kb[:, None]).T @ xb
+        hessL = block if hessL is None else hessL + block
+    hessL /= d.n
     return 0.5 * (hessL + hessL.T)
 
 

@@ -6,6 +6,7 @@ validation live in this module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -102,14 +103,14 @@ def validate_dataset(d: Dataset) -> Dataset:
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """(epsilon, delta) pair with epsilon > 0 and 0 < delta < 1."""
+    """(epsilon, delta) pair with 0 < epsilon < inf and 0 < delta < 1."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 

@@ -11,15 +11,18 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
                from zero, mirroring the experimental protocol of the
                original evaluations. No convergence guarantee.
 
-Each step computes only what it uses. An sgd step and the final gradient
-check evaluate the gradient alone; a Newton line-search candidate, value
-and gradient. The loss Hessian is built only at the start point and at
-each accepted iterate that has not yet converged: once per Newton step.
+Each step computes only what it uses. An sgd step and the sgd final
+gradient check evaluate the gradient alone; a Newton line-search
+candidate, value and gradient, and the accepted candidate's gradient is
+the one reported at the solution. The loss Hessian is built only at the
+start point and at each accepted iterate that has not yet converged:
+once per Newton step.
 
 Training is deterministic given (dataset, spec, config, budget, seed).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +49,8 @@ class TrainConfig:
     max_exact_iterations: int = 200
 
     def __post_init__(self):
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be nonnegative")
+        if not 0 <= self.reg_lambda < math.inf:
+            raise ValueError(f"reg_lambda must be nonnegative and finite, got {self.reg_lambda}")
         if self.solver_mode not in ("exact", "sgd_repro"):
             raise ValueError(f"unknown solver mode {self.solver_mode!r}")
         if not self.stationarity_tol > 0:
@@ -99,13 +102,8 @@ def train(
     pert = materialize(noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
     theta = np.zeros(d.p) if theta0 is None else np.array(theta0, dtype=np.float64)
 
-    if cfg.solver_mode == "sgd_repro":
-        theta, iters = _run_sgd(theta, d, spec, cfg, pert)
-    else:
-        theta, iters = _run_newton(theta, d, spec, cfg, pert)
-
-    _, grad = perturbed_objective(theta, d, spec, cfg, pert, with_value=False)
-    grad_norm = float(np.linalg.norm(grad))
+    run = _run_sgd if cfg.solver_mode == "sgd_repro" else _run_newton
+    theta, iters, grad_norm = run(theta, d, spec, cfg, pert)
     if not np.isfinite(grad_norm):
         raise NumericalError("non-finite gradient at solution")
     return PrivateModel(
@@ -127,7 +125,8 @@ def _run_sgd(theta, d, spec, cfg, pert):
         theta = theta - lr * grad
         if not np.all(np.isfinite(theta)):
             raise NumericalError(f"non-finite iterate at sgd step {it + 1}")
-    return theta, cfg.sgd_iterations
+    _, grad = perturbed_objective(theta, d, spec, cfg, pert, with_value=False)
+    return theta, cfg.sgd_iterations, float(np.linalg.norm(grad))
 
 
 def _run_newton(theta, d, spec, cfg, pert):
@@ -139,7 +138,7 @@ def _run_newton(theta, d, spec, cfg, pert):
         if not np.isfinite(value) or not np.isfinite(gnorm):
             raise NumericalError(f"non-finite objective at exact-solver step {it}")
         if gnorm <= cfg.stationarity_tol:
-            return theta, steps_taken
+            return theta, steps_taken, gnorm
         hess = hessian(spec, theta, d) + ridge_eye
         step = _newton_step(hess, grad)
         slope = float(grad @ step)
@@ -167,7 +166,7 @@ def _run_newton(theta, d, spec, cfg, pert):
         if not accepted:
             break  # no certifiable progress left at float resolution
     if gnorm <= cfg.stationarity_tol:
-        return theta, steps_taken
+        return theta, steps_taken, gnorm
     raise NumericalError(
         f"exact solver did not reach tolerance {cfg.stationarity_tol:.3e} "
         f"(gradient norm {gnorm:.3e})"

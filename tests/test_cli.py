@@ -24,7 +24,8 @@ class TestTargetsSpec:
         assert len(DEFAULT_TARGETS_HIGH) == 19
 
     def test_rejects_malformed(self):
-        for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2"):
+        for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2",
+                    "0.1,inf", "nan", "0.1:inf:0.1", "nan:1:0.1", "0.1:1.0:nan"):
             with pytest.raises(argparse.ArgumentTypeError):
                 targets_spec(bad)
 
@@ -89,6 +90,63 @@ class TestUsageErrors:
     def test_missing_required(self, capsys):
         assert run_cli(["train", "--synthetic", "100,3,1.0"]) == 1
         assert "--eps" in capsys.readouterr().err
+
+
+NON_FINITE_FLAGS = [
+    ("choose-eps", "--reg-lambda", "nan"),
+    ("choose-eps", "--reg-lambda", "inf"),
+    ("choose-eps", "--reg-lambda", "-0.5"),
+    ("choose-eps", "--target-utility", "nan"),
+    ("choose-eps", "--target-utility", "-inf"),
+    ("choose-eps", "--measure-eps", "inf"),
+    ("choose-eps", "--measure-eps", "nan"),
+    ("choose-eps", "--delta", "inf"),
+    ("choose-eps", "--huber-h", "nan"),
+    ("choose-eps", "--smooth-t", "inf"),
+    ("train", "--eps", "inf"),
+    ("train", "--eps", "nan"),
+    ("estimate", "--measure-eps", "0.1,inf"),
+    ("estimate", "--targets", "0.1,inf"),
+    ("estimate", "--targets", "0.1:inf:0.1"),
+    ("estimate", "--targets", "0.1:1.0:nan"),
+]
+
+# every other flag the command requires, so only the flag under test is bad
+_REQUIRED = {
+    "choose-eps": {"--target-utility": "0.5"},
+    "train": {"--eps": "0.5"},
+    "estimate": {},
+}
+
+
+def _argv_with(command, flag, value):
+    flags = {**_REQUIRED[command], flag: value}
+    argv = [command, "--synthetic", "200,3,1.5", "--solver", "exact", "--seed", "1"]
+    for key, val in flags.items():
+        argv.append(f"{key}={val}")
+    return argv
+
+
+class TestNonFiniteFlags:
+    """A non-finite or out-of-range number is a usage error naming the flag,
+    not a numerical failure of the run it would have started."""
+
+    @pytest.mark.parametrize("command,flag,value", NON_FINITE_FLAGS)
+    def test_typed_flag_is_usage_error(self, command, flag, value, capsys):
+        assert run_cli(_argv_with(command, flag, value)) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", NON_FINITE_FLAGS)
+    def test_config_line_is_usage_error(self, command, flag, value, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{flag[2:]}={value}\n")
+        argv = [a for a in _argv_with(command, flag, value) if not a.startswith(flag + "=")]
+        assert run_cli(["--config", str(cfgfile), *argv]) == 1
+        err = capsys.readouterr().err
+        assert f"run.cfg:1: argument {flag}:" in err
+
+    def test_zero_reg_lambda_is_accepted(self, capsys):
+        assert run_cli(_argv_with("train", "--reg-lambda", "0")) == 0
 
 
 class TestDataErrors:

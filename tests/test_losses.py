@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eps_planner import losses
+from eps_planner.data import gen_synthetic
 from eps_planner.losses import (
     aggregate,
     default_bounds,
@@ -176,6 +179,74 @@ class TestAggregate:
             assert L_g is None and H_g is None
             assert np.array_equal(g_vg, g) and np.array_equal(g_g, g)
             assert np.array_equal(hessian(spec, theta, d), H)
+
+
+def single_product_hessian(spec, theta, d):
+    """The Hessian as one product over all rows, symmetrised."""
+    k = margin_curvatures(spec, d.labels * (d.features @ theta))
+    H = (d.features * k[:, None]).T @ d.features / d.n
+    return 0.5 * (H + H.T)
+
+
+def spread_theta(p):
+    # margins spread over [-5, 5], so huber_svm has rows in and out of its band
+    rng = np.random.default_rng(3)
+    return 5.0 * rng.standard_normal(p) / math.sqrt(p)
+
+
+class TestBlockedHessian:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_many_blocks_match_single_product(self, kind, monkeypatch):
+        """7-row blocks over 103 rows: 14 full blocks and a partial one."""
+        d = gen_synthetic(103, 5, 1.0, 2)
+        monkeypatch.setattr(losses, "HESSIAN_BLOCK_BYTES", 7 * 8 * d.p)
+        spec = make_loss_spec(kind, d.p, mode="tight")
+        theta = spread_theta(d.p)
+        if kind == "huber_svm":  # rows in and out of the band: blocks drop some
+            k = margin_curvatures(spec, d.labels * (d.features @ theta))
+            assert 0 < np.count_nonzero(k) < d.n
+        H = hessian(spec, theta, d)
+        ref = single_product_hessian(spec, theta, d)
+        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_array_equal(aggregate(spec, theta, d)[2], H)
+
+    @pytest.mark.parametrize("kind", ("logistic", "quadratic", "smooth_hinge"))
+    def test_one_block_is_bit_identical_to_single_product(self, kind):
+        d = gen_synthetic(300, 4, 1.5, 7)
+        assert d.features.nbytes <= losses.HESSIAN_BLOCK_BYTES
+        spec = make_loss_spec(kind, d.p, mode="tight")
+        theta = 0.2 * spread_theta(d.p)
+        assert np.all(margin_curvatures(spec, d.labels * (d.features @ theta)) != 0.0)
+        H = hessian(spec, theta, d)
+        assert H.tobytes() == single_product_hessian(spec, theta, d).tobytes()
+
+    def test_huber_at_zero_theta_is_zero_matrix(self):
+        """Every margin is 0, outside the band: no row is multiplied."""
+        d = gen_synthetic(300, 4, 1.5, 7)
+        spec = make_loss_spec("huber_svm", d.p, mode="tight")
+        np.testing.assert_array_equal(hessian(spec, np.zeros(d.p), d), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("block_rows", (7, 1000))
+    def test_nan_curvature_gives_non_finite_hessian(self, block_rows, monkeypatch):
+        X = gen_synthetic(103, 5, 1.0, 2).features.copy()
+        X[50, 1] = np.nan
+        d = Dataset(X, np.ones(103))
+        monkeypatch.setattr(losses, "HESSIAN_BLOCK_BYTES", block_rows * 8 * d.p)
+        H = hessian(make_loss_spec("logistic", d.p, mode="tight"), spread_theta(d.p), d)
+        assert not np.isfinite(H).all()
+
+    def test_extra_memory_is_a_fraction_of_the_features(self):
+        """One product over all rows copied X: a peak of 7.85 MiB on 7.63 MiB of features."""
+        d = gen_synthetic(20000, 50, 2.0, 1)
+        spec = make_loss_spec("logistic", d.p, mode="tight")
+        theta = np.zeros(d.p)
+        tracemalloc.start()
+        try:
+            hessian(spec, theta, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d.features.nbytes / 4
 
 
 class TestDefaultBounds:

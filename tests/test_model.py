@@ -77,6 +77,11 @@ class TestDomainValidation:
         with pytest.raises(ValueError):
             PrivacyBudget(epsilon=1.0, delta=delta)
 
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_budget_rejects_non_finite_epsilon(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            PrivacyBudget(epsilon=eps, delta=0.1)
+
     def test_loss_spec_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             LossSpec(kind="hinge", zeta=1.0, lambda_hess=1.0, s_third=0.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from eps_planner import sensitivity
+from eps_planner import losses, sensitivity
+from eps_planner.chooser import measure
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import NoiseMismatchError, NumericalError
 from eps_planner.losses import make_loss_spec
@@ -24,6 +25,7 @@ from eps_planner.sensitivity import (
     extrapolate,
     utility_slope,
 )
+from eps_planner.experiments import ExperimentConfig, SyntheticSpec, oracle_compare
 from eps_planner.trainer import TrainConfig, train, utility
 
 
@@ -196,6 +198,34 @@ class TestIndefiniteSystem:
         monkeypatch.setattr(sensitivity, "hessian", lambda spec, theta, d: -np.eye(d.p))
         with pytest.raises(NumericalError, match="not positive definite .min eigenvalue"):
             dtheta_deps(model, d, spec, pert, allow_nonstationary=solver_mode == "sgd_repro")
+
+
+class TestTinyRidge:
+    """reg_lambda = 0: only Delta_eps/n keeps W away from the loss Hessian's
+    own conditioning, and at large eps that ridge is small. Logistic, p = 10,
+    exact solver, seed 0; cond(W) measured 3.6, 15.4 and 32.0."""
+
+    @pytest.mark.parametrize(
+        "n,separation,eps,max_cond",
+        [(5000, 2.0, 10.0, 10.0), (5000, 6.0, 50.0, 50.0), (20000, 6.0, 200.0, 100.0)],
+    )
+    def test_solve_stays_conditioned_and_matches_oracle(self, n, separation, eps, max_cond):
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(n, 10, separation), loss_kind="logistic",
+            bounds_mode="tight", reg_lambda=0.0, measure_eps_list=(eps,), repeats=1,
+            base_seed=0, solver_mode="exact",
+        )
+        d = gen_synthetic(n, 10, separation, 0)
+        spec = make_loss_spec("logistic", 10, "tight")
+        tcfg = TrainConfig(reg_lambda=0.0, solver_mode="exact", stationarity_tol=1e-12)
+        m = measure(d, spec, tcfg, eps, cfg.delta, 0)
+        assert m.model.grad_norm_at_solution <= 1e-12
+        assert np.linalg.cond(assemble_w(m.model, d, spec)) < max_cond
+        (row,) = oracle_compare(cfg, d=d)
+        assert row["slope_rel_err"] <= 1e-6
+
+    def test_largest_point_spans_several_hessian_blocks(self):
+        assert gen_synthetic(20000, 10, 6.0, 0).features.nbytes > 3 * losses.HESSIAN_BLOCK_BYTES
 
 
 class TestUtilitySlope:

@@ -31,6 +31,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(solver_mode="adam")
 
+    @pytest.mark.parametrize("reg", [-0.5, float("nan"), float("inf")])
+    def test_rejects_bad_reg_lambda(self, reg):
+        with pytest.raises(ValueError, match="reg_lambda must be nonnegative and finite"):
+            TrainConfig(reg_lambda=reg)
+
 
 class TestPerturbedObjective:
     def test_zero_point_with_zero_noise(self):
@@ -123,6 +128,28 @@ class TestTrainExact:
         cfg = TrainConfig(stationarity_tol=1e-8)
         m = train(d, spec, cfg, PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(5, 4))
         assert m.grad_norm_at_solution <= 1e-8
+
+    def test_gradient_at_solution_evaluated_once(self, monkeypatch):
+        """The accepted line-search candidate's gradient is the one reported."""
+        from eps_planner import trainer
+
+        thetas = []
+
+        def recording_aggregate(spec, theta, d, **kwargs):
+            thetas.append(np.array(theta))
+            return aggregate(spec, theta, d, **kwargs)
+
+        monkeypatch.setattr(trainer, "aggregate", recording_aggregate)
+        d = gen_synthetic(150, 5, 1.5, 31)
+        spec = make_loss_spec("logistic", 5, "tight")
+        cfg = TrainConfig(stationarity_tol=1e-10)
+        budget, noise = PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(5, 4)
+        m = train(d, spec, cfg, budget, noise)
+        assert m.iterations_used > 0
+        assert sum(np.array_equal(t, m.theta) for t in thetas) == 1
+        pert = materialize(noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
+        _, grad = perturbed_objective(m.theta, d, spec, cfg, pert, with_value=False)
+        assert m.grad_norm_at_solution == float(np.linalg.norm(grad))
 
     def test_indefinite_newton_matrix_raises(self, monkeypatch):
         """A Newton matrix that does not factor is an error, not a gradient step."""
