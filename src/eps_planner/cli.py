@@ -112,7 +112,7 @@ def synthetic_spec(text: str) -> experiments.SyntheticSpec:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"{text!r} is not n,p,separation")
     try:
-        return experiments.SyntheticSpec(int(parts[0]), int(parts[1]), float(parts[2]))
+        return experiments.SyntheticSpec(int(parts[0]), int(parts[1]), finite_float(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -192,7 +192,7 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
     p_gen.add_argument("--n", type=positive_int, required=True)
     p_gen.add_argument("--p", type=positive_int, required=True)
-    p_gen.add_argument("--separation", type=float, default=2.0)
+    p_gen.add_argument("--separation", type=finite_float, default=2.0)
     p_gen.add_argument("--seed", type=int, default=_default_seed())
     p_gen.add_argument("--out", required=True)
 

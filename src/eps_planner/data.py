@@ -295,7 +295,8 @@ def write_csv_dataset(d: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j + 1}" for j in range(d.p)] + ["label"])
-        for i in range(d.n):
-            writer.writerow(
-                [repr(float(v)) for v in d.features[i]] + [str(int(d.labels[i]))]
-            )
+        # Python floats, not numpy scalars: repr gives the same shortest digits
+        writer.writerows(
+            [*map(repr, row), str(int(label))]
+            for row, label in zip(d.features.tolist(), d.labels.tolist())
+        )

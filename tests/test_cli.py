@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 
 import numpy as np
 import pytest
@@ -109,22 +110,26 @@ NON_FINITE_FLAGS = [
     ("estimate", "--targets", "0.1,inf"),
     ("estimate", "--targets", "0.1:inf:0.1"),
     ("estimate", "--targets", "0.1:1.0:nan"),
+    ("train", "--synthetic", "200,3,nan"),
+    ("train", "--synthetic", "200,3,inf"),
+    ("gen-data", "--separation", "nan"),
+    ("gen-data", "--separation", "inf"),
 ]
+
+_TRAINING = {"--synthetic": "200,3,1.5", "--solver": "exact", "--seed": "1"}
 
 # every other flag the command requires, so only the flag under test is bad
 _REQUIRED = {
-    "choose-eps": {"--target-utility": "0.5"},
-    "train": {"--eps": "0.5"},
-    "estimate": {},
+    "choose-eps": {**_TRAINING, "--target-utility": "0.5"},
+    "train": {**_TRAINING, "--eps": "0.5"},
+    "estimate": _TRAINING,
+    "gen-data": {"--n": "50", "--p": "3", "--out": os.devnull},
 }
 
 
 def _argv_with(command, flag, value):
     flags = {**_REQUIRED[command], flag: value}
-    argv = [command, "--synthetic", "200,3,1.5", "--solver", "exact", "--seed", "1"]
-    for key, val in flags.items():
-        argv.append(f"{key}={val}")
-    return argv
+    return [command, *(f"{key}={val}" for key, val in flags.items())]
 
 
 class TestNonFiniteFlags:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ from eps_planner import data
 from eps_planner.data import BLOCK_ROWS, gen_synthetic, load_dataset, write_csv_dataset
 from eps_planner.errors import DataError
 from eps_planner.losses import make_loss_spec
-from eps_planner.model import NoiseDraw, PrivacyBudget
+from eps_planner.model import Dataset, NoiseDraw, PrivacyBudget
 from eps_planner.trainer import TrainConfig, train, utility
 
 
@@ -178,6 +180,22 @@ class TestCsvRoundTrip:
         write_csv_dataset(d, str(path))
         back = load_dataset(str(path), "csv")
         assert back == d
+
+    def test_bytes_match_per_row_csv_writer(self, tmp_path):
+        """The file is what one csv.writer row of numpy-scalar reprs per
+        example gives, CRLF line ends included."""
+        g = gen_synthetic(20, 3, 1.5, 4)
+        X = g.features.copy()
+        X[0] = [-0.0, 1e-300, 1.0 / 3.0]
+        d = Dataset(X, g.labels)
+        path = tmp_path / "out.csv"
+        write_csv_dataset(d, str(path))
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["f1", "f2", "f3", "label"])
+        for i in range(d.n):
+            writer.writerow([repr(float(v)) for v in d.features[i]] + [str(int(d.labels[i]))])
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def write_svmlight(d, path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,39 @@ class TestAggregate:
             assert np.array_equal(hessian(spec, theta, d), H)
 
 
+def _sigmoid_ld(z):
+    """sigmoid in long double, from e^{-|z|} so neither tail overflows."""
+    z = np.asarray(z, dtype=np.longdouble)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1, e) / (1 + e)
+
+
+TAIL_MARGINS = np.array([s * m for m in (0.0, 1.0, 37.0, 40.0, 800.0, 1e4) for s in (1, -1)])
+
+
+class TestSigmoidKernels:
+    """Logistic and smooth_hinge slopes and curvatures stay within 2 ulp
+    of a long-double evaluation out to the tails, and never warn."""
+
+    @pytest.mark.parametrize("kind", ("logistic", "smooth_hinge"))
+    def test_within_two_ulp_of_long_double(self, kind):
+        spec = spec_of(kind)
+        m = TAIL_MARGINS
+        if kind == "logistic":
+            z, scale = -m, 1
+        else:  # the same float64 argument the kernel forms
+            z, scale = (1.0 - m) / spec.smooth_t, np.longdouble(spec.smooth_t)
+        want_slope = -_sigmoid_ld(z)
+        want_curv = _sigmoid_ld(z) * _sigmoid_ld(-z) / scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = margin_slopes(spec, m)
+            curv = margin_curvatures(spec, m)
+        for got, want in ((slope, want_slope), (curv, want_curv)):
+            ulp = np.spacing(np.abs(want.astype(np.float64)))
+            assert np.all(np.abs(got - want) <= 2 * ulp), (got, want)
+
+
 def single_product_hessian(spec, theta, d):
     """The Hessian as one product over all rows, symmetrised."""
     k = margin_curvatures(spec, d.labels * (d.features @ theta))
@@ -210,15 +244,25 @@ class TestBlockedHessian:
         assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
         np.testing.assert_array_equal(aggregate(spec, theta, d)[2], H)
 
-    @pytest.mark.parametrize("kind", ("logistic", "quadratic", "smooth_hinge"))
-    def test_one_block_is_bit_identical_to_single_product(self, kind):
-        d = gen_synthetic(300, 4, 1.5, 7)
-        assert d.features.nbytes <= losses.HESSIAN_BLOCK_BYTES
+    @pytest.mark.parametrize("block_rows", (7, None))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_exactly_symmetric_and_accurate(self, kind, block_rows, monkeypatch):
+        """7-row blocks or one block: H equals H.T bit for bit, matches a
+        long-double single product to 1e-14, and `aggregate` agrees."""
+        d = gen_synthetic(103, 5, 1.0, 2)
+        if block_rows is None:
+            assert d.features.nbytes <= losses.HESSIAN_BLOCK_BYTES
+        else:
+            monkeypatch.setattr(losses, "HESSIAN_BLOCK_BYTES", block_rows * 8 * d.p)
         spec = make_loss_spec(kind, d.p, mode="tight")
-        theta = 0.2 * spread_theta(d.p)
-        assert np.all(margin_curvatures(spec, d.labels * (d.features @ theta)) != 0.0)
+        theta = spread_theta(d.p)
         H = hessian(spec, theta, d)
-        assert H.tobytes() == single_product_hessian(spec, theta, d).tobytes()
+        np.testing.assert_array_equal(H, H.T)
+        k = margin_curvatures(spec, d.labels * (d.features @ theta)).astype(np.longdouble)
+        X = d.features.astype(np.longdouble)
+        ref = (X * k[:, None]).T @ X / d.n
+        assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
+        np.testing.assert_array_equal(aggregate(spec, theta, d)[2], H)
 
     def test_huber_at_zero_theta_is_zero_matrix(self):
         """Every margin is 0, outside the band: no row is multiplied."""
