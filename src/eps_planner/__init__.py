@@ -25,12 +25,7 @@ from .experiments import (
     experiment_sample_sweep,
     oracle_compare,
 )
-from .losses import (
-    aggregate,
-    default_bounds,
-    make_loss_spec,
-    smooth_hinge,
-)
+from .losses import aggregate, make_loss_spec
 from .model import (
     Dataset,
     ExtrapolationLine,
@@ -91,9 +86,7 @@ __all__ = [
     "experiment_sample_sweep",
     "oracle_compare",
     "aggregate",
-    "default_bounds",
     "make_loss_spec",
-    "smooth_hinge",
     "Dataset",
     "ExtrapolationLine",
     "LossSpec",

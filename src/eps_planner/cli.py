@@ -26,9 +26,10 @@ import scipy
 
 from . import experiments
 from .chooser import plan
-from .data import gen_synthetic, write_csv_dataset
+from .data import FORMATS, gen_synthetic, write_csv_dataset
 from .errors import DataError, EpsPlannerError, NumericalError, UsageError
-from .model import NoiseDraw, PrivacyBudget
+from .losses import BOUNDS_MODES
+from .model import LOSS_KINDS, NoiseDraw, PrivacyBudget
 from .trainer import classification_error_rate, train, utility
 
 SEED_ENV_VAR = "EPS_PLANNER_SEED"
@@ -143,15 +144,14 @@ def build_parser() -> _Parser:
         p, *, out_help="CSV table path; the run summary goes to PATH.summary.json", solver="sgd"
     ):
         p.add_argument("--data", help="dataset file path")
-        p.add_argument("--format", choices=("csv", "sparse_text"), default="csv")
+        p.add_argument("--format", choices=FORMATS, default="csv")
         p.add_argument("--label-col", default="label", help="csv label column name")
         p.add_argument(
             "--synthetic", type=synthetic_spec,
             help="use generated data: n,p,separation",
         )
-        p.add_argument("--loss", choices=("logistic", "huber_svm", "quadratic", "smooth_hinge"),
-                       default="logistic")
-        p.add_argument("--bounds", choices=("paper", "tight"), default="tight")
+        p.add_argument("--loss", choices=LOSS_KINDS, default="logistic")
+        p.add_argument("--bounds", choices=BOUNDS_MODES, default="tight")
         p.add_argument("--reg-lambda", type=nonnegative_float, default=0.01)
         p.add_argument("--delta", type=positive_float, default=1e-3)
         p.add_argument("--repeats", type=positive_int, default=10)
@@ -296,22 +296,10 @@ def _versions() -> dict:
     }
 
 
-def _seed_scheme(cfg: experiments.ExperimentConfig) -> dict:
-    return {
-        "base_seed": cfg.base_seed,
-        "estimate_seeds": [cfg.base_seed + r for r in range(cfg.repeats)],
-        "actual_seed_rule": (
-            f"base_seed + {experiments.ACTUAL_SEED_OFFSET} + grid_index * repeats + repeat"
-        ),
-        "subsample_seed": cfg.base_seed + experiments.SUBSAMPLE_SEED_OFFSET,
-    }
-
-
 def _write_csv(fh, rows, columns):
     writer = csv.writer(fh)
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+    writer.writerows([row[c] for c in columns] for row in rows)
 
 
 def _write_summary(path, command, args, **sections):
@@ -325,12 +313,6 @@ def _write_summary(path, command, args, **sections):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def _jsonable_args(args) -> dict:
@@ -347,10 +329,7 @@ def _jsonable_args(args) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = _experiment_config(args)
-    d = experiments.resolve_dataset(cfg)
-    spec = experiments.loss_spec_for(cfg, d.p)
-    tcfg = experiments.train_config_for(cfg)
+    d, spec, tcfg = experiments.resolve(_experiment_config(args))
     noise = NoiseDraw.generate(d.p, args.seed)
     model = train(d, spec, tcfg, PrivacyBudget(args.eps, args.delta), noise)
     result = {
@@ -381,10 +360,7 @@ def cmd_choose_eps(args) -> int:
         raise UsageError(
             f"choose-eps measures at one budget, got --measure-eps {list(args.measure_eps)}"
         )
-    cfg = _experiment_config(args)
-    d = experiments.resolve_dataset(cfg)
-    spec = experiments.loss_spec_for(cfg, d.p)
-    tcfg = experiments.train_config_for(cfg)
+    d, spec, tcfg = experiments.resolve(_experiment_config(args))
     result = plan(
         d, spec, tcfg, args.measure_eps[0], args.delta, args.target_utility, args.seed
     )
@@ -425,7 +401,9 @@ def cmd_table(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, rows, columns)
-        _write_summary(args.out + ".summary.json", args.command, args, seeds=_seed_scheme(cfg))
+        _write_summary(
+            args.out + ".summary.json", args.command, args, seeds=experiments.seed_scheme(cfg)
+        )
     else:
         _write_csv(sys.stdout, rows, columns)
     return 0

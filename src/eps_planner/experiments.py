@@ -11,14 +11,15 @@ the config, so identical configs give identical tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chooser import measure
 from .data import gen_synthetic, load_dataset
-from .model import Dataset, NoiseDraw, PrivacyBudget
 from .losses import make_loss_spec
+from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget
+from .sensitivity import extrapolate
 from .trainer import TrainConfig, train, utility
 
 DEFAULT_TARGETS_LOW = tuple(round(0.05 * i, 2) for i in range(1, 21))
@@ -83,40 +84,44 @@ class ExperimentConfig:
             raise ValueError("sample counts must be >= 1")
 
 
-def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
-    """The dataset a config refers to: a file if given, else synthetic."""
-    if cfg.dataset_path is not None:
-        return load_dataset(cfg.dataset_path, cfg.data_format, label_col=cfg.label_col)
-    s = cfg.synthetic
-    return gen_synthetic(s.n, s.p, s.separation, cfg.base_seed)
+def resolve(
+    cfg: ExperimentConfig, d: Dataset | None = None
+) -> tuple[Dataset, LossSpec, TrainConfig]:
+    """(dataset, loss spec, solver settings) a config refers to.
 
-
-def loss_spec_for(cfg: ExperimentConfig, p: int):
-    return make_loss_spec(
-        cfg.loss_kind, p, cfg.bounds_mode, huber_h=cfg.huber_h, smooth_t=cfg.smooth_t
+    The dataset is `d` if given, else the config's file, else synthetic.
+    """
+    if d is None and cfg.dataset_path is not None:
+        d = load_dataset(cfg.dataset_path, cfg.data_format, label_col=cfg.label_col)
+    elif d is None:
+        s = cfg.synthetic
+        d = gen_synthetic(s.n, s.p, s.separation, cfg.base_seed)
+    spec = make_loss_spec(
+        cfg.loss_kind, d.p, cfg.bounds_mode, huber_h=cfg.huber_h, smooth_t=cfg.smooth_t
     )
+    return d, spec, TrainConfig(reg_lambda=cfg.reg_lambda, solver_mode=cfg.solver_mode)
 
 
-def train_config_for(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(reg_lambda=cfg.reg_lambda, solver_mode=cfg.solver_mode)
-
-
-def _actual_once(d, spec, tcfg, eps, delta, seed):
-    budget = PrivacyBudget(eps, delta)
-    noise = NoiseDraw.generate(d.p, seed)
-    model = train(d, spec, tcfg, budget, noise)
-    return utility(model.theta, d, spec)
+def seed_scheme(cfg: ExperimentConfig) -> dict:
+    """The seeds a table run uses, as recorded in its run summary."""
+    return {
+        "base_seed": cfg.base_seed,
+        "estimate_seeds": [cfg.base_seed + r for r in range(cfg.repeats)],
+        "actual_seed_rule": (
+            f"base_seed + {ACTUAL_SEED_OFFSET} + grid_index * repeats + repeat"
+        ),
+        "subsample_seed": cfg.base_seed + SUBSAMPLE_SEED_OFFSET,
+    }
 
 
 def _actual_means(d, spec, tcfg, grid, cfg) -> np.ndarray:
     """Mean actual loss per grid point over `repeats` independent draws."""
     means = np.zeros(len(grid))
     for j, eps in enumerate(grid):
+        budget = PrivacyBudget(eps, cfg.delta)
+        seed = cfg.base_seed + ACTUAL_SEED_OFFSET + j * cfg.repeats
         vals = [
-            _actual_once(
-                d, spec, tcfg, eps, cfg.delta,
-                cfg.base_seed + ACTUAL_SEED_OFFSET + j * cfg.repeats + r,
-            )
+            utility(train(d, spec, tcfg, budget, NoiseDraw.generate(d.p, seed + r)).theta, d, spec)
             for r in range(cfg.repeats)
         ]
         means[j] = float(np.mean(vals))
@@ -125,12 +130,25 @@ def _actual_means(d, spec, tcfg, grid, cfg) -> np.ndarray:
 
 def _estimate_means(d, spec, tcfg, measure_eps, grid, cfg) -> np.ndarray:
     """Mean estimated loss per grid point, extrapolated from measure_eps."""
-    grid_arr = np.asarray(grid, dtype=np.float64)
     acc = np.zeros(len(grid))
     for r in range(cfg.repeats):
         line = measure(d, spec, tcfg, measure_eps, cfg.delta, cfg.base_seed + r).line
-        acc += line.base_utility + line.slope * (grid_arr - measure_eps)
+        acc += [extrapolate(line, t) for t in grid]
     return acc / cfg.repeats
+
+
+def _error_rows(key, value, grid, est, act) -> list[dict]:
+    """One (key, target, estimated, actual, abs error) row per grid point."""
+    return [
+        {
+            key: value,
+            "target_eps": t,
+            "estimated_loss": float(est[j]),
+            "actual_loss": float(act[j]),
+            "abs_error": float(abs(est[j] - act[j])),
+        }
+        for j, t in enumerate(grid)
+    ]
 
 
 def experiment_estimate_vs_actual(cfg: ExperimentConfig, d: Dataset | None = None) -> list[dict]:
@@ -139,23 +157,12 @@ def experiment_estimate_vs_actual(cfg: ExperimentConfig, d: Dataset | None = Non
     One row per (measuring eps, target eps) with the repeat-averaged
     estimated loss, actual loss and their absolute gap.
     """
-    d = resolve_dataset(cfg) if d is None else d
-    spec = loss_spec_for(cfg, d.p)
-    tcfg = train_config_for(cfg)
+    d, spec, tcfg = resolve(cfg, d)
     act = _actual_means(d, spec, tcfg, cfg.target_grid, cfg)
     rows = []
     for me in cfg.measure_eps_list:
         est = _estimate_means(d, spec, tcfg, me, cfg.target_grid, cfg)
-        for j, t in enumerate(cfg.target_grid):
-            rows.append(
-                {
-                    "measure_eps": me,
-                    "target_eps": t,
-                    "estimated_loss": float(est[j]),
-                    "actual_loss": float(act[j]),
-                    "abs_error": float(abs(est[j] - act[j])),
-                }
-            )
+        rows += _error_rows("measure_eps", me, cfg.target_grid, est, act)
     return rows
 
 
@@ -165,9 +172,7 @@ def experiment_measuring_sweep(cfg: ExperimentConfig, d: Dataset | None = None) 
     Every point of the target grid doubles as a measuring candidate and
     is scored by its average absolute error over all other grid points.
     """
-    d = resolve_dataset(cfg) if d is None else d
-    spec = loss_spec_for(cfg, d.p)
-    tcfg = train_config_for(cfg)
+    d, spec, tcfg = resolve(cfg, d)
     grid = cfg.target_grid
     act = _actual_means(d, spec, tcfg, grid, cfg)
     rows = []
@@ -186,13 +191,11 @@ def experiment_sample_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> 
     are nested inside larger ones. The measuring point is the first
     entry of cfg.measure_eps_list.
     """
-    d = resolve_dataset(cfg) if d is None else d
+    d, spec, tcfg = resolve(cfg, d)
     if max(cfg.sample_grid) > d.n:
         raise ValueError(
             f"sample grid goes up to {max(cfg.sample_grid)} but the dataset has n={d.n}"
         )
-    spec = loss_spec_for(cfg, d.p)
-    tcfg = train_config_for(cfg)
     me = cfg.measure_eps_list[0]
     perm = np.random.default_rng(cfg.base_seed + SUBSAMPLE_SEED_OFFSET).permutation(d.n)
     rows = []
@@ -200,16 +203,7 @@ def experiment_sample_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> 
         sub = d.subset(perm[:n_sub])
         act = _actual_means(sub, spec, tcfg, cfg.target_grid, cfg)
         est = _estimate_means(sub, spec, tcfg, me, cfg.target_grid, cfg)
-        for j, t in enumerate(cfg.target_grid):
-            rows.append(
-                {
-                    "n": n_sub,
-                    "target_eps": t,
-                    "estimated_loss": float(est[j]),
-                    "actual_loss": float(act[j]),
-                    "abs_error": float(abs(est[j] - act[j])),
-                }
-            )
+        rows += _error_rows("n", n_sub, cfg.target_grid, est, act)
     return rows
 
 
@@ -222,14 +216,8 @@ def oracle_compare(cfg: ExperimentConfig, d: Dataset | None = None) -> list[dict
     h = ORACLE_FD_STEP_REL * eps and the SAME noise draw, and report
     relative errors. Requires the exact solver.
     """
-    d = resolve_dataset(cfg) if d is None else d
-    spec = loss_spec_for(cfg, d.p)
-    tcfg = TrainConfig(
-        reg_lambda=cfg.reg_lambda,
-        solver_mode="exact",
-        stationarity_tol=1e-12,
-        max_exact_iterations=500,
-    )
+    d, spec, tcfg = resolve(cfg, d)
+    tcfg = replace(tcfg, solver_mode="exact", stationarity_tol=1e-12, max_exact_iterations=500)
     rows = []
     for me in cfg.measure_eps_list:
         h = ORACLE_FD_STEP_REL * me

@@ -3,24 +3,24 @@
 All four losses are functions of the margin m = y * <theta, x>, so the
 per-example Hessian is always kappa * x x^T for a scalar curvature
 kappa = l''(m) >= 0. The vectorized `margin_*` helpers operate on whole
-margin arrays and give l, l' and l'' separately.
+margin arrays and give l, l' and l'' separately; `margins` computes the
+margins themselves.
 
-`aggregate` always returns the mean gradient and computes the mean value
-and the O(n p^2) mean Hessian only on request; `hessian` builds the
-Hessian alone. Each caller asks for what it uses: a training step for the
-gradient, a line-search candidate for value and gradient, and only an
-accepted Newton iterate or the sensitivity system matrix for a Hessian.
+`aggregate` returns (value, gradient): the mean gradient always, and the
+mean value unless the caller passes with_value=False. `hessian` is the
+one Hessian build, called only by an accepted Newton iterate and by the
+sensitivity system matrix.
 
-Both build the Hessian the same way: streamed over row blocks of about
-HESSIAN_BLOCK_BYTES (512 KB) of features, so the extra memory is one
-block, not a scaled copy of all n rows. Each block scales its rows by
-sqrt(kappa) and adds them to the upper triangle of one p x p sum with a
-single symmetric rank-k update (BLAS dsyrk), about half the flops of a
-full product; the triangle is mirrored at the end, so the Hessian is
-exactly symmetric, and its last bits differ from a general product's.
-Rows of curvature exactly 0 add nothing and are dropped first: huber_svm
-outside its band, and logistic or smooth_hinge rows whose e^{-|x|}
-underflows. NaN curvatures are kept, so non-finite input stays loud.
+The Hessian is streamed over row blocks of about HESSIAN_BLOCK_BYTES
+(512 KB) of features, so the extra memory is one block, not a scaled
+copy of all n rows. Each block scales its rows by sqrt(kappa) and adds
+them to the upper triangle of one p x p sum with a single symmetric
+rank-k update (BLAS dsyrk), about half the flops of a full product; the
+triangle is mirrored at the end, so the Hessian is exactly symmetric,
+and its last bits differ from a general product's. Rows of curvature
+exactly 0 add nothing and are dropped first: huber_svm outside its band,
+and logistic or smooth_hinge rows whose e^{-|x|} underflows. NaN
+curvatures are kept, so non-finite input stays loud.
 """
 from __future__ import annotations
 
@@ -49,14 +49,6 @@ def _sigmoid(x, derivative: bool = False):
     if derivative:
         return e / (1.0 + e) ** 2
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def smooth_hinge(t: float, margin) -> float:
-    """Smoothed hinge t * log(1 + e^{(1-margin)/t}); approaches the hinge as t -> 0."""
-    if not t > 0:
-        raise ValueError("smoothing temperature t must be positive")
-    out = t * _softplus((1.0 - np.asarray(margin, dtype=np.float64)) / t)
-    return float(out) if np.isscalar(margin) else out
 
 
 def margin_values(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
@@ -110,7 +102,8 @@ def margin_curvatures(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _margins(theta: np.ndarray, d: Dataset) -> np.ndarray:
+def margins(theta: np.ndarray, d: Dataset) -> np.ndarray:
+    """Vector of margins y_i * <theta, x_i>; theta must have length p."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != d.p:
         raise ValueError(f"theta has length {theta.shape[0]}, dataset has p={d.p}")
@@ -146,88 +139,30 @@ def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
 
 
 def aggregate(
-    spec: LossSpec,
-    theta: np.ndarray,
-    d: Dataset,
-    *,
-    with_value: bool = True,
-    with_hessian: bool = True,
-) -> tuple[float | None, np.ndarray, np.ndarray | None]:
-    """Mean loss, mean gradient and mean Hessian over the dataset.
+    spec: LossSpec, theta: np.ndarray, d: Dataset, *, with_value: bool = True
+) -> tuple[float | None, np.ndarray]:
+    """Mean loss and mean gradient over the dataset.
 
     The gradient is always computed. The value costs O(n) transcendental
-    work and the Hessian O(n p^2), so callers that do not use them pass
-    with_value=False or with_hessian=False and get None in that slot;
-    the parts that are computed carry the same bits either way. The
-    Hessian is the symmetric PSD matrix (1/n) sum_i kappa_i x_i x_i^T.
+    work, so callers that do not use it pass with_value=False and get
+    None in that slot; the gradient carries the same bits either way.
     """
-    m = _margins(theta, d)
+    m = margins(theta, d)
     L = float(margin_values(spec, m).mean()) if with_value else None
-    gradL = d.features.T @ (margin_slopes(spec, m) * d.labels) / d.n
-    hessL = _mean_hessian(d, margin_curvatures(spec, m)) if with_hessian else None
-    return L, gradL, hessL
+    return L, d.features.T @ (margin_slopes(spec, m) * d.labels) / d.n
 
 
 def hessian(spec: LossSpec, theta: np.ndarray, d: Dataset) -> np.ndarray:
-    """Mean Hessian alone, for a point whose value and gradient are known.
-
-    Bit-identical to the third part of `aggregate` at the same theta.
-    """
-    return _mean_hessian(d, margin_curvatures(spec, _margins(theta, d)))
+    """Mean loss Hessian (1/n) sum_i kappa_i x_i x_i^T, symmetric PSD."""
+    return _mean_hessian(d, margin_curvatures(spec, margins(theta, d)))
 
 
 # max |sigma (1-sigma) (1-2 sigma)|, the logistic third-derivative bound
 _LOGISTIC_THIRD = 1.0 / (6.0 * math.sqrt(3.0))
 
 
-def default_bounds(
-    kind: str,
-    p: int,
-    mode: str = "paper",
-    *,
-    huber_h: float = 0.1,
-    smooth_t: float = 0.1,
-    quad_zeta: float | None = None,
-) -> tuple[float, float, float]:
-    """(zeta, lambda_hess, s_third) for a loss kind and dimensionality.
-
-    "paper" mode reproduces the 2*sqrt(p) / p configuration used by the
-    reference experiments. "tight" mode returns analytic bounds valid
-    under ||x|| <= 1; for quadratic the gradient bound is data dependent,
-    so the caller may supply `quad_zeta` (defaults to 2, valid whenever
-    ||theta|| <= 1).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if mode not in ("paper", "tight"):
-        raise ValueError(f"unknown bounds mode {mode!r}")
-
-    if kind == "logistic":
-        s = 0.1  # 1/(6*sqrt(3)) ~ 0.0962, rounded up
-    elif kind == "huber_svm":
-        s = 0.0  # piecewise-constant curvature: third derivative vanishes a.e.
-    elif kind == "quadratic":
-        s = 0.0
-    elif kind == "smooth_hinge":
-        s = _LOGISTIC_THIRD / smooth_t**2
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
-
-    if mode == "paper":
-        return 2.0 * math.sqrt(p), float(p), s
-
-    if kind == "logistic":
-        return 1.0, 0.25, s
-    if kind == "huber_svm":
-        if not huber_h > 0:
-            raise ValueError("huber_h must be positive")
-        return 1.0, 1.0 / (2.0 * huber_h), s
-    if kind == "quadratic":
-        return (2.0 if quad_zeta is None else float(quad_zeta)), 1.0, s
-    # smooth_hinge
-    if not smooth_t > 0:
-        raise ValueError("smooth_t must be positive")
-    return 1.0, 1.0 / (4.0 * smooth_t), s
+# the --bounds modes make_loss_spec accepts
+BOUNDS_MODES = ("paper", "tight")
 
 
 def make_loss_spec(
@@ -239,10 +174,42 @@ def make_loss_spec(
     smooth_t: float = 0.1,
     quad_zeta: float | None = None,
 ) -> LossSpec:
-    """LossSpec with bound constants filled in from default_bounds."""
-    zeta, lam, s = default_bounds(
-        kind, p, mode, huber_h=huber_h, smooth_t=smooth_t, quad_zeta=quad_zeta
-    )
+    """LossSpec for a loss kind and dimensionality, bound constants filled in.
+
+    "paper" mode reproduces the 2*sqrt(p) / p configuration used by the
+    reference experiments. "tight" mode uses analytic bounds valid
+    under ||x|| <= 1; for quadratic the gradient bound is data dependent,
+    so the caller may supply `quad_zeta` (defaults to 2, valid whenever
+    ||theta|| <= 1).
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if mode not in BOUNDS_MODES:
+        raise ValueError(f"unknown bounds mode {mode!r}")
+
+    if kind == "logistic":
+        s = 0.1  # 1/(6*sqrt(3)) ~ 0.0962, rounded up
+    elif kind in ("huber_svm", "quadratic"):
+        s = 0.0  # piecewise-constant curvature: third derivative vanishes a.e.
+    elif kind == "smooth_hinge":
+        s = _LOGISTIC_THIRD / smooth_t**2
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+
+    if mode == "paper":
+        zeta, lam = 2.0 * math.sqrt(p), float(p)
+    elif kind == "logistic":
+        zeta, lam = 1.0, 0.25
+    elif kind == "huber_svm":
+        if not huber_h > 0:
+            raise ValueError("huber_h must be positive")
+        zeta, lam = 1.0, 1.0 / (2.0 * huber_h)
+    elif kind == "quadratic":
+        zeta, lam = (2.0 if quad_zeta is None else float(quad_zeta)), 1.0
+    else:  # smooth_hinge
+        if not smooth_t > 0:
+            raise ValueError("smooth_t must be positive")
+        zeta, lam = 1.0, 1.0 / (4.0 * smooth_t)
     return LossSpec(
         kind=kind, zeta=zeta, lambda_hess=lam, s_third=s, huber_h=huber_h, smooth_t=smooth_t
     )

@@ -28,12 +28,17 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NoiseMismatchError, NumericalError
 from .losses import aggregate, hessian
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
-from .perturbation import PerturbationAtEps, delta_coeff
+from .perturbation import PerturbationAtEps, delta_coeff, noise_sigma
 
 
 def _ridge(model: PrivateModel, spec: LossSpec, n: int) -> float:
     # Hessian of the quadratic terms: the regularizer and Delta_eps
     return (model.reg_lambda + delta_coeff(spec.lambda_hess, model.budget.epsilon)) / n
+
+
+def _check_spec(model: PrivateModel, spec: LossSpec) -> None:
+    if spec != model.loss:
+        raise ValueError(f"loss spec {spec} differs from the model's {model.loss}")
 
 
 def assemble_w(model: PrivateModel, d: Dataset, spec: LossSpec) -> np.ndarray:
@@ -56,8 +61,10 @@ def dtheta_deps(
 ) -> SensitivityReport:
     """Solve for d(theta_hat)/d(eps) at the model's own budget.
 
-    The perturbation must have been materialized from the model's own
-    noise draw and budget (checked by identity). Models trained in
+    `spec` must be the model's own loss, and the perturbation must have
+    been materialized from the model's noise draw, budget and bound
+    constants: its eps, base vector, sigma and Delta_eps are checked bit
+    for bit (NoiseMismatchError otherwise). Models trained in
     sgd_repro mode are not stationary, so the implicit-differentiation
     identity does not hold exactly; pass allow_nonstationary=True to
     proceed anyway. Their solve is then damped by (Lam + Delta_eps)/n,
@@ -71,13 +78,21 @@ def dtheta_deps(
             "model was trained in sgd_repro mode and is not stationary; "
             "pass allow_nonstationary=True to accept the quadratic-approximation caveat"
         )
-    if pert.eps != model.budget.epsilon:
-        raise NoiseMismatchError(
-            f"perturbation eps {pert.eps} differs from model eps {model.budget.epsilon}"
-        )
+    _check_spec(model, spec)
+    eps = model.budget.epsilon
+    if pert.eps != eps:
+        raise NoiseMismatchError(f"perturbation eps {pert.eps} differs from model eps {eps}")
     if not np.array_equal(pert.base_u, model.noise.base_u):
         raise NoiseMismatchError(
             "perturbation was materialized from a different noise draw than the model's"
+        )
+    if pert.sigma != noise_sigma(spec.zeta, model.budget.delta, eps):
+        raise NoiseMismatchError(
+            "perturbation sigma differs from the model's budget delta and loss zeta"
+        )
+    if pert.delta_eps_coeff != delta_coeff(spec.lambda_hess, eps):
+        raise NoiseMismatchError(
+            "perturbation Delta_eps differs from the model's loss lambda_hess"
         )
 
     ridge = _ridge(model, spec, d.n)
@@ -104,7 +119,8 @@ def utility_slope(
     model: PrivateModel, d: Dataset, spec: LossSpec, report: SensitivityReport
 ) -> float:
     """Chain rule: dF/deps = <grad of F at theta_hat, dtheta/deps>."""
-    _, gradL, _ = aggregate(spec, model.theta, d, with_value=False, with_hessian=False)
+    _check_spec(model, spec)
+    _, gradL = aggregate(spec, model.theta, d, with_value=False)
     return float(gradL @ report.dtheta_deps)
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .losses import aggregate, hessian, margin_values
-from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget, PrivateModel
+from .losses import aggregate, hessian, margin_values, margins
+from .model import SOLVER_MODES, Dataset, LossSpec, NoiseDraw, PrivacyBudget, PrivateModel
 from .perturbation import PerturbationAtEps, materialize
 
 # module-level counter used by callers to assert how many trainings ran
@@ -51,7 +51,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.reg_lambda < math.inf:
             raise ValueError(f"reg_lambda must be nonnegative and finite, got {self.reg_lambda}")
-        if self.solver_mode not in ("exact", "sgd_repro"):
+        if self.solver_mode not in SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.solver_mode!r}")
         if not self.stationarity_tol > 0:
             raise ValueError("stationarity_tol must be positive")
@@ -76,7 +76,7 @@ def perturbed_objective(
     if theta.shape[0] != d.p or pert.b.shape[0] != d.p:
         raise ValueError("dimension mismatch between theta, dataset and perturbation")
     n = d.n
-    L, gradL, _ = aggregate(spec, theta, d, with_value=with_value, with_hessian=False)
+    L, gradL = aggregate(spec, theta, d, with_value=with_value)
     ridge = cfg.reg_lambda + pert.delta_eps_coeff
     grad = gradL + (ridge * theta + pert.b) / n
     if not with_value:
@@ -191,14 +191,10 @@ def utility(theta: np.ndarray, d: Dataset, spec: LossSpec) -> float:
     Excludes the regularizer and both perturbation terms; this is the
     quantity the extrapolation machinery predicts across eps.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    m = d.labels * (d.features @ theta)
-    return float(margin_values(spec, m).mean())
+    return float(margin_values(spec, margins(theta, d)).mean())
 
 
 def classification_error_rate(theta: np.ndarray, d: Dataset) -> float:
     """Fraction of examples with nonpositive margin. Reporting only; not
     differentiable, never fed to the slope machinery."""
-    theta = np.asarray(theta, dtype=np.float64)
-    m = d.labels * (d.features @ theta)
-    return float(np.mean(m <= 0.0))
+    return float(np.mean(margins(theta, d) <= 0.0))

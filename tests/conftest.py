@@ -27,26 +27,17 @@ def random_unit_ball(rng, p):
 
 @pytest.fixture
 def hessian_builds(monkeypatch):
-    """List that records each loss Hessian trainer and sensitivity build.
-
-    An entry is appended per `hessian` call and per `aggregate` call that
-    asks for the Hessian part.
-    """
+    """List that records each loss Hessian trainer and sensitivity build:
+    one entry per `hessian` call, the only Hessian build."""
     from eps_planner import losses, sensitivity, trainer
 
     builds = []
-
-    def counting_aggregate(spec, theta, d, **kwargs):
-        if kwargs.get("with_hessian", True):
-            builds.append("aggregate")
-        return losses.aggregate(spec, theta, d, **kwargs)
 
     def counting_hessian(spec, theta, d):
         builds.append("hessian")
         return losses.hessian(spec, theta, d)
 
     for mod in (trainer, sensitivity):
-        monkeypatch.setattr(mod, "aggregate", counting_aggregate)
         monkeypatch.setattr(mod, "hessian", counting_hessian)
     return builds
 

@@ -279,23 +279,14 @@ class TestEstimate:
         assert seeds == [21, 22]
 
         from eps_planner.chooser import measure
-        from eps_planner.experiments import (
-            ExperimentConfig,
-            SyntheticSpec,
-            loss_spec_for,
-            train_config_for,
-        )
+        from eps_planner.experiments import ExperimentConfig, SyntheticSpec, resolve
 
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(150, 3, 1.5), bounds_mode="tight",
             delta=1e-3, repeats=2, base_seed=21,
             measure_eps_list=(0.3,), target_grid=(0.3,),
         )
-        from eps_planner.experiments import resolve_dataset
-
-        d = resolve_dataset(cfg)
-        spec = loss_spec_for(cfg, d.p)
-        tcfg = train_config_for(cfg)
+        d, spec, tcfg = resolve(cfg)
         est = np.mean([
             measure(d, spec, tcfg, 0.3, 1e-3, s).line.base_utility for s in seeds
         ])

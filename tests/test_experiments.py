@@ -10,7 +10,7 @@ from eps_planner.experiments import (
     experiment_measuring_sweep,
     experiment_sample_sweep,
     oracle_compare,
-    resolve_dataset,
+    resolve,
 )
 
 SMALL = dict(
@@ -74,12 +74,8 @@ class TestEstimateVsActual:
         """At the target equal to the measuring point the estimate is the
         repeat-averaged measured utility itself."""
         from eps_planner.chooser import measure
-        from eps_planner.experiments import loss_spec_for, train_config_for
-
         cfg = ExperimentConfig(measure_eps_list=(0.25,), target_grid=(0.25,), **SMALL)
-        d = resolve_dataset(cfg)
-        spec = loss_spec_for(cfg, d.p)
-        tcfg = train_config_for(cfg)
+        d, spec, tcfg = resolve(cfg)
         bases = [
             measure(d, spec, tcfg, 0.25, cfg.delta, cfg.base_seed + r).line.base_utility
             for r in range(cfg.repeats)
@@ -131,7 +127,7 @@ class TestSampleSweep:
 
     def test_subsets_are_nested_prefixes(self):
         cfg = ExperimentConfig(sample_grid=(50, 120), **SMALL)
-        d = resolve_dataset(cfg)
+        d, _, _ = resolve(cfg)
         perm = np.random.default_rng(cfg.base_seed + SUBSAMPLE_SEED_OFFSET).permutation(d.n)
         small = d.subset(perm[:50])
         large = d.subset(perm[:120])
@@ -175,7 +171,6 @@ class TestOracleCompare:
         """The finite difference moves less than its own distance to the
         analytic value when the step halves: the oracle is converging to
         the implicit-differentiation answer, not away from it."""
-        from eps_planner.experiments import loss_spec_for
         from eps_planner.model import NoiseDraw, PrivacyBudget
         from eps_planner.perturbation import materialize
         from eps_planner.sensitivity import dtheta_deps, utility_slope
@@ -185,8 +180,7 @@ class TestOracleCompare:
             synthetic=SyntheticSpec(n=200, p=5, separation=2.0),
             bounds_mode="tight", delta=1e-3, base_seed=11, solver_mode="exact",
         )
-        d = resolve_dataset(cfg)
-        spec = loss_spec_for(cfg, d.p)
+        d, spec, _ = resolve(cfg)
         tcfg = TrainConfig(stationarity_tol=1e-12, max_exact_iterations=500)
         me = 0.25
         noise = NoiseDraw.generate(d.p, 11)

@@ -9,15 +9,14 @@ from eps_planner import losses
 from eps_planner.data import gen_synthetic
 from eps_planner.losses import (
     aggregate,
-    default_bounds,
     hessian,
     make_loss_spec,
     margin_curvatures,
     margin_slopes,
     margin_values,
-    smooth_hinge,
+    margins,
 )
-from eps_planner.model import Dataset
+from eps_planner.model import Dataset, LossSpec
 
 LOG2 = math.log(2.0)
 
@@ -38,11 +37,11 @@ def row_with_margin(margin):
 
 
 def value(spec, theta, d):
-    return aggregate(spec, theta, d, with_hessian=False)[0]
+    return aggregate(spec, theta, d)[0]
 
 
 def gradient(spec, theta, d):
-    return aggregate(spec, theta, d, with_value=False, with_hessian=False)[1]
+    return aggregate(spec, theta, d, with_value=False)[1]
 
 
 class TestLossValue:
@@ -109,7 +108,8 @@ class TestAggregate:
         d = one_row(x, -1)
         theta = np.array([0.2, 0.1, -0.7])
         m = np.array([-1.0 * float(x @ theta)])
-        L, g, H = aggregate(spec, theta, d)
+        L, g = aggregate(spec, theta, d)
+        H = hessian(spec, theta, d)
         assert L == pytest.approx(margin_values(spec, m)[0], rel=1e-12)
         np.testing.assert_allclose(g, margin_slopes(spec, m)[0] * -1.0 * x, rtol=1e-12)
         np.testing.assert_allclose(
@@ -120,8 +120,8 @@ class TestAggregate:
         spec = spec_of("quadratic")
         d = Dataset(features=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], labels=[1, 1])
         theta = np.array([1.0, -1.0, 0.3])
-        L, g, H = aggregate(spec, theta, d)
-        L1, g1, H1 = aggregate(spec, theta, one_row([0.5, 0.5, 0.0], 1))
+        L, g = aggregate(spec, theta, d)
+        L1, g1 = aggregate(spec, theta, one_row([0.5, 0.5, 0.0], 1))
         assert L == pytest.approx(L1, rel=1e-12)
         np.testing.assert_allclose(g, g1, rtol=1e-12)
 
@@ -134,13 +134,13 @@ class TestAggregate:
         d = Dataset(X, y)
         spec = spec_of("logistic")
         theta = rng.standard_normal(4) * 0.5
-        _, _, H = aggregate(spec, theta, d)
+        H = hessian(spec, theta, d)
         h = 1e-5
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            _, gp, _ = aggregate(spec, theta + e, d)
-            _, gm, _ = aggregate(spec, theta - e, d)
+            gp = gradient(spec, theta + e, d)
+            gm = gradient(spec, theta - e, d)
             np.testing.assert_allclose(H[:, j], (gp - gm) / (2 * h), atol=1e-5)
 
     def test_hessian_symmetric_psd(self):
@@ -150,7 +150,7 @@ class TestAggregate:
         y = np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
         d = Dataset(X, y)
         for kind in ALL_KINDS:
-            _, _, H = aggregate(spec_of(kind), rng.standard_normal(5), d)
+            H = hessian(spec_of(kind), rng.standard_normal(5), d)
             assert np.array_equal(H, H.T)
             assert np.linalg.eigvalsh(H).min() >= -1e-12
 
@@ -163,8 +163,7 @@ class TestAggregate:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_partial_evaluations_equal_full_triple(self, kind):
-        """Skipping the value or the Hessian leaves the other parts'
-        bits unchanged; `hessian` alone gives the triple's Hessian."""
+        """Skipping the value leaves the gradient's bits unchanged."""
         rng = np.random.default_rng(8)
         X = rng.standard_normal((200, 6))
         X /= np.linalg.norm(X, axis=1).max()
@@ -173,13 +172,10 @@ class TestAggregate:
         spec = spec_of(kind)
         for scale in (0.3, 3.0):
             theta = scale * rng.standard_normal(6)
-            L, g, H = aggregate(spec, theta, d)
-            L_vg, g_vg, H_vg = aggregate(spec, theta, d, with_hessian=False)
-            L_g, g_g, H_g = aggregate(spec, theta, d, with_value=False, with_hessian=False)
-            assert L_vg == L and H_vg is None
-            assert L_g is None and H_g is None
-            assert np.array_equal(g_vg, g) and np.array_equal(g_g, g)
-            assert np.array_equal(hessian(spec, theta, d), H)
+            L, g = aggregate(spec, theta, d)
+            L_g, g_g = aggregate(spec, theta, d, with_value=False)
+            assert L == float(margin_values(spec, margins(theta, d)).mean())
+            assert L_g is None and np.array_equal(g_g, g)
 
 
 def _sigmoid_ld(z):
@@ -242,13 +238,12 @@ class TestBlockedHessian:
         H = hessian(spec, theta, d)
         ref = single_product_hessian(spec, theta, d)
         assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
-        np.testing.assert_array_equal(aggregate(spec, theta, d)[2], H)
 
     @pytest.mark.parametrize("block_rows", (7, None))
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_exactly_symmetric_and_accurate(self, kind, block_rows, monkeypatch):
-        """7-row blocks or one block: H equals H.T bit for bit, matches a
-        long-double single product to 1e-14, and `aggregate` agrees."""
+        """7-row blocks or one block: H equals H.T bit for bit and matches
+        a long-double single product to 1e-14."""
         d = gen_synthetic(103, 5, 1.0, 2)
         if block_rows is None:
             assert d.features.nbytes <= losses.HESSIAN_BLOCK_BYTES
@@ -262,7 +257,6 @@ class TestBlockedHessian:
         X = d.features.astype(np.longdouble)
         ref = (X * k[:, None]).T @ X / d.n
         assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
-        np.testing.assert_array_equal(aggregate(spec, theta, d)[2], H)
 
     def test_huber_at_zero_theta_is_zero_matrix(self):
         """Every margin is 0, outside the band: no row is multiplied."""
@@ -294,43 +288,51 @@ class TestBlockedHessian:
 
 
 class TestDefaultBounds:
+    """The bound constants make_loss_spec fills in."""
+
     def test_paper_mode_p104(self):
-        zeta, lam, _ = default_bounds("logistic", 104, "paper")
-        assert zeta == pytest.approx(20.396078054371138, rel=1e-12)
-        assert lam == 104.0
+        spec = make_loss_spec("logistic", 104, "paper")
+        assert spec.zeta == pytest.approx(20.396078054371138, rel=1e-12)
+        assert spec.lambda_hess == 104.0
 
     def test_tight_logistic(self):
-        zeta, lam, s = default_bounds("logistic", 1, "tight")
-        assert (zeta, lam) == (1.0, 0.25)
-        assert s == 0.1
+        spec = make_loss_spec("logistic", 1, "tight")
+        assert (spec.zeta, spec.lambda_hess) == (1.0, 0.25)
+        assert spec.s_third == 0.1
 
     def test_tight_huber(self):
-        _, lam, s = default_bounds("huber_svm", 10, "tight", huber_h=0.1)
-        assert lam == pytest.approx(5.0)
-        assert s == 0.0
+        spec = make_loss_spec("huber_svm", 10, "tight", huber_h=0.1)
+        assert spec.lambda_hess == pytest.approx(5.0)
+        assert spec.s_third == 0.0
 
     def test_tight_quadratic_caller_zeta(self):
-        zeta, lam, _ = default_bounds("quadratic", 4, "tight", quad_zeta=3.5)
-        assert (zeta, lam) == (3.5, 1.0)
+        spec = make_loss_spec("quadratic", 4, "tight", quad_zeta=3.5)
+        assert (spec.zeta, spec.lambda_hess) == (3.5, 1.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            default_bounds("hinge", 4, "tight")
+            make_loss_spec("hinge", 4, "tight")
+
+
+def smooth_hinge_value(t, margin):
+    """t * log(1 + e^{(1-margin)/t}) at one margin, via margin_values."""
+    spec = LossSpec(kind="smooth_hinge", zeta=1.0, lambda_hess=1.0, s_third=0.0, smooth_t=t)
+    return float(margin_values(spec, np.array([margin]))[0])
 
 
 class TestSmoothHinge:
     def test_at_exponent_zero(self):
-        assert smooth_hinge(1.0, 1.0) == pytest.approx(LOG2, rel=1e-12)
+        assert smooth_hinge_value(1.0, 1.0) == pytest.approx(LOG2, rel=1e-12)
 
     def test_approaches_hinge_flat_side(self):
-        assert smooth_hinge(0.01, 2.0) < 1e-40
+        assert smooth_hinge_value(0.01, 2.0) < 1e-40
 
     def test_approaches_hinge_active_side(self):
-        assert smooth_hinge(0.01, 0.0) == pytest.approx(1.0, abs=1e-6)
+        assert smooth_hinge_value(0.01, 0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            smooth_hinge(0.0, 1.0)
+        with pytest.raises(ValueError, match="smooth_t must be positive"):
+            smooth_hinge_value(0.0, 1.0)
 
 
 def _sample_row(rng, kind, spec, p=4):

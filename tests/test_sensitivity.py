@@ -66,6 +66,14 @@ class TestAssembleW:
         assert np.array_equal(W, W.T)
 
 
+def trained_logistic():
+    """Exact logistic model, tight bounds, trained at (0.3, 1e-3)."""
+    d = gen_synthetic(500, 4, 1.5, 5)
+    spec = make_loss_spec("logistic", d.p, "tight")
+    model = train(d, spec, TrainConfig(), PrivacyBudget(0.3, 1e-3), NoiseDraw.generate(d.p, 5))
+    return d, spec, model
+
+
 class TestDthetaDeps:
     def test_quadratic_hand_computation(self, quad_instance):
         # W=3, Delta'=-2, theta=1/3, zero noise: v = -(1/3)(-2/3) = 2/9
@@ -156,6 +164,36 @@ class TestDthetaDeps:
         pert = materialize(model.noise, spec.zeta, 0.1, 2.0, spec.lambda_hess)
         with pytest.raises(NoiseMismatchError):
             dtheta_deps(model, d, spec, pert)
+
+    @pytest.mark.parametrize(
+        "zeta, delta, lambda_hess, match",
+        [
+            (1.0, 1e-9, 0.25, "sigma"),  # another delta
+            (5.0, 1e-3, 0.25, "sigma"),  # another gradient bound
+            (1.0, 1e-3, 3.0, "Delta_eps"),  # another Hessian bound
+        ],
+    )
+    def test_rejects_perturbation_of_another_budget_or_bound(
+        self, zeta, delta, lambda_hess, match
+    ):
+        """Same eps and draw, but sigma or Delta_eps made from other inputs:
+        solving with it would give a wrong slope, so it is refused."""
+        d, spec, model = trained_logistic()
+        assert (spec.zeta, spec.lambda_hess) == (1.0, 0.25)
+        pert = materialize(model.noise, zeta, delta, 0.3, lambda_hess)
+        with pytest.raises(NoiseMismatchError, match=match):
+            dtheta_deps(model, d, spec, pert)
+
+    def test_rejects_another_loss_spec(self):
+        d, spec, model = trained_logistic()
+        pert = materialize(model.noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
+        report = dtheta_deps(model, d, spec, pert)
+        other = make_loss_spec("huber_svm", d.p, "tight")
+        with pytest.raises(ValueError, match="loss spec"):
+            dtheta_deps(model, d, other, pert)
+        with pytest.raises(ValueError, match="loss spec"):
+            utility_slope(model, d, other, report)
+        assert utility_slope(model, d, spec, report) < 0
 
     def test_sgd_model_needs_override(self):
         d = gen_synthetic(60, 3, 1.0, 7)

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import NumericalError
-from eps_planner.losses import aggregate, make_loss_spec
+from eps_planner.losses import aggregate, hessian, make_loss_spec
 from eps_planner.model import Dataset, NoiseDraw, PrivacyBudget
 from eps_planner.perturbation import materialize
 from eps_planner.trainer import (
@@ -44,7 +44,7 @@ class TestPerturbedObjective:
         cfg = TrainConfig(reg_lambda=0.5)
         pert = materialize(NoiseDraw(np.zeros(3), 0), spec.zeta, 0.1, 1.0, spec.lambda_hess)
         value, grad = perturbed_objective(np.zeros(3), d, spec, cfg, pert)
-        L, gradL, _ = aggregate(spec, np.zeros(3), d)
+        L, gradL = aggregate(spec, np.zeros(3), d)
         assert value == pytest.approx(L, rel=1e-12)
         np.testing.assert_allclose(grad, gradL, rtol=1e-12)
 
@@ -91,13 +91,12 @@ class TestTrainExact:
         m = train(d, spec, cfg, PrivacyBudget(1e9, 0.5), NoiseDraw(np.zeros(3), 0))
 
         def objective(t):
-            L, g, _ = aggregate(spec, t, d)
+            L, g = aggregate(spec, t, d)
             reg = cfg.reg_lambda / (2 * d.n)
             return L + reg * t @ t, g + cfg.reg_lambda / d.n * t
 
         def hess(t):
-            _, _, H = aggregate(spec, t, d)
-            return H + cfg.reg_lambda / d.n * np.eye(3)
+            return hessian(spec, t, d) + cfg.reg_lambda / d.n * np.eye(3)
 
         ref = minimize(objective, np.zeros(3), jac=True, hess=hess,
                        method="trust-exact", options={"gtol": 1e-12})
@@ -190,7 +189,7 @@ class TestTrainSgdRepro:
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
     def test_equals_reference_loop_on_full_aggregate(self, kind):
         """Gradient-only steps give the same bits as steps that evaluate
-        the full (value, gradient, Hessian) triple and use the gradient."""
+        value and gradient and use the gradient."""
         d = gen_synthetic(300, 6, 1.5, 12)
         spec = make_loss_spec(kind, 6, "tight")
         cfg = TrainConfig(solver_mode="sgd_repro")
@@ -200,7 +199,7 @@ class TestTrainSgdRepro:
         ridge = cfg.reg_lambda + pert.delta_eps_coeff
         theta = np.zeros(6)
         for _ in range(cfg.sgd_iterations):
-            _, gradL, _ = aggregate(spec, theta, d)
+            _, gradL = aggregate(spec, theta, d)
             theta = theta - cfg.sgd_learning_rate * (gradL + (ridge * theta + pert.b) / d.n)
         assert np.array_equal(m.theta, theta)
 
@@ -244,6 +243,14 @@ class TestUtility:
     def test_error_rate(self):
         d = Dataset(features=[[1.0], [1.0], [-1.0]], labels=[1, -1, 1])
         assert classification_error_rate(np.array([1.0]), d) == pytest.approx(2.0 / 3.0)
+
+    def test_theta_length_is_checked(self):
+        d = Dataset(features=[[1.0, 0.0]], labels=[1])
+        spec = make_loss_spec("logistic", 2, "tight")
+        with pytest.raises(ValueError, match="theta has length 3, dataset has p=2"):
+            utility(np.zeros(3), d, spec)
+        with pytest.raises(ValueError, match="theta has length 3, dataset has p=2"):
+            classification_error_rate(np.zeros(3), d)
 
 
 class TestUtilityTrend:
