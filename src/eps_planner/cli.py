@@ -19,13 +19,14 @@ import math
 import os
 import re
 import sys
+import warnings
 from importlib import metadata
 
 import numpy as np
 import scipy
 
 from . import experiments
-from .chooser import plan
+from .chooser import MagnitudeGapWarning, plan
 from .data import FORMATS, gen_synthetic, write_csv_dataset
 from .errors import DataError, EpsPlannerError, NumericalError, UsageError
 from .losses import BOUNDS_MODES
@@ -154,39 +155,44 @@ def build_parser() -> _Parser:
         p.add_argument("--bounds", choices=BOUNDS_MODES, default="tight")
         p.add_argument("--reg-lambda", type=nonnegative_float, default=0.01)
         p.add_argument("--delta", type=positive_float, default=1e-3)
-        p.add_argument("--repeats", type=positive_int, default=10)
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--solver", choices=("exact", "sgd"), default=solver)
+        if solver is not None:
+            p.add_argument("--solver", choices=("exact", "sgd"), default=solver)
         p.add_argument("--huber-h", type=positive_float, default=0.1)
         p.add_argument("--smooth-t", type=positive_float, default=0.1)
         p.add_argument("--out", help=out_help)
+
+    def add_table(p, *, solver="sgd"):
+        add_common(p, solver=solver)
+        p.add_argument("--repeats", type=positive_int, default=10)
 
     p_train = sub.add_parser("train", help="train one private model")
     add_common(p_train, out_help=SUMMARY_OUT_HELP)
     p_train.add_argument("--eps", type=positive_float, required=True)
 
     p_est = sub.add_parser("estimate", help="estimated vs actual loss over a target grid")
-    add_common(p_est)
+    add_table(p_est)
     p_est.add_argument("--measure-eps", type=eps_list, default=experiments.DEFAULT_MEASURING_LOW)
     p_est.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
 
     p_choose = sub.add_parser("choose-eps", help="pick the budget for an expected utility")
     add_common(p_choose, out_help=SUMMARY_OUT_HELP, solver="exact")
-    p_choose.add_argument("--measure-eps", type=eps_list, default=(0.25,))
+    p_choose.add_argument("--measure-eps", type=positive_float, default=0.25)
     p_choose.add_argument("--target-utility", type=finite_float, required=True)
 
     p_sweep = sub.add_parser("sweep-measuring", help="average error per measuring point")
-    add_common(p_sweep)
+    add_table(p_sweep)
     p_sweep.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
 
     p_samp = sub.add_parser("sweep-samples", help="estimation error against sample count")
-    add_common(p_samp)
-    p_samp.add_argument("--measure-eps", type=eps_list, default=(0.25,))
+    add_table(p_samp)
+    p_samp.add_argument("--measure-eps", type=positive_float, default=0.25)
     p_samp.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
     p_samp.add_argument("--samples", type=sample_counts, default=experiments.DEFAULT_SAMPLE_GRID)
 
+    # always retrains with the exact solver, so it takes no --solver
     p_oracle = sub.add_parser("oracle-compare", help="finite-difference check of the solve")
-    add_common(p_oracle)
+    add_table(p_oracle, solver=None)
     p_oracle.add_argument("--measure-eps", type=eps_list, default=(0.25, 1.0))
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
@@ -263,6 +269,9 @@ def _with_config(parser: _Parser, argv: list) -> list:
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:
+    """The run's config; a field the subcommand has no flag for keeps its default."""
+    default = experiments.ExperimentConfig()
+    budgets = getattr(args, "measure_eps", default.measure_eps_list)
     return experiments.ExperimentConfig(
         dataset_path=args.data,
         data_format=args.format,
@@ -272,12 +281,12 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
         bounds_mode=args.bounds,
         reg_lambda=args.reg_lambda,
         delta=args.delta,
-        measure_eps_list=tuple(getattr(args, "measure_eps", (0.25,))),
-        target_grid=tuple(getattr(args, "targets", experiments.DEFAULT_TARGETS_LOW)),
-        repeats=args.repeats,
+        measure_eps_list=budgets if isinstance(budgets, tuple) else (budgets,),
+        target_grid=getattr(args, "targets", default.target_grid),
+        repeats=getattr(args, "repeats", default.repeats),
         base_seed=args.seed,
-        sample_grid=tuple(getattr(args, "samples", experiments.DEFAULT_SAMPLE_GRID)),
-        solver_mode="sgd_repro" if args.solver == "sgd" else "exact",
+        sample_grid=getattr(args, "samples", default.sample_grid),
+        solver_mode="sgd_repro" if getattr(args, "solver", "exact") == "sgd" else "exact",
         huber_h=args.huber_h,
         smooth_t=args.smooth_t,
     )
@@ -356,14 +365,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_choose_eps(args) -> int:
-    if len(args.measure_eps) != 1:
-        raise UsageError(
-            f"choose-eps measures at one budget, got --measure-eps {list(args.measure_eps)}"
-        )
     d, spec, tcfg = experiments.resolve(_experiment_config(args))
-    result = plan(
-        d, spec, tcfg, args.measure_eps[0], args.delta, args.target_utility, args.seed
-    )
+    # the gap is reported once: the warning line below and the summary
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MagnitudeGapWarning)
+        result = plan(d, spec, tcfg, args.measure_eps, args.delta, args.target_utility, args.seed)
     print(f"chosen_eps: {result.chosen_eps!r}")
     print(
         f"line: measure_eps={result.line.measure_eps!r} "

@@ -186,6 +186,10 @@ def make_loss_spec(
         raise ValueError("p must be >= 1")
     if mode not in BOUNDS_MODES:
         raise ValueError(f"unknown bounds mode {mode!r}")
+    if kind == "huber_svm" and not huber_h > 0:
+        raise ValueError("huber_h must be positive")
+    if kind == "smooth_hinge" and not smooth_t > 0:
+        raise ValueError("smooth_t must be positive")
 
     if kind == "logistic":
         s = 0.1  # 1/(6*sqrt(3)) ~ 0.0962, rounded up
@@ -201,14 +205,10 @@ def make_loss_spec(
     elif kind == "logistic":
         zeta, lam = 1.0, 0.25
     elif kind == "huber_svm":
-        if not huber_h > 0:
-            raise ValueError("huber_h must be positive")
         zeta, lam = 1.0, 1.0 / (2.0 * huber_h)
     elif kind == "quadratic":
         zeta, lam = (2.0 if quad_zeta is None else float(quad_zeta)), 1.0
     else:  # smooth_hinge
-        if not smooth_t > 0:
-            raise ValueError("smooth_t must be positive")
         zeta, lam = 1.0, 1.0 / (4.0 * smooth_t)
     return LossSpec(
         kind=kind, zeta=zeta, lambda_hess=lam, s_third=s, huber_h=huber_h, smooth_t=smooth_t

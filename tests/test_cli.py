@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from eps_planner.cli import (
     _long_flags, _with_config, build_parser, run_cli, sample_counts, targets_spec,
 )
+from eps_planner.chooser import MagnitudeGapWarning
 from eps_planner.data import gen_synthetic, write_csv_dataset
 from eps_planner.experiments import DEFAULT_TARGETS_HIGH, DEFAULT_TARGETS_LOW
 
@@ -235,6 +237,22 @@ class TestChooseEps:
         assert code == 1
         assert "--measure-eps" in capsys.readouterr().err
 
+    def test_magnitude_gap_reported_once(self, tmp_path, capsys):
+        """The gap is one stdout line and a summary field; no Python
+        warning reaches stderr."""
+        out = tmp_path / "plan.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["choose-eps", "--synthetic", "2000,10,2.0", "--seed", "7",
+                            "--measure-eps", "0.25", "--target-utility", "0.6",
+                            "--out", str(out)])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, MagnitudeGapWarning)]
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert "warning: chosen and measuring eps differ" in printed.out
+        assert json.loads(out.read_text())["result"]["magnitude_warning"] is True
+
     def test_sgd_matches_library_plan(self, data_csv, tmp_path):
         """choose-eps --solver sgd and library plan() with sgd_repro pick
         the same budget bit for bit: both damp the solve the same way."""
@@ -305,7 +323,7 @@ FLAG_SAMPLES = {
     "data": "x.csv", "format": "sparse_text", "label-col": "y", "synthetic": "100,3,1.5",
     "loss": "huber_svm", "bounds": "paper", "reg-lambda": "0.5", "delta": "0.01",
     "repeats": "3", "seed": "4", "solver": "exact", "huber-h": "0.2", "smooth-t": "0.3",
-    "out": "o.csv", "eps": "0.5", "measure-eps": "0.5,1.0", "targets": "0.3:0.5:0.1",
+    "out": "o.csv", "eps": "0.5", "measure-eps": "0.5", "targets": "0.3:0.5:0.1",
     "target-utility": "0.4", "samples": "100,200", "n": "50", "p": "3", "separation": "1.5",
 }
 COMMAND_FLAGS = [
@@ -313,6 +331,47 @@ COMMAND_FLAGS = [
     for command, sub in _subparsers(build_parser()).items()
     for flag in _long_flags(sub)
 ]
+
+
+_SHARED = {
+    "data", "format", "label-col", "synthetic", "loss", "bounds", "reg-lambda", "delta",
+    "seed", "huber-h", "smooth-t", "out",
+}
+
+
+class TestFlagSets:
+    """Each subcommand parses exactly the inputs it reads."""
+
+    def test_long_flags_per_command(self):
+        assert {c: set(_long_flags(sub)) for c, sub in _subparsers(build_parser()).items()} == {
+            "train": _SHARED | {"solver", "eps"},
+            "choose-eps": _SHARED | {"solver", "measure-eps", "target-utility"},
+            "estimate": _SHARED | {"solver", "repeats", "measure-eps", "targets"},
+            "sweep-measuring": _SHARED | {"solver", "repeats", "targets"},
+            "sweep-samples": _SHARED | {"solver", "repeats", "measure-eps", "targets", "samples"},
+            "oracle-compare": _SHARED | {"repeats", "measure-eps"},
+            "gen-data": {"n", "p", "separation", "seed", "out"},
+        }
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["train", "--eps", "0.5", "--repeats", "3"], "--repeats"),
+        (["choose-eps", "--target-utility", "0.5", "--repeats", "3"], "--repeats"),
+        (["oracle-compare", "--solver", "sgd"], "--solver"),
+        (["sweep-samples", "--samples", "100", "--measure-eps", "0.1,0.5"], "--measure-eps"),
+    ], ids=["train", "choose-eps", "oracle-compare", "sweep-samples"])
+    def test_unread_input_is_usage_error(self, argv, flag, capsys):
+        assert run_cli([*argv, "--synthetic", "200,3,1.5", "--seed", "1"]) == 1
+        printed = capsys.readouterr()
+        assert flag in printed.err
+        assert printed.out == ""
+
+
+# command: (the flags it requires, the config key it has no flag for)
+_SKIPPED_KEY = {
+    "train": (["--eps", "0.5"], "repeats"),
+    "choose-eps": (["--target-utility", "0.45"], "repeats"),
+    "oracle-compare": (["--measure-eps", "0.5"], "solver"),
+}
 
 
 class TestConfigFile:
@@ -392,6 +451,23 @@ class TestConfigFile:
         inputs = json.loads(out.read_text())["inputs"]
         assert inputs["target_utility"] == 0.45
         assert not {"eps", "n", "samples"} & set(inputs)
+
+    @pytest.mark.parametrize("command", _SKIPPED_KEY)
+    def test_shared_config_keeps_working(self, command, tmp_path, capsys):
+        """A config file shared by all commands may hold repeats= and
+        solver=; a command without that flag skips the line."""
+        required, skipped = _SKIPPED_KEY[command]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("synthetic=150,3,1.5\nseed=3\nrepeats=3\nsolver=exact\n")
+        out = tmp_path / "out"
+        argv = ["--config", str(cfgfile), command, *required, "--out", str(out)]
+        assert run_cli(argv) == 0
+        summary = out.with_name("out.summary.json") if command == "oracle-compare" else out
+        inputs = json.loads(summary.read_text())["inputs"]
+        kept = {"repeats": 3, "solver": "exact"}
+        del kept[skipped]
+        assert skipped not in inputs
+        assert kept.items() <= inputs.items()
 
     @pytest.mark.parametrize("command,flag", COMMAND_FLAGS)
     def test_every_flag_has_a_config_form(self, tmp_path, command, flag):
@@ -481,8 +557,7 @@ class TestSweepCommands:
 
     def test_oracle_compare_stdout(self, capsys):
         code = run_cli(["oracle-compare", "--synthetic", "150,3,1.5",
-                        "--measure-eps", "0.5", "--repeats", "1", "--seed", "3",
-                        "--solver", "exact"])
+                        "--measure-eps", "0.5", "--repeats", "1", "--seed", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("measure_eps,seed,dtheta_rel_err,slope_rel_err,fd_step")

@@ -313,6 +313,16 @@ class TestDefaultBounds:
         with pytest.raises(ValueError, match="kind"):
             make_loss_spec("hinge", 4, "tight")
 
+    @pytest.mark.parametrize("mode", ["paper", "tight"])
+    @pytest.mark.parametrize("kind,shape,value", [
+        ("smooth_hinge", "smooth_t", 0.0),
+        ("smooth_hinge", "smooth_t", -1.0),
+        ("huber_svm", "huber_h", 0.0),
+    ])
+    def test_nonpositive_shape_is_value_error(self, mode, kind, shape, value):
+        with pytest.raises(ValueError, match=f"{shape} must be positive"):
+            make_loss_spec(kind, 4, mode, **{shape: value})
+
 
 def smooth_hinge_value(t, margin):
     """t * log(1 + e^{(1-margin)/t}) at one margin, via margin_values."""
