@@ -5,7 +5,9 @@ eps, and read the budget expected to reach a requested utility off the
 resulting affine predictor. `measure` is that train-and-measure step;
 `plan`, the experiment harnesses and the CLI all go through it. The
 sensitivity solve it calls forms its own system, damping included, so
-`measure` only opts non-stationary sgd_repro iterates in.
+`measure` only opts non-stationary sgd_repro iterates in. It computes
+the margins at theta_hat once: W, the utility and its gradient all read
+that one vector.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import FlatSlopeError, UnreachableUtilityError
+from .losses import aggregate, margins
 from .model import (
     Dataset,
     ExtrapolationLine,
@@ -23,8 +26,8 @@ from .model import (
     SensitivityReport,
 )
 from .perturbation import materialize
-from .sensitivity import ErrorScale, dtheta_deps, error_scale, utility_slope
-from .trainer import TrainConfig, train, utility
+from .sensitivity import ErrorScale, _dtheta_deps, error_scale
+from .trainer import TrainConfig, train
 
 SLOPE_TOL = 1e-12
 
@@ -74,17 +77,20 @@ def measure(
     The noise draw is NoiseDraw.generate(d.p, seed). An sgd_repro iterate
     is not stationary, so measure opts in to its sensitivity solve, which
     dtheta_deps damps by (Lam + Delta_eps)/n; exact models are solved
-    undamped.
+    undamped. The results equal those of dtheta_deps, utility and
+    utility_slope bit for bit, from one margins pass at theta_hat.
     """
     noise = NoiseDraw.generate(d.p, seed)
     model = train(d, spec, cfg, PrivacyBudget(epsilon=eps, delta=delta), noise)
     pert = materialize(noise, spec.zeta, delta, eps, spec.lambda_hess)
-    report = dtheta_deps(
-        model, d, spec, pert, allow_nonstationary=cfg.solver_mode == "sgd_repro"
+    m = margins(model.theta, d)
+    report = _dtheta_deps(
+        model, m, d, spec, pert, allow_nonstationary=cfg.solver_mode == "sgd_repro"
     )
-    slope = utility_slope(model, d, spec, report)
+    # the utility F is the mean loss, so aggregate gives F and its gradient
+    base_utility, gradF = aggregate(spec, m, d)
     line = ExtrapolationLine(
-        measure_eps=eps, base_utility=utility(model.theta, d, spec), slope=slope
+        measure_eps=eps, base_utility=base_utility, slope=float(gradF @ report.dtheta_deps)
     )
     return Measurement(model=model, report=report, line=line)
 

@@ -120,7 +120,12 @@ def synthetic_spec(text: str) -> experiments.SyntheticSpec:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so main controls exit codes."""
+    """argparse that raises instead of exiting, so main controls exit codes.
+    Subcommand parsers are of this class too, so no command takes an
+    abbreviated flag, just as no --config key may be abbreviated."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -137,7 +142,7 @@ def _default_seed() -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="eps-planner", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="eps-planner", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -293,10 +293,11 @@ def gen_synthetic(n: int, p: int, separation: float, seed: int) -> Dataset:
 def write_csv_dataset(d: Dataset, path: str) -> None:
     """Write a dataset in the csv format load_dataset reads back."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j + 1}" for j in range(d.p)] + ["label"])
+        # the bytes csv.writer writes: no header or float repr needs
+        # quoting, and its rows end in \r\n
+        fh.write(",".join([f"f{j + 1}" for j in range(d.p)] + ["label"]) + "\r\n")
         # Python floats, not numpy scalars: repr gives the same shortest digits
-        writer.writerows(
-            [*map(repr, row), str(int(label))]
+        fh.writelines(
+            f"{','.join(map(repr, row))},{int(label)}\r\n"
             for row, label in zip(d.features.tolist(), d.labels.tolist())
         )

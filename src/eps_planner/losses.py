@@ -3,13 +3,15 @@
 All four losses are functions of the margin m = y * <theta, x>, so the
 per-example Hessian is always kappa * x x^T for a scalar curvature
 kappa = l''(m) >= 0. The vectorized `margin_*` helpers operate on whole
-margin arrays and give l, l' and l'' separately; `margins` computes the
-margins themselves.
+margin arrays and give l, l' and l'' separately.
 
-`aggregate` returns (value, gradient): the mean gradient always, and the
-mean value unless the caller passes with_value=False. `hessian` is the
-one Hessian build, called only by an accepted Newton iterate and by the
-sensitivity system matrix.
+`margins(theta, d)` is the only place that computes X theta. `aggregate`
+and `hessian` take that margins vector, not theta, so a caller that
+needs value, gradient and Hessian at one point computes its margins
+once and passes them to each. `aggregate` returns (value, gradient):
+the mean gradient always, and the mean value unless the caller passes
+with_value=False. `hessian` is the one Hessian build, called only by an
+accepted Newton iterate and by the sensitivity system matrix.
 
 The Hessian is streamed over row blocks of about HESSIAN_BLOCK_BYTES
 (512 KB) of features, so the extra memory is one block, not a scaled
@@ -138,23 +140,32 @@ def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
     return hessL
 
 
+def _check_margins(m: np.ndarray, d: Dataset) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (d.n,):
+        raise ValueError(f"margins have shape {m.shape}, expected length n={d.n}")
+    return m
+
+
 def aggregate(
-    spec: LossSpec, theta: np.ndarray, d: Dataset, *, with_value: bool = True
+    spec: LossSpec, m: np.ndarray, d: Dataset, *, with_value: bool = True
 ) -> tuple[float | None, np.ndarray]:
-    """Mean loss and mean gradient over the dataset.
+    """Mean loss and mean gradient over the dataset, at the point whose
+    margins `m = margins(theta, d)` are given.
 
     The gradient is always computed. The value costs O(n) transcendental
     work, so callers that do not use it pass with_value=False and get
     None in that slot; the gradient carries the same bits either way.
     """
-    m = margins(theta, d)
+    m = _check_margins(m, d)
     L = float(margin_values(spec, m).mean()) if with_value else None
     return L, d.features.T @ (margin_slopes(spec, m) * d.labels) / d.n
 
 
-def hessian(spec: LossSpec, theta: np.ndarray, d: Dataset) -> np.ndarray:
-    """Mean loss Hessian (1/n) sum_i kappa_i x_i x_i^T, symmetric PSD."""
-    return _mean_hessian(d, margin_curvatures(spec, margins(theta, d)))
+def hessian(spec: LossSpec, m: np.ndarray, d: Dataset) -> np.ndarray:
+    """Mean loss Hessian (1/n) sum_i kappa_i x_i x_i^T, symmetric PSD, at
+    the point whose margins `m = margins(theta, d)` are given."""
+    return _mean_hessian(d, margin_curvatures(spec, _check_margins(m, d)))
 
 
 # max |sigma (1-sigma) (1-2 sigma)|, the logistic third-derivative bound

@@ -17,6 +17,10 @@ W + damping I instead. The loss Hessian is built once, for W, and the
 matrix solved is factored once: the Cholesky factor that solves it is
 also its positive-definiteness check. The slope needs only the loss
 gradient.
+
+W, the loss gradient and the utility all read the margins at theta_hat.
+Each public function here computes them from the model; `chooser.measure`
+computes them once and passes them to `_dtheta_deps` and `aggregate`.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NoiseMismatchError, NumericalError
-from .losses import aggregate, hessian
+from .losses import aggregate, hessian, margins
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
 from .perturbation import PerturbationAtEps, delta_coeff, noise_sigma
 
@@ -49,7 +53,12 @@ def assemble_w(model: PrivateModel, d: Dataset, spec: LossSpec) -> np.ndarray:
     symmetric positive definite whenever Lam + Delta_eps > 0; it is not
     factored here, dtheta_deps checks it by factoring the matrix it solves.
     """
-    return hessian(spec, model.theta, d) + _ridge(model, spec, d.n) * np.eye(d.p)
+    return _assemble_w(model, margins(model.theta, d), d, spec)
+
+
+def _assemble_w(model, m, d, spec):
+    # assemble_w from the margins m at theta_hat
+    return hessian(spec, m, d) + _ridge(model, spec, d.n) * np.eye(d.p)
 
 
 def dtheta_deps(
@@ -73,6 +82,11 @@ def dtheta_deps(
     undamped. The solved matrix is factored once, and that factorization
     is the definiteness check: NumericalError if it fails.
     """
+    return _dtheta_deps(model, margins(model.theta, d), d, spec, pert, allow_nonstationary)
+
+
+def _dtheta_deps(model, m, d, spec, pert, allow_nonstationary):
+    # dtheta_deps from the margins m at theta_hat
     if model.solver_mode == "sgd_repro" and not allow_nonstationary:
         raise NumericalError(
             "model was trained in sgd_repro mode and is not stationary; "
@@ -97,7 +111,7 @@ def dtheta_deps(
 
     ridge = _ridge(model, spec, d.n)
     damping = ridge if model.solver_mode == "sgd_repro" else 0.0
-    W = assemble_w(model, d, spec)
+    W = _assemble_w(model, m, d, spec)
     if damping > 0:
         W = W + damping * np.eye(d.p)
     try:
@@ -120,7 +134,7 @@ def utility_slope(
 ) -> float:
     """Chain rule: dF/deps = <grad of F at theta_hat, dtheta/deps>."""
     _check_spec(model, spec)
-    _, gradL = aggregate(spec, model.theta, d, with_value=False)
+    _, gradL = aggregate(spec, margins(model.theta, d), d, with_value=False)
     return float(gradL @ report.dtheta_deps)
 
 

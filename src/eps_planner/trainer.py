@@ -11,12 +11,14 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
                from zero, mirroring the experimental protocol of the
                original evaluations. No convergence guarantee.
 
-Each step computes only what it uses. An sgd step and the sgd final
-gradient check evaluate the gradient alone; a Newton line-search
-candidate, value and gradient, and the accepted candidate's gradient is
-the one reported at the solution. The loss Hessian is built only at the
-start point and at each accepted iterate that has not yet converged:
-once per Newton step.
+Each point the solver visits gets one margins pass, X theta, and
+everything evaluated there reads that one vector. An sgd step and the
+sgd final gradient check evaluate the gradient alone; a Newton
+line-search candidate, value and gradient, and the accepted candidate's
+gradient is the one reported at the solution. The loss Hessian is built
+only at the start point and at each accepted iterate that has not yet
+converged, once per Newton step, from the margins that point's line
+search already computed.
 
 Training is deterministic given (dataset, spec, config, budget, seed).
 """
@@ -75,8 +77,13 @@ def perturbed_objective(
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != d.p or pert.b.shape[0] != d.p:
         raise ValueError("dimension mismatch between theta, dataset and perturbation")
+    return _objective(theta, margins(theta, d), d, spec, cfg, pert, with_value=with_value)
+
+
+def _objective(theta, m, d, spec, cfg, pert, *, with_value):
+    # perturbed_objective at theta, from its margins m = margins(theta, d)
     n = d.n
-    L, gradL = aggregate(spec, theta, d, with_value=with_value)
+    L, gradL = aggregate(spec, m, d, with_value=with_value)
     ridge = cfg.reg_lambda + pert.delta_eps_coeff
     grad = gradL + (ridge * theta + pert.b) / n
     if not with_value:
@@ -121,16 +128,17 @@ def train(
 def _run_sgd(theta, d, spec, cfg, pert):
     lr = cfg.sgd_learning_rate
     for it in range(cfg.sgd_iterations):
-        _, grad = perturbed_objective(theta, d, spec, cfg, pert, with_value=False)
+        _, grad = _objective(theta, margins(theta, d), d, spec, cfg, pert, with_value=False)
         theta = theta - lr * grad
         if not np.all(np.isfinite(theta)):
             raise NumericalError(f"non-finite iterate at sgd step {it + 1}")
-    _, grad = perturbed_objective(theta, d, spec, cfg, pert, with_value=False)
+    _, grad = _objective(theta, margins(theta, d), d, spec, cfg, pert, with_value=False)
     return theta, cfg.sgd_iterations, float(np.linalg.norm(grad))
 
 
 def _run_newton(theta, d, spec, cfg, pert):
-    value, grad = perturbed_objective(theta, d, spec, cfg, pert)
+    m = margins(theta, d)
+    value, grad = _objective(theta, m, d, spec, cfg, pert, with_value=True)
     gnorm = float(np.linalg.norm(grad))
     ridge_eye = ((cfg.reg_lambda + pert.delta_eps_coeff) / d.n) * np.eye(d.p)
     steps_taken = 0
@@ -139,7 +147,7 @@ def _run_newton(theta, d, spec, cfg, pert):
             raise NumericalError(f"non-finite objective at exact-solver step {it}")
         if gnorm <= cfg.stationarity_tol:
             return theta, steps_taken, gnorm
-        hess = hessian(spec, theta, d) + ridge_eye
+        hess = hessian(spec, m, d) + ridge_eye
         step = _newton_step(hess, grad)
         slope = float(grad @ step)
         # Armijo backtracking on the objective value; once value differences
@@ -150,7 +158,8 @@ def _run_newton(theta, d, spec, cfg, pert):
         slack = 8.0 * np.spacing(max(1.0, abs(value)))
         while t >= 1e-14:
             cand = theta + t * step
-            cand_value, cand_grad = perturbed_objective(cand, d, spec, cfg, pert)
+            cand_m = margins(cand, d)
+            cand_value, cand_grad = _objective(cand, cand_m, d, spec, cfg, pert, with_value=True)
             cand_gnorm = float(np.linalg.norm(cand_grad))
             armijo_ok = (
                 cand_value <= value + 1e-4 * t * slope
@@ -158,7 +167,7 @@ def _run_newton(theta, d, spec, cfg, pert):
             )
             flat_ok = cand_value <= value + slack and cand_gnorm < 0.9 * gnorm
             if np.isfinite(cand_value) and (armijo_ok or flat_ok):
-                theta, value, grad, gnorm = cand, cand_value, cand_grad, cand_gnorm
+                theta, m, value, grad, gnorm = cand, cand_m, cand_value, cand_grad, cand_gnorm
                 accepted = True
                 steps_taken += 1
                 break

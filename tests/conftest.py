@@ -33,13 +33,30 @@ def hessian_builds(monkeypatch):
 
     builds = []
 
-    def counting_hessian(spec, theta, d):
+    def counting_hessian(spec, m, d):
         builds.append("hessian")
-        return losses.hessian(spec, theta, d)
+        return losses.hessian(spec, m, d)
 
     for mod in (trainer, sensitivity):
         monkeypatch.setattr(mod, "hessian", counting_hessian)
     return builds
+
+
+def _record_sites(monkeypatch, name, original, modules):
+    """List that records, for each call of `original` through the `name`
+    binding of one of `modules`, that module's short name."""
+    calls = []
+
+    def counting(site):
+        def at_site(*args, **kwargs):
+            calls.append(site)
+            return original(*args, **kwargs)
+
+        return at_site
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counting(mod.__name__.rsplit(".", 1)[-1]))
+    return calls
 
 
 @pytest.fixture
@@ -50,15 +67,24 @@ def cho_factor_calls(monkeypatch):
 
     from eps_planner import sensitivity, trainer
 
-    calls = []
+    return _record_sites(monkeypatch, "cho_factor", cho_factor, (trainer, sensitivity))
 
-    def counting(site):
-        def cho_factor_at_site(a, **kwargs):
-            calls.append(site)
-            return cho_factor(a, **kwargs)
 
-        return cho_factor_at_site
+@pytest.fixture
+def margins_calls(monkeypatch):
+    """List that records the module of each margins computation, X theta,
+    that trainer, sensitivity and chooser run."""
+    from eps_planner import chooser, losses, sensitivity, trainer
 
-    for mod, site in ((trainer, "trainer"), (sensitivity, "sensitivity")):
-        monkeypatch.setattr(mod, "cho_factor", counting(site))
-    return calls
+    return _record_sites(monkeypatch, "margins", losses.margins, (trainer, sensitivity, chooser))
+
+
+@pytest.fixture
+def aggregate_calls(monkeypatch):
+    """List that records the module of each loss value-and-gradient
+    evaluation that trainer, sensitivity and chooser run."""
+    from eps_planner import chooser, losses, sensitivity, trainer
+
+    return _record_sites(
+        monkeypatch, "aggregate", losses.aggregate, (trainer, sensitivity, chooser)
+    )

@@ -118,6 +118,43 @@ class TestPlan:
         assert result.model.iterations_used >= 3
         assert len(hessian_builds) == result.model.iterations_used + 1
 
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_exact_plan_computes_margins_once_per_point(
+        self, kind, margins_calls, aggregate_calls, hessian_builds
+    ):
+        """One margins pass per training evaluation (the start point and
+        each line-search candidate, whose margins the next Newton step's
+        Hessian reuses) and one at theta_hat, which W, the utility and its
+        gradient share."""
+        d = gen_synthetic(2000, 10, 2.0, 0)
+        spec = make_loss_spec(kind, 10, "tight")
+        cfg = TrainConfig()
+        m = train(d, spec, cfg, PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(10, 0))
+        target = utility(m.theta, d, spec) - 0.01
+        for calls in (margins_calls, aggregate_calls, hessian_builds):
+            del calls[:]
+        result = plan(d, spec, cfg, 0.25, 1e-3, target, seed=0)
+        evaluations = aggregate_calls.count("trainer")
+        assert evaluations >= result.model.iterations_used + 1
+        assert margins_calls.count("trainer") == evaluations
+        assert margins_calls.count("chooser") == 1
+        assert len(margins_calls) == evaluations + 1
+        assert aggregate_calls.count("chooser") == 1
+        assert len(aggregate_calls) == evaluations + 1
+        assert len(hessian_builds) == result.model.iterations_used + 1
+
+    def test_sgd_measure_computes_margins_once_per_step_and_once_at_theta_hat(
+        self, margins_calls, aggregate_calls
+    ):
+        d = gen_synthetic(500, 4, 1.5, 2)
+        spec = make_loss_spec("logistic", 4, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        measure(d, spec, cfg, 0.3, 1e-3, seed=5)
+        # each step and the final gradient check: one margins pass, one gradient
+        steps = cfg.sgd_iterations + 1
+        assert margins_calls == ["trainer"] * steps + ["chooser"]
+        assert aggregate_calls == ["trainer"] * steps + ["chooser"]
+
     def test_exact_plan_factors_once_per_newton_step_and_once_for_w(self, cho_factor_calls):
         d = gen_synthetic(2000, 10, 2.0, 0)
         spec = make_loss_spec("logistic", 10, "tight")

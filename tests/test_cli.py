@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from eps_planner.cli import (
 )
 from eps_planner.chooser import MagnitudeGapWarning
 from eps_planner.data import gen_synthetic, write_csv_dataset
+from eps_planner.errors import UsageError
 from eps_planner.experiments import DEFAULT_TARGETS_HIGH, DEFAULT_TARGETS_LOW
 
 
@@ -190,7 +192,7 @@ class TestNumericalErrors:
     def test_indefinite_system_is_exit_3(self, data_csv, monkeypatch, capsys, solver):
         from eps_planner import sensitivity
 
-        monkeypatch.setattr(sensitivity, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        monkeypatch.setattr(sensitivity, "hessian", lambda spec, m, d: -np.eye(d.p))
         code = run_cli(["choose-eps", "--data", data_csv, "--measure-eps", "0.25",
                         "--delta", "1e-3", "--target-utility", "0.40",
                         "--seed", "7", "--solver", solver])
@@ -200,7 +202,7 @@ class TestNumericalErrors:
     def test_indefinite_newton_matrix_is_exit_3(self, data_csv, monkeypatch, capsys):
         from eps_planner import trainer
 
-        monkeypatch.setattr(trainer, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        monkeypatch.setattr(trainer, "hessian", lambda spec, m, d: -np.eye(d.p))
         code = run_cli(["train", "--data", data_csv, "--eps", "0.5", "--seed", "3",
                         "--solver", "exact"])
         assert code == 3
@@ -485,6 +487,49 @@ class TestConfigFile:
         assert from_config.config == str(cfgfile)
         from_config.config = None
         assert vars(from_config) == vars(from_flag)
+
+
+class TestFullFlagNames:
+    def test_abbreviated_flag_is_usage_error(self, capsys):
+        """`--meas` is not read as `--measure-eps`, just as a `meas=` line
+        in a --config file is not."""
+        code = run_cli(["choose-eps", "--synthetic", "200,3,2.0", "--meas", "0.3",
+                        "--target-utility", "0.69"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --meas 0.3" in captured.err
+        assert "chosen_eps" not in captured.out
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, f in COMMAND_FLAGS if len(f) > 1])
+    def test_no_flag_takes_a_prefix(self, command, flag):
+        parser = build_parser()
+        flags = _long_flags(_subparsers(parser)[command])
+        prefix = flag[:-1]
+        assert prefix not in flags
+        required = [f"--{f}={FLAG_SAMPLES[f]}" for f, a in flags.items()
+                    if a.required and f != flag]
+        with pytest.raises(UsageError):
+            parser.parse_args([command, *required, f"--{prefix}", FLAG_SAMPLES[flag]])
+
+
+README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+class TestReadme:
+    def test_cli_example_runs(self, tmp_path, monkeypatch, capsys):
+        """The README's gen-data, train and choose-eps lines, run in order
+        in an empty directory, each exit 0."""
+        with open(README_PATH, encoding="utf-8") as fh:
+            text = fh.read().replace("\\\n", " ")
+        commands = [
+            shlex.split(line)[1:] for line in text.splitlines() if line.startswith("eps-planner ")
+        ]
+        example = [argv for argv in commands if argv[0] in ("gen-data", "train", "choose-eps")]
+        assert [argv[0] for argv in example] == ["gen-data", "train", "choose-eps"]
+        monkeypatch.delenv("EPS_PLANNER_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        for argv in example:
+            assert run_cli(argv) == 0, (argv, capsys.readouterr().err)
 
 
 class TestSeedEnvVar:

@@ -181,21 +181,41 @@ class TestCsvRoundTrip:
         back = load_dataset(str(path), "csv")
         assert back == d
 
+    @staticmethod
+    def csv_writer_bytes(d):
+        """One csv.writer row of numpy-scalar reprs per example, CRLF line
+        ends included."""
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow([f"f{j + 1}" for j in range(d.p)] + ["label"])
+        for i in range(d.n):
+            writer.writerow([repr(float(v)) for v in d.features[i]] + [str(int(d.labels[i]))])
+        return ref.getvalue().encode("utf-8")
+
     def test_bytes_match_per_row_csv_writer(self, tmp_path):
-        """The file is what one csv.writer row of numpy-scalar reprs per
-        example gives, CRLF line ends included."""
         g = gen_synthetic(20, 3, 1.5, 4)
         X = g.features.copy()
         X[0] = [-0.0, 1e-300, 1.0 / 3.0]
         d = Dataset(X, g.labels)
         path = tmp_path / "out.csv"
         write_csv_dataset(d, str(path))
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(["f1", "f2", "f3", "label"])
-        for i in range(d.n):
-            writer.writerow([repr(float(v)) for v in d.features[i]] + [str(int(d.labels[i]))])
-        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+        assert path.read_bytes() == self.csv_writer_bytes(d)
+
+    @pytest.mark.parametrize(
+        "features, labels",
+        [
+            ([[-0.0], [5e-324], [1e308], [-1e308], [-5e-324]], [1, -1, 1, -1, -1]),
+            ([[-0.0, 5e-324, 1e308], [1e-300, -0.0, -1e308]], [-1, 1]),
+        ],
+        ids=["p=1", "p=3"],
+    )
+    def test_bytes_equal_csv_writer_on_edge_values(self, tmp_path, features, labels):
+        """Signed zero, the smallest subnormal, values near the float
+        maximum and both labels are written as csv.writer writes them."""
+        d = Dataset(features, labels)
+        path = tmp_path / "edge.csv"
+        write_csv_dataset(d, str(path))
+        assert path.read_bytes() == self.csv_writer_bytes(d)
 
 
 def write_svmlight(d, path):

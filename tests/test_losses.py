@@ -37,11 +37,11 @@ def row_with_margin(margin):
 
 
 def value(spec, theta, d):
-    return aggregate(spec, theta, d)[0]
+    return aggregate(spec, margins(theta, d), d)[0]
 
 
 def gradient(spec, theta, d):
-    return aggregate(spec, theta, d, with_value=False)[1]
+    return aggregate(spec, margins(theta, d), d, with_value=False)[1]
 
 
 class TestLossValue:
@@ -77,19 +77,19 @@ class TestLossEval:
         d, theta = row_with_margin(0.0)
         spec = spec_of("logistic")
         assert gradient(spec, theta, d)[0] == pytest.approx(-0.5, rel=1e-12)
-        assert hessian(spec, theta, d)[0, 0] == pytest.approx(0.25, rel=1e-12)
+        assert hessian(spec, margins(theta, d), d)[0, 0] == pytest.approx(0.25, rel=1e-12)
 
     def test_quadratic_at_minimum(self):
         d, theta = row_with_margin(1.0)
         spec = spec_of("quadratic")
         assert np.allclose(gradient(spec, theta, d), 0.0)
-        assert hessian(spec, theta, d)[0, 0] == 1.0
+        assert hessian(spec, margins(theta, d), d)[0, 0] == 1.0
 
     def test_huber_linear_branch(self):
         d, theta = row_with_margin(0.5)
         spec = spec_of("huber_svm")
         assert gradient(spec, theta, d)[0] == pytest.approx(-1.0, rel=1e-12)
-        assert hessian(spec, theta, d)[0, 0] == 0.0
+        assert hessian(spec, margins(theta, d), d)[0, 0] == 0.0
 
     def test_grad_carries_label_and_features(self):
         spec = spec_of("logistic")
@@ -108,8 +108,8 @@ class TestAggregate:
         d = one_row(x, -1)
         theta = np.array([0.2, 0.1, -0.7])
         m = np.array([-1.0 * float(x @ theta)])
-        L, g = aggregate(spec, theta, d)
-        H = hessian(spec, theta, d)
+        L, g = aggregate(spec, margins(theta, d), d)
+        H = hessian(spec, margins(theta, d), d)
         assert L == pytest.approx(margin_values(spec, m)[0], rel=1e-12)
         np.testing.assert_allclose(g, margin_slopes(spec, m)[0] * -1.0 * x, rtol=1e-12)
         np.testing.assert_allclose(
@@ -120,8 +120,9 @@ class TestAggregate:
         spec = spec_of("quadratic")
         d = Dataset(features=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], labels=[1, 1])
         theta = np.array([1.0, -1.0, 0.3])
-        L, g = aggregate(spec, theta, d)
-        L1, g1 = aggregate(spec, theta, one_row([0.5, 0.5, 0.0], 1))
+        L, g = aggregate(spec, margins(theta, d), d)
+        d1 = one_row([0.5, 0.5, 0.0], 1)
+        L1, g1 = aggregate(spec, margins(theta, d1), d1)
         assert L == pytest.approx(L1, rel=1e-12)
         np.testing.assert_allclose(g, g1, rtol=1e-12)
 
@@ -134,7 +135,7 @@ class TestAggregate:
         d = Dataset(X, y)
         spec = spec_of("logistic")
         theta = rng.standard_normal(4) * 0.5
-        H = hessian(spec, theta, d)
+        H = hessian(spec, margins(theta, d), d)
         h = 1e-5
         for j in range(4):
             e = np.zeros(4)
@@ -150,16 +151,23 @@ class TestAggregate:
         y = np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
         d = Dataset(X, y)
         for kind in ALL_KINDS:
-            H = hessian(spec_of(kind), rng.standard_normal(5), d)
+            H = hessian(spec_of(kind), margins(rng.standard_normal(5), d), d)
             assert np.array_equal(H, H.T)
             assert np.linalg.eigvalsh(H).min() >= -1e-12
 
     def test_dimension_mismatch(self):
         d = Dataset(features=[[0.1, 0.2]], labels=[1])
-        with pytest.raises(ValueError, match="length"):
-            aggregate(spec_of("logistic"), np.zeros(3), d)
-        with pytest.raises(ValueError, match="length"):
-            hessian(spec_of("logistic"), np.zeros(3), d)
+        with pytest.raises(ValueError, match="theta has length 3, dataset has p=2"):
+            margins(np.zeros(3), d)
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(6), np.zeros((5, 1)), np.zeros(0)])
+    def test_margins_length_must_be_n(self, bad):
+        """aggregate and hessian take the margins vector of length n; a
+        theta of length p, or any other length or shape, is refused."""
+        d = gen_synthetic(5, 3, 1.0, 0)
+        for fn in (aggregate, hessian):
+            with pytest.raises(ValueError, match="expected length n=5"):
+                fn(spec_of("logistic"), bad, d)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_partial_evaluations_equal_full_triple(self, kind):
@@ -172,8 +180,8 @@ class TestAggregate:
         spec = spec_of(kind)
         for scale in (0.3, 3.0):
             theta = scale * rng.standard_normal(6)
-            L, g = aggregate(spec, theta, d)
-            L_g, g_g = aggregate(spec, theta, d, with_value=False)
+            L, g = aggregate(spec, margins(theta, d), d)
+            L_g, g_g = aggregate(spec, margins(theta, d), d, with_value=False)
             assert L == float(margin_values(spec, margins(theta, d)).mean())
             assert L_g is None and np.array_equal(g_g, g)
 
@@ -235,7 +243,7 @@ class TestBlockedHessian:
         if kind == "huber_svm":  # rows in and out of the band: blocks drop some
             k = margin_curvatures(spec, d.labels * (d.features @ theta))
             assert 0 < np.count_nonzero(k) < d.n
-        H = hessian(spec, theta, d)
+        H = hessian(spec, margins(theta, d), d)
         ref = single_product_hessian(spec, theta, d)
         assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -251,7 +259,7 @@ class TestBlockedHessian:
             monkeypatch.setattr(losses, "HESSIAN_BLOCK_BYTES", block_rows * 8 * d.p)
         spec = make_loss_spec(kind, d.p, mode="tight")
         theta = spread_theta(d.p)
-        H = hessian(spec, theta, d)
+        H = hessian(spec, margins(theta, d), d)
         np.testing.assert_array_equal(H, H.T)
         k = margin_curvatures(spec, d.labels * (d.features @ theta)).astype(np.longdouble)
         X = d.features.astype(np.longdouble)
@@ -262,7 +270,7 @@ class TestBlockedHessian:
         """Every margin is 0, outside the band: no row is multiplied."""
         d = gen_synthetic(300, 4, 1.5, 7)
         spec = make_loss_spec("huber_svm", d.p, mode="tight")
-        np.testing.assert_array_equal(hessian(spec, np.zeros(d.p), d), np.zeros((4, 4)))
+        np.testing.assert_array_equal(hessian(spec, margins(np.zeros(d.p), d), d), np.zeros((4, 4)))
 
     @pytest.mark.parametrize("block_rows", (7, 1000))
     def test_nan_curvature_gives_non_finite_hessian(self, block_rows, monkeypatch):
@@ -270,17 +278,18 @@ class TestBlockedHessian:
         X[50, 1] = np.nan
         d = Dataset(X, np.ones(103))
         monkeypatch.setattr(losses, "HESSIAN_BLOCK_BYTES", block_rows * 8 * d.p)
-        H = hessian(make_loss_spec("logistic", d.p, mode="tight"), spread_theta(d.p), d)
+        spec = make_loss_spec("logistic", d.p, mode="tight")
+        H = hessian(spec, margins(spread_theta(d.p), d), d)
         assert not np.isfinite(H).all()
 
     def test_extra_memory_is_a_fraction_of_the_features(self):
         """One product over all rows copied X: a peak of 7.85 MiB on 7.63 MiB of features."""
         d = gen_synthetic(20000, 50, 2.0, 1)
         spec = make_loss_spec("logistic", d.p, mode="tight")
-        theta = np.zeros(d.p)
+        m = margins(np.zeros(d.p), d)
         tracemalloc.start()
         try:
-            hessian(spec, theta, d)
+            hessian(spec, m, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,7 +391,7 @@ class TestDerivativeProperties:
         spec = spec_of(kind)
         for _ in range(100):
             theta, d = _sample_row(rng, kind, spec)
-            H = hessian(spec, theta, d)
+            H = hessian(spec, margins(theta, d), d)
             h = 1e-6
             for j in range(len(theta)):
                 e = np.zeros_like(theta)

@@ -233,7 +233,7 @@ class TestIndefiniteSystem:
         pert = materialize(noise, spec.zeta, 1e-3, 0.5, spec.lambda_hess)
         ridge = (cfg.reg_lambda + delta_coeff(spec.lambda_hess, 0.5)) / d.n
         assert -1.0 < -2.0 * ridge
-        monkeypatch.setattr(sensitivity, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        monkeypatch.setattr(sensitivity, "hessian", lambda spec, m, d: -np.eye(d.p))
         with pytest.raises(NumericalError, match="not positive definite .min eigenvalue"):
             dtheta_deps(model, d, spec, pert, allow_nonstationary=solver_mode == "sgd_repro")
 

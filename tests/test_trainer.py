@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import NumericalError
-from eps_planner.losses import aggregate, hessian, make_loss_spec
+from eps_planner.losses import aggregate, hessian, make_loss_spec, margins
 from eps_planner.model import Dataset, NoiseDraw, PrivacyBudget
 from eps_planner.perturbation import materialize
 from eps_planner.trainer import (
@@ -44,7 +44,7 @@ class TestPerturbedObjective:
         cfg = TrainConfig(reg_lambda=0.5)
         pert = materialize(NoiseDraw(np.zeros(3), 0), spec.zeta, 0.1, 1.0, spec.lambda_hess)
         value, grad = perturbed_objective(np.zeros(3), d, spec, cfg, pert)
-        L, gradL = aggregate(spec, np.zeros(3), d)
+        L, gradL = aggregate(spec, margins(np.zeros(3), d), d)
         assert value == pytest.approx(L, rel=1e-12)
         np.testing.assert_allclose(grad, gradL, rtol=1e-12)
 
@@ -91,12 +91,12 @@ class TestTrainExact:
         m = train(d, spec, cfg, PrivacyBudget(1e9, 0.5), NoiseDraw(np.zeros(3), 0))
 
         def objective(t):
-            L, g = aggregate(spec, t, d)
+            L, g = aggregate(spec, margins(t, d), d)
             reg = cfg.reg_lambda / (2 * d.n)
             return L + reg * t @ t, g + cfg.reg_lambda / d.n * t
 
         def hess(t):
-            return hessian(spec, t, d) + cfg.reg_lambda / d.n * np.eye(3)
+            return hessian(spec, margins(t, d), d) + cfg.reg_lambda / d.n * np.eye(3)
 
         ref = minimize(objective, np.zeros(3), jac=True, hess=hess,
                        method="trust-exact", options={"gtol": 1e-12})
@@ -129,14 +129,15 @@ class TestTrainExact:
         assert m.grad_norm_at_solution <= 1e-8
 
     def test_gradient_at_solution_evaluated_once(self, monkeypatch):
-        """The accepted line-search candidate's gradient is the one reported."""
+        """The accepted line-search candidate's gradient is the one
+        reported: the margins at the solution reach aggregate once."""
         from eps_planner import trainer
 
-        thetas = []
+        evaluated = []
 
-        def recording_aggregate(spec, theta, d, **kwargs):
-            thetas.append(np.array(theta))
-            return aggregate(spec, theta, d, **kwargs)
+        def recording_aggregate(spec, margins_vec, d, **kwargs):
+            evaluated.append(np.array(margins_vec))
+            return aggregate(spec, margins_vec, d, **kwargs)
 
         monkeypatch.setattr(trainer, "aggregate", recording_aggregate)
         d = gen_synthetic(150, 5, 1.5, 31)
@@ -145,7 +146,8 @@ class TestTrainExact:
         budget, noise = PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(5, 4)
         m = train(d, spec, cfg, budget, noise)
         assert m.iterations_used > 0
-        assert sum(np.array_equal(t, m.theta) for t in thetas) == 1
+        at_solution = margins(m.theta, d)
+        assert sum(np.array_equal(v, at_solution) for v in evaluated) == 1
         pert = materialize(noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
         _, grad = perturbed_objective(m.theta, d, spec, cfg, pert, with_value=False)
         assert m.grad_norm_at_solution == float(np.linalg.norm(grad))
@@ -154,7 +156,7 @@ class TestTrainExact:
         """A Newton matrix that does not factor is an error, not a gradient step."""
         from eps_planner import trainer
 
-        monkeypatch.setattr(trainer, "hessian", lambda spec, theta, d: -np.eye(d.p))
+        monkeypatch.setattr(trainer, "hessian", lambda spec, m, d: -np.eye(d.p))
         d = gen_synthetic(80, 4, 1.0, 23)
         spec = make_loss_spec("logistic", 4, "tight")
         with pytest.raises(
@@ -199,7 +201,7 @@ class TestTrainSgdRepro:
         ridge = cfg.reg_lambda + pert.delta_eps_coeff
         theta = np.zeros(6)
         for _ in range(cfg.sgd_iterations):
-            _, gradL = aggregate(spec, theta, d)
+            _, gradL = aggregate(spec, margins(theta, d), d)
             theta = theta - cfg.sgd_learning_rate * (gradL + (ridge * theta + pert.b) / d.n)
         assert np.array_equal(m.theta, theta)
 
@@ -233,7 +235,7 @@ class TestUtility:
         for _ in range(5):
             theta = rng.standard_normal(3)
             assert utility(theta, d, spec) == pytest.approx(
-                aggregate(spec, theta, d)[0], rel=1e-12
+                aggregate(spec, margins(theta, d), d)[0], rel=1e-12
             )
 
     def test_quadratic_one_example(self, quad_instance):
