@@ -6,7 +6,7 @@ budget -- or invert the relationship to pick the budget matching a
 utility requirement.
 """
 
-from .chooser import MagnitudeGapWarning, Measurement, PlanResult, choose_epsilon, measure, plan
+from .chooser import Measurement, PlanResult, choose_epsilon, measure, plan
 from .data import gen_synthetic, load_dataset, write_csv_dataset
 from .errors import (
     DataError,
@@ -63,7 +63,6 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MagnitudeGapWarning",
     "Measurement",
     "PlanResult",
     "choose_epsilon",

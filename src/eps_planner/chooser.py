@@ -4,14 +4,13 @@ Train once at a measuring budget, measure the utility and its slope in
 eps, and read the budget expected to reach a requested utility off the
 resulting affine predictor. `measure` is that train-and-measure step;
 `plan`, the experiment harnesses and the CLI all go through it. The
-sensitivity solve it calls forms its own system, damping included, so
-`measure` only opts non-stationary sgd_repro iterates in. It computes
-the margins at theta_hat once: W, the utility and its gradient all read
-that one vector.
+sensitivity solve it calls reads the loss, the damping and the
+perturbation off the trained model, so `measure` passes it only the
+margins at theta_hat, computed once: W, the utility and its gradient all
+read that one vector.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .errors import FlatSlopeError, UnreachableUtilityError
@@ -25,18 +24,13 @@ from .model import (
     PrivateModel,
     SensitivityReport,
 )
-from .perturbation import materialize
 from .sensitivity import ErrorScale, _dtheta_deps, error_scale
 from .trainer import TrainConfig, train
 
 SLOPE_TOL = 1e-12
 
-# warn when the chosen budget leaves the measuring budget's order of magnitude
+# flag a chosen budget outside the measuring budget's order of magnitude
 MAGNITUDE_GAP = 10.0
-
-
-class MagnitudeGapWarning(UserWarning):
-    """Chosen and measuring budgets differ by more than one order of magnitude."""
 
 
 def choose_epsilon(line: ExtrapolationLine, expected_utility: float) -> float:
@@ -75,18 +69,16 @@ def measure(
     """Train once at `eps` and measure the utility and its slope there.
 
     The noise draw is NoiseDraw.generate(d.p, seed). An sgd_repro iterate
-    is not stationary, so measure opts in to its sensitivity solve, which
-    dtheta_deps damps by (Lam + Delta_eps)/n; exact models are solved
-    undamped. The results equal those of dtheta_deps, utility and
-    utility_slope bit for bit, from one margins pass at theta_hat.
+    is not stationary; measure accepts it, and its sensitivity solve is
+    damped by (Lam + Delta_eps)/n, as dtheta_deps with
+    allow_nonstationary=True does. Exact models are solved undamped. The
+    results equal those of dtheta_deps, utility and utility_slope bit for
+    bit, from one margins pass at theta_hat.
     """
     noise = NoiseDraw.generate(d.p, seed)
     model = train(d, spec, cfg, PrivacyBudget(epsilon=eps, delta=delta), noise)
-    pert = materialize(noise, spec.zeta, delta, eps, spec.lambda_hess)
     m = margins(model.theta, d)
-    report = _dtheta_deps(
-        model, m, d, spec, pert, allow_nonstationary=cfg.solver_mode == "sgd_repro"
-    )
+    report = _dtheta_deps(model, m, d)
     # the utility F is the mean loss, so aggregate gives F and its gradient
     base_utility, gradF = aggregate(spec, m, d)
     line = ExtrapolationLine(
@@ -120,29 +112,23 @@ def plan(
 
     Measure at the measuring budget (see `measure`), invert the affine
     predictor at the requested utility, and attach the Taylor-remainder
-    scale for the resulting budget pair. Deploying at the chosen budget
-    should use a fresh noise draw (privacy calibration is per release);
-    this function never trains a second time.
+    scale for the resulting budget pair. `magnitude_warning` is the report
+    that the chosen and measuring budgets differ by more than a factor of
+    MAGNITUDE_GAP, where the first-order estimate may be unreliable; no
+    Python warning is emitted. Deploying at the chosen budget should use a
+    fresh noise draw (privacy calibration is per release); this function
+    never trains a second time.
     """
     m = measure(d, spec, cfg, measure_eps, delta, seed)
     eps_hat = choose_epsilon(m.line, expected_utility)
     scale = error_scale(measure_eps, eps_hat, d.n)
 
     ratio = max(eps_hat, measure_eps) / min(eps_hat, measure_eps)
-    gap = ratio > MAGNITUDE_GAP
-    if gap:
-        warnings.warn(
-            f"chosen eps {eps_hat:.4g} and measuring eps {measure_eps:.4g} differ "
-            f"by more than an order of magnitude; the first-order estimate may be "
-            f"unreliable (remainder scale {scale.scale:.3g})",
-            MagnitudeGapWarning,
-            stacklevel=2,
-        )
     return PlanResult(
         model=m.model,
         report=m.report,
         line=m.line,
         chosen_eps=eps_hat,
         scale=scale,
-        magnitude_warning=gap,
+        magnitude_warning=ratio > MAGNITUDE_GAP,
     )

@@ -19,14 +19,13 @@ import math
 import os
 import re
 import sys
-import warnings
 from importlib import metadata
 
 import numpy as np
 import scipy
 
 from . import experiments
-from .chooser import MagnitudeGapWarning, plan
+from .chooser import plan
 from .data import FORMATS, gen_synthetic, write_csv_dataset
 from .errors import DataError, EpsPlannerError, NumericalError, UsageError
 from .losses import BOUNDS_MODES
@@ -371,10 +370,7 @@ def cmd_train(args) -> int:
 
 def cmd_choose_eps(args) -> int:
     d, spec, tcfg = experiments.resolve(_experiment_config(args))
-    # the gap is reported once: the warning line below and the summary
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MagnitudeGapWarning)
-        result = plan(d, spec, tcfg, args.measure_eps, args.delta, args.target_utility, args.seed)
+    result = plan(d, spec, tcfg, args.measure_eps, args.delta, args.target_utility, args.seed)
     print(f"chosen_eps: {result.chosen_eps!r}")
     print(
         f"line: measure_eps={result.line.measure_eps!r} "

@@ -8,11 +8,12 @@ Two file formats are supported:
                  1-based; dimensionality inferred from the largest index
                  unless given. A repeated index keeps its last value.
 
-Files are read in blocks of BLOCK_ROWS lines. Each block is split (by
-csv's reader, or by whole-block string operations for sparse_text) and
-converted by one numpy pass over its fields; only a block that
-fails a check is scanned again line by line, to report the fault at the
-file's physical line. Memory is therefore the parsed arrays (twice over
+Files are read in blocks of BLOCK_ROWS lines (csv: records, one line
+each unless a quoted field holds a newline). Each block is split (by
+one csv reader over the file, or by whole-block string operations for
+sparse_text) and converted by one numpy pass over its fields; only a
+block that fails a check is scanned again line by line, to report the
+fault at the file's physical line. Memory is therefore the parsed arrays (twice over
 while the blocks are joined) plus one block, not one Python object per
 field.
 
@@ -39,20 +40,8 @@ FORMATS = ("csv", "sparse_text")
 BLOCK_ROWS = 1024
 
 
-def _canonical_label(raw: str, where: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise DataError(f"unknown label symbol {raw!r} at {where}") from None
-    if value in (-1.0, 1.0):
-        return value
-    if value == 0.0:
-        return -1.0
-    raise DataError(f"unknown label symbol {raw!r} at {where}")
-
-
 def _canonical_labels(values: np.ndarray) -> np.ndarray:
-    """_canonical_label over a block; ValueError if any value is not 0 or +/-1."""
+    """Labels in {-1, +1}, 0 read as -1; ValueError if any value is not 0 or +/-1."""
     if not ((values == 1.0) | (values == -1.0) | (values == 0.0)).all():
         raise ValueError("unknown label symbol")
     return np.where(values == 0.0, -1.0, values)
@@ -61,6 +50,14 @@ def _canonical_labels(values: np.ndarray) -> np.ndarray:
 def _floats(fields: list) -> np.ndarray:
     """float() of every field, so Python's number syntax is kept exactly."""
     return np.fromiter(map(float, fields), np.float64, len(fields))
+
+
+def _check_label(raw: str, where: str) -> None:
+    """DataError unless _canonical_labels accepts the one label `raw`."""
+    try:
+        _canonical_labels(_floats([raw]))
+    except ValueError:
+        raise DataError(f"unknown label symbol {raw!r} at {where}") from None
 
 
 def _line_blocks(fh):
@@ -119,20 +116,20 @@ def _parse_csv(fh, label_col: str) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"no column named {label_col!r} in header {header}")
     label_idx = header.index(label_col)
     width = len(header)
-    line = reader.line_num + 1
     labels, feats = [], []
-    for lines in _line_blocks(fh):
-        # a quoted field may hold commas and newlines: csv reads the
-        # records that start in this block, and the rest of the last one
-        reader = csv.reader(chain(lines, fh))
-        records = list(islice(reader, len(lines)))
+    while True:
+        # a quoted field may hold newlines, so a block of records can span
+        # more physical lines than it has records
+        line = reader.line_num + 1
+        records = list(islice(reader, BLOCK_ROWS))
+        if not records:
+            break
         try:
             values = _csv_values(records, width)
             labels.append(_canonical_labels(values[:, label_idx]))
         except ValueError:
             _locate_csv_error(records, line, width, label_idx)
         feats.append(np.delete(values, label_idx, axis=1))
-        line += reader.line_num
     return _stack(feats, width - 1), np.concatenate(labels or [np.empty(0)])
 
 
@@ -160,7 +157,7 @@ def _locate_csv_error(records, line: int, width: int, label_idx: int):
                 [float(v) for i, v in enumerate(row) if i != label_idx]
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from None
-            _canonical_label(row[label_idx].strip(), where)
+            _check_label(row[label_idx].strip(), where)
         line += 1 + sum(field.count("\n") for field in row)
     raise RuntimeError("csv block rejected, but every record parses")
 
@@ -250,7 +247,7 @@ def _locate_sparse_error(lines: list, line: int):
         if not text:
             continue
         parts = text.split()
-        _canonical_label(parts[0], f"line {lineno}")
+        _check_label(parts[0], f"line {lineno}")
         for tok in parts[1:]:
             try:
                 idx_s, val_s = tok.split(":", 1)

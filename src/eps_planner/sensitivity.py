@@ -21,6 +21,11 @@ gradient.
 W, the loss gradient and the utility all read the margins at theta_hat.
 Each public function here computes them from the model; `chooser.measure`
 computes them once and passes them to `_dtheta_deps` and `aggregate`.
+`_dtheta_deps` takes everything else from the model: its loss, its
+solver mode (for the damping) and the perturbation derivatives, from one
+`materialize` of its own noise draw, budget and bound constants. The
+public functions check the loss spec and perturbation they are given
+against the model before they solve.
 """
 from __future__ import annotations
 
@@ -32,12 +37,12 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NoiseMismatchError, NumericalError
 from .losses import aggregate, hessian, margins
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
-from .perturbation import PerturbationAtEps, delta_coeff, noise_sigma
+from .perturbation import PerturbationAtEps, delta_coeff, materialize, noise_sigma
 
 
-def _ridge(model: PrivateModel, spec: LossSpec, n: int) -> float:
+def _ridge(model: PrivateModel, n: int) -> float:
     # Hessian of the quadratic terms: the regularizer and Delta_eps
-    return (model.reg_lambda + delta_coeff(spec.lambda_hess, model.budget.epsilon)) / n
+    return (model.reg_lambda + delta_coeff(model.loss.lambda_hess, model.budget.epsilon)) / n
 
 
 def _check_spec(model: PrivateModel, spec: LossSpec) -> None:
@@ -48,17 +53,19 @@ def _check_spec(model: PrivateModel, spec: LossSpec) -> None:
 def assemble_w(model: PrivateModel, d: Dataset, spec: LossSpec) -> np.ndarray:
     """The p x p system matrix hess(L) at theta_hat plus ((Lam+Delta_eps)/n) I.
 
-    The scalar ridge terms enter as multiples of the identity: they are
-    the Hessian of the quadratic perturbation terms. The result is
-    symmetric positive definite whenever Lam + Delta_eps > 0; it is not
-    factored here, dtheta_deps checks it by factoring the matrix it solves.
+    `spec` must be the model's own loss (ValueError otherwise). The scalar
+    ridge terms enter as multiples of the identity: they are the Hessian
+    of the quadratic perturbation terms. The result is symmetric positive
+    definite whenever Lam + Delta_eps > 0; it is not factored here,
+    dtheta_deps checks it by factoring the matrix it solves.
     """
-    return _assemble_w(model, margins(model.theta, d), d, spec)
+    _check_spec(model, spec)
+    return _assemble_w(model, margins(model.theta, d), d)
 
 
-def _assemble_w(model, m, d, spec):
+def _assemble_w(model, m, d):
     # assemble_w from the margins m at theta_hat
-    return hessian(spec, m, d) + _ridge(model, spec, d.n) * np.eye(d.p)
+    return hessian(model.loss, m, d) + _ridge(model, d.n) * np.eye(d.p)
 
 
 def dtheta_deps(
@@ -82,11 +89,6 @@ def dtheta_deps(
     undamped. The solved matrix is factored once, and that factorization
     is the definiteness check: NumericalError if it fails.
     """
-    return _dtheta_deps(model, margins(model.theta, d), d, spec, pert, allow_nonstationary)
-
-
-def _dtheta_deps(model, m, d, spec, pert, allow_nonstationary):
-    # dtheta_deps from the margins m at theta_hat
     if model.solver_mode == "sgd_repro" and not allow_nonstationary:
         raise NumericalError(
             "model was trained in sgd_repro mode and is not stationary; "
@@ -108,10 +110,17 @@ def _dtheta_deps(model, m, d, spec, pert, allow_nonstationary):
         raise NoiseMismatchError(
             "perturbation Delta_eps differs from the model's loss lambda_hess"
         )
+    return _dtheta_deps(model, margins(model.theta, d), d)
 
-    ridge = _ridge(model, spec, d.n)
+
+def _dtheta_deps(model, m, d):
+    # the solve from the margins m at theta_hat; the loss, the damping and
+    # the perturbation derivatives all come from the model itself
+    spec, budget = model.loss, model.budget
+    pert = materialize(model.noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
+    ridge = _ridge(model, d.n)
     damping = ridge if model.solver_mode == "sgd_repro" else 0.0
-    W = _assemble_w(model, m, d, spec)
+    W = _assemble_w(model, m, d)
     if damping > 0:
         W = W + damping * np.eye(d.p)
     try:

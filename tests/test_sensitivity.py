@@ -193,6 +193,8 @@ class TestDthetaDeps:
             dtheta_deps(model, d, other, pert)
         with pytest.raises(ValueError, match="loss spec"):
             utility_slope(model, d, other, report)
+        with pytest.raises(ValueError, match="loss spec"):
+            assemble_w(model, d, other)
         assert utility_slope(model, d, spec, report) < 0
 
     def test_sgd_model_needs_override(self):
