@@ -15,7 +15,7 @@ sparse_text) and converted by one numpy pass over its fields; only a
 block that fails a check is scanned again line by line, to report the
 fault at the file's physical line. Memory is therefore the parsed arrays (twice over
 while the blocks are joined) plus one block, not one Python object per
-field.
+field. `write_csv_dataset` also converts BLOCK_ROWS rows at a time.
 
 Ingestion canonicalizes labels to {-1, +1} ({0, 1} input is remapped) and
 rescales features by the max row norm whenever that norm exceeds 1, so
@@ -293,8 +293,12 @@ def write_csv_dataset(d: Dataset, path: str) -> None:
         # the bytes csv.writer writes: no header or float repr needs
         # quoting, and its rows end in \r\n
         fh.write(",".join([f"f{j + 1}" for j in range(d.p)] + ["label"]) + "\r\n")
-        # Python floats, not numpy scalars: repr gives the same shortest digits
-        fh.writelines(
-            f"{','.join(map(repr, row))},{int(label)}\r\n"
-            for row, label in zip(d.features.tolist(), d.labels.tolist())
-        )
+        # Python floats, not numpy scalars: repr gives the same shortest
+        # digits; converted one block of rows at a time, so the extra
+        # memory is one block's lists, not a list copy of all n rows
+        for start in range(0, d.n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            fh.writelines(
+                f"{','.join(map(repr, row))},{int(label)}\r\n"
+                for row, label in zip(d.features[block].tolist(), d.labels[block].tolist())
+            )

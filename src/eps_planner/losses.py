@@ -5,13 +5,15 @@ per-example Hessian is always kappa * x x^T for a scalar curvature
 kappa = l''(m) >= 0. The vectorized `margin_*` helpers operate on whole
 margin arrays and give l, l' and l'' separately.
 
-`margins(theta, d)` is the only place that computes X theta. `aggregate`
-and `hessian` take that margins vector, not theta, so a caller that
-needs value, gradient and Hessian at one point computes its margins
-once and passes them to each. `aggregate` returns (value, gradient):
-the mean gradient always, and the mean value unless the caller passes
-with_value=False. `hessian` is the one Hessian build, called only by an
-accepted Newton iterate and by the sensitivity system matrix.
+`margins(theta, d)` computes X theta for every caller but the sgd_repro
+loop, which folds the labels into its rows once per training and calls
+`margin_slopes` itself (see trainer). `aggregate` and `hessian` take that
+margins vector, not theta, so a caller that needs value, gradient and
+Hessian at one point computes its margins once and passes them to each.
+`aggregate` returns (value, gradient): the mean gradient always, and the
+mean value unless the caller passes with_value=False. `hessian` is the
+one Hessian build, called only by an accepted Newton iterate and by the
+sensitivity system matrix.
 
 The Hessian is streamed over row blocks of about HESSIAN_BLOCK_BYTES
 (512 KB) of features, so the extra memory is one block, not a scaled
@@ -76,7 +78,9 @@ def margin_slopes(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
     """Vector of first derivatives l'(m)."""
     m = np.asarray(margins, dtype=np.float64)
     if spec.kind == "logistic":
-        return -_sigmoid(-m)
+        # -sigmoid(-m) bit for bit, without negating m or the quotient
+        e = np.exp(-np.abs(m))
+        return np.where(m <= 0, 1.0, e) / (-1.0 - e)
     if spec.kind == "quadratic":
         return m - 1.0
     if spec.kind == "smooth_hinge":

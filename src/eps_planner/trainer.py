@@ -13,8 +13,11 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
 
 Each point the solver visits gets one margins pass, X theta, and
 everything evaluated there reads that one vector. An sgd step and the
-sgd final gradient check evaluate the gradient alone; a Newton
-line-search candidate, value and gradient, and the accepted candidate's
+sgd final gradient check evaluate the gradient alone, on rows
+z_i = y_i x_i that the sgd loop builds once per training (one transient
+n x p copy): z theta and z^T l' carry the bits of `margins` and
+`aggregate`, since y = +-1 only flips signs. A Newton line-search
+candidate evaluates value and gradient, and the accepted candidate's
 gradient is the one reported at the solution. The loss Hessian is built
 only at the start point and at each accepted iterate that has not yet
 converged, once per Newton step, from the margins that point's line
@@ -31,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .losses import aggregate, hessian, margin_values, margins
+from .losses import aggregate, hessian, margin_slopes, margin_values, margins
 from .model import SOLVER_MODES, Dataset, LossSpec, NoiseDraw, PrivacyBudget, PrivateModel
 from .perturbation import PerturbationAtEps, materialize
 
@@ -126,14 +129,22 @@ def train(
 
 
 def _run_sgd(theta, d, spec, cfg, pert):
+    # label-folded rows: z @ theta is margins(theta, d), and z.T @ l' is
+    # aggregate's X^T (l' * y), bit for bit
+    z = d.features * d.labels[:, None]
+    n = d.n
+    ridge = cfg.reg_lambda + pert.delta_eps_coeff
+
+    def gradient(theta):
+        # _objective's gradient, in its order of operations
+        return z.T @ margin_slopes(spec, z @ theta) / n + (ridge * theta + pert.b) / n
+
     lr = cfg.sgd_learning_rate
     for it in range(cfg.sgd_iterations):
-        _, grad = _objective(theta, margins(theta, d), d, spec, cfg, pert, with_value=False)
-        theta = theta - lr * grad
+        theta = theta - lr * gradient(theta)
         if not np.all(np.isfinite(theta)):
             raise NumericalError(f"non-finite iterate at sgd step {it + 1}")
-    _, grad = _objective(theta, margins(theta, d), d, spec, cfg, pert, with_value=False)
-    return theta, cfg.sgd_iterations, float(np.linalg.norm(grad))
+    return theta, cfg.sgd_iterations, float(np.linalg.norm(gradient(theta)))
 
 
 def _run_newton(theta, d, spec, cfg, pert):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eps_planner import trainer
+from eps_planner import losses, trainer
 from eps_planner.chooser import choose_epsilon, measure, plan
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import FlatSlopeError, UnreachableUtilityError
@@ -144,16 +144,25 @@ class TestPlan:
         assert len(hessian_builds) == result.model.iterations_used + 1
 
     def test_sgd_measure_computes_margins_once_per_step_and_once_at_theta_hat(
-        self, margins_calls, aggregate_calls
+        self, monkeypatch, margins_calls, aggregate_calls
     ):
+        slopes_calls = []
+
+        def counting_slopes(spec, m):
+            slopes_calls.append("trainer")
+            return losses.margin_slopes(spec, m)
+
+        monkeypatch.setattr(trainer, "margin_slopes", counting_slopes)
         d = gen_synthetic(500, 4, 1.5, 2)
         spec = make_loss_spec("logistic", 4, "tight")
         cfg = TrainConfig(solver_mode="sgd_repro")
         measure(d, spec, cfg, 0.3, 1e-3, seed=5)
-        # each step and the final gradient check: one margins pass, one gradient
+        # each step and the final gradient check: one label-folded margins
+        # pass and one slope evaluation inside the sgd loop
         steps = cfg.sgd_iterations + 1
-        assert margins_calls == ["trainer"] * steps + ["chooser"]
-        assert aggregate_calls == ["trainer"] * steps + ["chooser"]
+        assert slopes_calls == ["trainer"] * steps
+        assert margins_calls == ["chooser"]
+        assert aggregate_calls == ["chooser"]
 
     def test_exact_plan_factors_once_per_newton_step_and_once_for_w(self, cho_factor_calls):
         d = gen_synthetic(2000, 10, 2.0, 0)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,32 @@ class TestBlockBoundaries:
         back = load_dataset(str(path), "csv")
         assert back.features.tobytes() == d.features.tobytes()
         assert back.labels.tobytes() == d.labels.tobytes()
+
+    def test_csv_write_matches_one_shot_conversion(self, tmp_path):
+        """Rows written block by block give the bytes of one conversion of
+        the whole matrix."""
+        d = gen_synthetic(self.N, 4, 1.5, 5)
+        path = tmp_path / "d.csv"
+        write_csv_dataset(d, str(path))
+        header = ",".join([f"f{j + 1}" for j in range(d.p)] + ["label"]) + "\r\n"
+        rows = "".join(
+            f"{','.join(map(repr, row))},{int(label)}\r\n"
+            for row, label in zip(d.features.tolist(), d.labels.tolist())
+        )
+        assert path.read_bytes() == (header + rows).encode("utf-8")
+
+    def test_csv_write_memory_is_one_block(self, tmp_path):
+        d = gen_synthetic(16 * BLOCK_ROWS, 4, 1.5, 1)
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_csv_dataset(d, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # converting all rows at once peaks at about 7 times the array's
+        # bytes; one block of 16 peaks at about half of them
+        assert peak < d.features.nbytes
 
     def test_svmlight_round_trip_is_bit_identical(self, tmp_path):
         d = gen_synthetic(self.N, 4, 1.5, 4)

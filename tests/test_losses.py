@@ -219,6 +219,30 @@ class TestSigmoidKernels:
             assert np.all(np.abs(got - want) <= 2 * ulp), (got, want)
 
 
+class TestLogisticSlopeBits:
+    """The logistic slope equals -sigmoid(-m), formed as the sigmoid
+    kernel forms it, bit for bit."""
+
+    MARGINS = np.concatenate(
+        [
+            np.random.default_rng(0).standard_normal(200_000) * 10.0,
+            [s * v for v in (0.0, 5e-324, 1e-300, 745.2, 800.0, np.inf) for s in (1.0, -1.0)],
+        ]
+    )
+
+    def test_equals_negated_sigmoid_bitwise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = margin_slopes(spec_of("logistic"), self.MARGINS)
+            want = -losses._sigmoid(-self.MARGINS)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_nan_margin_gives_nan(self):
+        got = margin_slopes(spec_of("logistic"), np.array([np.nan, 0.0]))
+        assert np.isnan(got[0]) and got[1] == -0.5
+
+
 def single_product_hessian(spec, theta, d):
     """The Hessian as one product over all rows, symmetrised."""
     k = margin_curvatures(spec, d.labels * (d.features @ theta))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,31 @@ class TestTrainSgdRepro:
             _, gradL = aggregate(spec, margins(theta, d), d)
             theta = theta - cfg.sgd_learning_rate * (gradL + (ridge * theta + pert.b) / d.n)
         assert np.array_equal(m.theta, theta)
+
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_reported_gradient_norm_is_the_objective_gradient(self, kind):
+        d = gen_synthetic(300, 6, 1.5, 13)
+        spec = make_loss_spec(kind, 6, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        noise = NoiseDraw.generate(6, 2)
+        m = train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
+        pert = materialize(noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
+        _, grad = perturbed_objective(m.theta, d, spec, cfg, pert, with_value=False)
+        assert m.grad_norm_at_solution == np.linalg.norm(grad)
+
+    def test_label_folded_rows_are_one_transient_copy(self):
+        """Training holds one label-folded n x p copy and O(n) vectors."""
+        d = gen_synthetic(20000, 50, 2.0, 1)
+        spec = make_loss_spec("logistic", d.p, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        noise = NoiseDraw.generate(d.p, 0)
+        tracemalloc.start()
+        try:
+            train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= d.features.nbytes + 8 * d.labels.nbytes
 
     def test_builds_no_hessian(self, hessian_builds):
         d = gen_synthetic(100, 3, 1.0, 2)
