@@ -46,7 +46,6 @@ from .perturbation import (
 )
 from .sensitivity import (
     ErrorScale,
-    assemble_w,
     dtheta_deps,
     error_scale,
     extrapolate,
@@ -101,7 +100,6 @@ __all__ = [
     "noise_sigma",
     "noise_sigma_prime",
     "ErrorScale",
-    "assemble_w",
     "dtheta_deps",
     "error_scale",
     "extrapolate",

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -315,6 +316,15 @@ def _write_csv(fh, rows, columns):
     writer.writerows([row[c] for c in columns] for row in rows)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while writing `path` as one usage error line."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_summary(path, command, args, **sections):
     """The run summary JSON: command, resolved inputs, versions and `sections`."""
     summary = {
@@ -323,7 +333,7 @@ def _write_summary(path, command, args, **sections):
         "versions": _versions(),
         **sections,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -406,7 +416,7 @@ def cmd_table(args) -> int:
     cfg = _experiment_config(args)
     rows = experiment(cfg)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, rows, columns)
         _write_summary(
             args.out + ".summary.json", args.command, args, seeds=experiments.seed_scheme(cfg)
@@ -418,7 +428,8 @@ def cmd_table(args) -> int:
 
 def cmd_gen_data(args) -> int:
     d = gen_synthetic(args.n, args.p, args.separation, args.seed)
-    write_csv_dataset(d, args.out)
+    with _writing(args.out):
+        write_csv_dataset(d, args.out)
     print(f"wrote {d.n} x {d.p} dataset to {args.out}")
     return 0
 

@@ -5,8 +5,8 @@ Two file formats are supported:
   csv         -- header row, one example per row, label in a named column
                  (default "label"), every other column a feature.
   sparse_text -- svmlight-style lines "label index:value ...", indices
-                 1-based; dimensionality inferred from the largest index
-                 unless given. A repeated index keeps its last value.
+                 1-based; the dimensionality is the largest index. A
+                 repeated index keeps its last value.
 
 Files are read in blocks of BLOCK_ROWS lines (csv: records, one line
 each unless a quoted field holds a newline). Each block is split (by
@@ -88,7 +88,6 @@ def load_dataset(
     path: str,
     format: str = "csv",
     label_col: str = "label",
-    p: int | None = None,
 ) -> Dataset:
     """Parse, canonicalize and normalize a dataset file."""
     if format not in FORMATS:
@@ -98,7 +97,7 @@ def load_dataset(
             if format == "csv":
                 X, y = _parse_csv(fh, label_col)
             else:
-                X, y = _parse_sparse(fh, p)
+                X, y = _parse_sparse(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if X.shape[0] == 0:
@@ -162,7 +161,7 @@ def _locate_csv_error(records, line: int, width: int, label_idx: int):
     raise RuntimeError("csv block rejected, but every record parses")
 
 
-def _parse_sparse(fh, p: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _parse_sparse(fh) -> tuple[np.ndarray, np.ndarray]:
     labels, blocks = [], []
     max_idx, line = 0, 1
     for chunk in _line_blocks(fh):
@@ -174,19 +173,9 @@ def _parse_sparse(fh, p: int | None) -> tuple[np.ndarray, np.ndarray]:
         labels.append(y)
         if idx.size:
             max_idx = max(max_idx, int(idx.max()))
-        # past a declared p the file is rejected, once every line is checked
-        if p is None or max_idx <= p:
-            blocks.append(_scatter(len(y), rows, idx - 1, vals))
+        blocks.append(_scatter(len(y), rows, idx - 1, vals))
         line += len(lines)
-    y = np.concatenate(labels or [np.empty(0)])
-    if not y.size:
-        raise DataError("empty file")
-    dim = max_idx if p is None else p
-    if dim < max_idx:
-        raise DataError(f"feature index {max_idx} exceeds declared dimensionality {p}")
-    if dim == 0:
-        raise DataError("no features found and no dimensionality given")
-    return _stack(blocks, dim), y
+    return _stack(blocks, max_idx), np.concatenate(labels or [np.empty(0)])
 
 
 def _sparse_block(lines: list):

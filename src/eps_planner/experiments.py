@@ -170,10 +170,13 @@ def experiment_measuring_sweep(cfg: ExperimentConfig, d: Dataset | None = None) 
     """Experiment 2: how the measuring point placement drives average error.
 
     Every point of the target grid doubles as a measuring candidate and
-    is scored by its average absolute error over all other grid points.
+    is scored by its average absolute error over all other grid points,
+    so the grid needs at least 2 targets (ValueError otherwise).
     """
-    d, spec, tcfg = resolve(cfg, d)
     grid = cfg.target_grid
+    if len(grid) < 2:
+        raise ValueError(f"the measuring sweep needs at least 2 targets, got {len(grid)}")
+    d, spec, tcfg = resolve(cfg, d)
     act = _actual_means(d, spec, tcfg, grid, cfg)
     rows = []
     for mi, me in enumerate(grid):

@@ -10,10 +10,9 @@ loop, which folds the labels into its rows once per training and calls
 `margin_slopes` itself (see trainer). `aggregate` and `hessian` take that
 margins vector, not theta, so a caller that needs value, gradient and
 Hessian at one point computes its margins once and passes them to each.
-`aggregate` returns (value, gradient): the mean gradient always, and the
-mean value unless the caller passes with_value=False. `hessian` is the
-one Hessian build, called only by an accepted Newton iterate and by the
-sensitivity system matrix.
+`aggregate` returns the mean value and the mean gradient. `hessian` is
+the one Hessian build, called only by an accepted Newton iterate and by
+the sensitivity solve.
 
 The Hessian is streamed over row blocks of about HESSIAN_BLOCK_BYTES
 (512 KB) of features, so the extra memory is one block, not a scaled
@@ -151,18 +150,11 @@ def _check_margins(m: np.ndarray, d: Dataset) -> np.ndarray:
     return m
 
 
-def aggregate(
-    spec: LossSpec, m: np.ndarray, d: Dataset, *, with_value: bool = True
-) -> tuple[float | None, np.ndarray]:
+def aggregate(spec: LossSpec, m: np.ndarray, d: Dataset) -> tuple[float, np.ndarray]:
     """Mean loss and mean gradient over the dataset, at the point whose
-    margins `m = margins(theta, d)` are given.
-
-    The gradient is always computed. The value costs O(n) transcendental
-    work, so callers that do not use it pass with_value=False and get
-    None in that slot; the gradient carries the same bits either way.
-    """
+    margins `m = margins(theta, d)` are given."""
     m = _check_margins(m, d)
-    L = float(margin_values(spec, m).mean()) if with_value else None
+    L = float(margin_values(spec, m).mean())
     return L, d.features.T @ (margin_slopes(spec, m) * d.labels) / d.n
 
 
@@ -187,15 +179,14 @@ def make_loss_spec(
     *,
     huber_h: float = 0.1,
     smooth_t: float = 0.1,
-    quad_zeta: float | None = None,
 ) -> LossSpec:
     """LossSpec for a loss kind and dimensionality, bound constants filled in.
 
     "paper" mode reproduces the 2*sqrt(p) / p configuration used by the
     reference experiments. "tight" mode uses analytic bounds valid
     under ||x|| <= 1; for quadratic the gradient bound is data dependent,
-    so the caller may supply `quad_zeta` (defaults to 2, valid whenever
-    ||theta|| <= 1).
+    and tight mode takes 2, valid whenever ||theta|| <= 1 (a caller who
+    needs another bound builds the LossSpec directly).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -222,7 +213,7 @@ def make_loss_spec(
     elif kind == "huber_svm":
         zeta, lam = 1.0, 1.0 / (2.0 * huber_h)
     elif kind == "quadratic":
-        zeta, lam = (2.0 if quad_zeta is None else float(quad_zeta)), 1.0
+        zeta, lam = 2.0, 1.0
     else:  # smooth_hinge
         zeta, lam = 1.0, 1.0 / (4.0 * smooth_t)
     return LossSpec(

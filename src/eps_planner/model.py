@@ -76,15 +76,18 @@ class Dataset(_FieldwiseEq):
 def validate_dataset(d: Dataset) -> Dataset:
     """Check all dataset invariants; return `d` unchanged if they hold.
 
-    Raises DataError on: empty data, mixed dimensionality, labels outside
-    {-1, +1}, a non-finite feature value, or a feature row with L2 norm
-    above 1 + 1e-9. Finiteness is checked first, so an inf or NaN row is
-    reported as such and not as a norm violation.
+    Raises DataError on: empty data, no feature columns, mixed
+    dimensionality, labels outside {-1, +1}, a non-finite feature value,
+    or a feature row with L2 norm above 1 + 1e-9. Finiteness is checked
+    first, so an inf or NaN row is reported as such and not as a norm
+    violation.
     """
     if d.n < 1:
         raise DataError("empty dataset")
     if d.features.ndim != 2:
         raise DataError("features must be a 2-d matrix")
+    if d.p < 1:
+        raise DataError("no feature columns")
     bad = np.flatnonzero(~np.isin(d.labels, (-1.0, 1.0)))
     if bad.size:
         raise DataError(f"invalid label {d.labels[bad[0]]!r} at row {bad[0]}")

@@ -13,19 +13,20 @@ first-order Taylor step extrapolates the utility to any other budget.
 `dtheta_deps` owns that system. It forms the ridge (Lam + Delta_eps)/n
 from the model it is given and, for a non-stationary sgd_repro iterate,
 derives its own damping from the same ridge and solves against
-W + damping I instead. The loss Hessian is built once, for W, and the
-matrix solved is factored once: the Cholesky factor that solves it is
-also its positive-definiteness check. The slope needs only the loss
-gradient.
+W + damping I instead: the damping is added to the finished W, not
+folded into the ridge, which would round differently. The loss Hessian
+is built once, for W, and the matrix solved is factored once: the
+Cholesky factor that solves it is also its positive-definiteness check.
+The slope needs only the loss gradient.
 
 W, the loss gradient and the utility all read the margins at theta_hat.
-Each public function here computes them from the model; `chooser.measure`
-computes them once and passes them to `_dtheta_deps` and `aggregate`.
-`_dtheta_deps` takes everything else from the model: its loss, its
-solver mode (for the damping) and the perturbation derivatives, from one
-`materialize` of its own noise draw, budget and bound constants. The
-public functions check the loss spec and perturbation they are given
-against the model before they solve.
+The public functions here, `dtheta_deps` and `utility_slope`, compute
+them from the model; `chooser.measure` computes them once and passes
+them to `_dtheta_deps` and `aggregate`. `_dtheta_deps` takes everything
+else from the model: its loss, its solver mode (for the damping) and the
+perturbation derivatives, from one `materialize` of its own noise draw,
+budget and bound constants. The public functions check the loss spec and
+perturbation they are given against the model before they solve.
 """
 from __future__ import annotations
 
@@ -48,24 +49,6 @@ def _ridge(model: PrivateModel, n: int) -> float:
 def _check_spec(model: PrivateModel, spec: LossSpec) -> None:
     if spec != model.loss:
         raise ValueError(f"loss spec {spec} differs from the model's {model.loss}")
-
-
-def assemble_w(model: PrivateModel, d: Dataset, spec: LossSpec) -> np.ndarray:
-    """The p x p system matrix hess(L) at theta_hat plus ((Lam+Delta_eps)/n) I.
-
-    `spec` must be the model's own loss (ValueError otherwise). The scalar
-    ridge terms enter as multiples of the identity: they are the Hessian
-    of the quadratic perturbation terms. The result is symmetric positive
-    definite whenever Lam + Delta_eps > 0; it is not factored here,
-    dtheta_deps checks it by factoring the matrix it solves.
-    """
-    _check_spec(model, spec)
-    return _assemble_w(model, margins(model.theta, d), d)
-
-
-def _assemble_w(model, m, d):
-    # assemble_w from the margins m at theta_hat
-    return hessian(model.loss, m, d) + _ridge(model, d.n) * np.eye(d.p)
 
 
 def dtheta_deps(
@@ -120,7 +103,7 @@ def _dtheta_deps(model, m, d):
     pert = materialize(model.noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
     ridge = _ridge(model, d.n)
     damping = ridge if model.solver_mode == "sgd_repro" else 0.0
-    W = _assemble_w(model, m, d)
+    W = hessian(model.loss, m, d) + ridge * np.eye(d.p)
     if damping > 0:
         W = W + damping * np.eye(d.p)
     try:
@@ -143,7 +126,7 @@ def utility_slope(
 ) -> float:
     """Chain rule: dF/deps = <grad of F at theta_hat, dtheta/deps>."""
     _check_spec(model, spec)
-    _, gradL = aggregate(spec, margins(model.theta, d), d, with_value=False)
+    _, gradL = aggregate(spec, margins(model.theta, d), d)
     return float(gradL @ report.dtheta_deps)
 
 

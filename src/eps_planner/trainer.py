@@ -12,7 +12,8 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
                original evaluations. No convergence guarantee.
 
 Each point the solver visits gets one margins pass, X theta, and
-everything evaluated there reads that one vector. An sgd step and the
+everything evaluated there reads that one vector: `perturbed_objective`
+takes those margins, as `aggregate` and `hessian` do. An sgd step and the
 sgd final gradient check evaluate the gradient alone, on rows
 z_i = y_i x_i that the sgd loop builds once per training (one transient
 n x p copy): z theta and z^T l' carry the bits of `margins` and
@@ -66,31 +67,21 @@ class TrainConfig:
 
 def perturbed_objective(
     theta: np.ndarray,
+    m: np.ndarray,
     d: Dataset,
     spec: LossSpec,
     cfg: TrainConfig,
     pert: PerturbationAtEps,
-    *,
-    with_value: bool = True,
-) -> tuple[float | None, np.ndarray]:
-    """Value and gradient of the perturbed training objective.
-
-    with_value=False skips the loss values and returns (None, gradient).
-    """
+) -> tuple[float, np.ndarray]:
+    """Value and gradient of the perturbed training objective at theta,
+    from its margins `m = margins(theta, d)`."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != d.p or pert.b.shape[0] != d.p:
         raise ValueError("dimension mismatch between theta, dataset and perturbation")
-    return _objective(theta, margins(theta, d), d, spec, cfg, pert, with_value=with_value)
-
-
-def _objective(theta, m, d, spec, cfg, pert, *, with_value):
-    # perturbed_objective at theta, from its margins m = margins(theta, d)
     n = d.n
-    L, gradL = aggregate(spec, m, d, with_value=with_value)
+    L, gradL = aggregate(spec, m, d)
     ridge = cfg.reg_lambda + pert.delta_eps_coeff
     grad = gradL + (ridge * theta + pert.b) / n
-    if not with_value:
-        return None, grad
     value = L + ridge / (2.0 * n) * float(theta @ theta) + float(pert.b @ theta) / n
     return value, grad
 
@@ -136,7 +127,7 @@ def _run_sgd(theta, d, spec, cfg, pert):
     ridge = cfg.reg_lambda + pert.delta_eps_coeff
 
     def gradient(theta):
-        # _objective's gradient, in its order of operations
+        # perturbed_objective's gradient, in its order of operations
         return z.T @ margin_slopes(spec, z @ theta) / n + (ridge * theta + pert.b) / n
 
     lr = cfg.sgd_learning_rate
@@ -149,7 +140,7 @@ def _run_sgd(theta, d, spec, cfg, pert):
 
 def _run_newton(theta, d, spec, cfg, pert):
     m = margins(theta, d)
-    value, grad = _objective(theta, m, d, spec, cfg, pert, with_value=True)
+    value, grad = perturbed_objective(theta, m, d, spec, cfg, pert)
     gnorm = float(np.linalg.norm(grad))
     ridge_eye = ((cfg.reg_lambda + pert.delta_eps_coeff) / d.n) * np.eye(d.p)
     steps_taken = 0
@@ -170,7 +161,7 @@ def _run_newton(theta, d, spec, cfg, pert):
         while t >= 1e-14:
             cand = theta + t * step
             cand_m = margins(cand, d)
-            cand_value, cand_grad = _objective(cand, cand_m, d, spec, cfg, pert, with_value=True)
+            cand_value, cand_grad = perturbed_objective(cand, cand_m, d, spec, cfg, pert)
             cand_gnorm = float(np.linalg.norm(cand_grad))
             armijo_ok = (
                 cand_value <= value + 1e-4 * t * slope

@@ -177,6 +177,33 @@ class TestDataErrors:
         assert code == 2
         assert "non-finite feature value at row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("format, text", [
+        ("csv", "label\n1\n-1\n"),
+        ("sparse_text", "1\n-1\n"),
+    ])
+    def test_labels_without_features_are_exit_2(self, tmp_path, capsys, format, text):
+        f = tmp_path / "nofeat"
+        f.write_text(text)
+        code = run_cli(["train", "--data", str(f), "--format", format, "--eps", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: no feature columns\n"
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--n", "20", "--p", "2"],
+        ["train", "--synthetic", "150,3,1.5", "--eps", "0.5"],
+        ["choose-eps", "--synthetic", "150,3,1.5", "--target-utility", "0.6"],
+        ["estimate", "--synthetic", "150,3,1.5", "--measure-eps", "0.5",
+         "--targets", "0.5,1.0", "--repeats", "1"],
+    ])
+    def test_is_one_line_usage_error(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing" / "out")
+        assert run_cli(argv + ["--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+
 
 class TestNumericalErrors:
     def test_unreachable_utility_is_exit_3(self, data_csv, capsys):
@@ -590,6 +617,13 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "measure_eps,avg_abs_error"
         assert len(lines) == 4
+
+    def test_sweep_measuring_one_target_is_usage_error(self, capsys):
+        code = run_cli(["sweep-measuring", "--synthetic", "150,3,1.5",
+                        "--targets", "0.5", "--repeats", "1"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: the measuring sweep needs at least 2 targets, got 1\n")
 
     def test_sweep_samples_writes_table(self, tmp_path):
         out = tmp_path / "samples.csv"

@@ -92,11 +92,22 @@ class TestCsvLoader:
         assert d.features[1, 0] == pytest.approx(0.2, rel=1e-12)
 
 
+@pytest.mark.parametrize("format, text", [
+    ("csv", "label\n1\n-1\n"),
+    ("sparse_text", "1\n-1\n"),
+])
+def test_labels_without_features_are_data_error(tmp_path, format, text):
+    f = tmp_path / "nofeat"
+    f.write_text(text)
+    with pytest.raises(DataError, match="^no feature columns$"):
+        load_dataset(str(f), format)
+
+
 class TestSparseLoader:
     def test_format_definition(self, tmp_path):
         f = tmp_path / "d.sp"
         f.write_text("-1 1:0.5 3:0.5\n")
-        d = load_dataset(str(f), "sparse_text", p=3)
+        d = load_dataset(str(f), "sparse_text")
         assert np.array_equal(d.features, [[0.5, 0.0, 0.5]])
         assert d.labels[0] == -1.0
 
@@ -285,10 +296,9 @@ class TestBlockBoundaries:
         d = gen_synthetic(self.N, 4, 1.5, 4)
         path = tmp_path / "d.svm"
         write_svmlight(d, str(path))
-        back = load_dataset(str(path), "sparse_text", p=d.p + 2)
-        assert back.features.shape == (self.N, d.p + 2)
-        assert back.features[:, :d.p].tobytes() == d.features.tobytes()
-        assert not back.features[:, d.p:].any()
+        back = load_dataset(str(path), "sparse_text")
+        assert back.features.shape == (self.N, d.p)
+        assert back.features.tobytes() == d.features.tobytes()
         assert back.labels.tobytes() == d.labels.tobytes()
 
     # format, a bad line, and its DataError message, pinned verbatim

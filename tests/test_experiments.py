@@ -114,6 +114,19 @@ class TestMeasuringSweep:
         assert sweep[0]["avg_abs_error"] == pytest.approx(cross[(0.2, 0.5)], rel=1e-12)
         assert sweep[1]["avg_abs_error"] == pytest.approx(cross[(0.5, 0.2)], rel=1e-12)
 
+    def test_one_target_is_value_error_before_training(self, monkeypatch):
+        """One target leaves no other grid point to score it against."""
+        from eps_planner import experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the grid")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        monkeypatch.setattr(experiments, "measure", no_training)
+        cfg = ExperimentConfig(target_grid=(0.5,), **SMALL)
+        with pytest.raises(ValueError, match="at least 2 targets, got 1"):
+            experiment_measuring_sweep(cfg)
+
 
 class TestSampleSweep:
     def test_repeated_grid_gives_identical_rows(self):

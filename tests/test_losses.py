@@ -41,7 +41,7 @@ def value(spec, theta, d):
 
 
 def gradient(spec, theta, d):
-    return aggregate(spec, margins(theta, d), d, with_value=False)[1]
+    return aggregate(spec, margins(theta, d), d)[1]
 
 
 class TestLossValue:
@@ -168,22 +168,6 @@ class TestAggregate:
         for fn in (aggregate, hessian):
             with pytest.raises(ValueError, match="expected length n=5"):
                 fn(spec_of("logistic"), bad, d)
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_partial_evaluations_equal_full_triple(self, kind):
-        """Skipping the value leaves the gradient's bits unchanged."""
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((200, 6))
-        X /= np.linalg.norm(X, axis=1).max()
-        y = np.where(rng.uniform(size=200) < 0.5, 1.0, -1.0)
-        d = Dataset(X, y)
-        spec = spec_of(kind)
-        for scale in (0.3, 3.0):
-            theta = scale * rng.standard_normal(6)
-            L, g = aggregate(spec, margins(theta, d), d)
-            L_g, g_g = aggregate(spec, margins(theta, d), d, with_value=False)
-            assert L == float(margin_values(spec, margins(theta, d)).mean())
-            assert L_g is None and np.array_equal(g_g, g)
 
 
 def _sigmoid_ld(z):
@@ -338,9 +322,10 @@ class TestDefaultBounds:
         assert spec.lambda_hess == pytest.approx(5.0)
         assert spec.s_third == 0.0
 
-    def test_tight_quadratic_caller_zeta(self):
-        spec = make_loss_spec("quadratic", 4, "tight", quad_zeta=3.5)
-        assert (spec.zeta, spec.lambda_hess) == (3.5, 1.0)
+    def test_tight_quadratic(self):
+        # zeta = 2 bounds the gradient whenever ||theta|| <= 1
+        spec = make_loss_spec("quadratic", 4, "tight")
+        assert (spec.zeta, spec.lambda_hess, spec.s_third) == (2.0, 1.0, 0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

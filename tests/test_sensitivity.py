@@ -19,7 +19,6 @@ from eps_planner.model import (
 )
 from eps_planner.perturbation import delta_coeff, materialize
 from eps_planner.sensitivity import (
-    assemble_w,
     dtheta_deps,
     error_scale,
     extrapolate,
@@ -36,34 +35,12 @@ def trained_quad(quad_instance, eps=1.0):
     return d, spec, model, pert
 
 
-class TestAssembleW:
-    def test_quadratic_one_example(self, quad_instance):
-        d, spec, model, _ = trained_quad(quad_instance)
-        W = assemble_w(model, d, spec)
-        np.testing.assert_allclose(W, [[3.0]], rtol=1e-12)
-
-    def test_flat_loss_region_gives_pure_ridge(self):
-        """Huber margins beyond 1+h everywhere: the loss Hessian vanishes
-        and W is exactly the scaled identity."""
-        d = Dataset(features=[[0.5, 0.0], [0.0, 0.4]], labels=[1, 1])
-        spec = LossSpec(kind="huber_svm", zeta=1.0, lambda_hess=5.0, s_third=0.0)
-        theta = np.array([10.0, 10.0])
-        model = PrivateModel(
-            theta=theta, budget=PrivacyBudget(2.0, 0.1), reg_lambda=0.3,
-            noise=NoiseDraw(np.zeros(2), 0), loss=spec,
-            grad_norm_at_solution=0.0, solver_mode="exact", iterations_used=0,
-        )
-        W = assemble_w(model, d, spec)
-        ridge = (0.3 + 2.0 * 5.0 / 2.0) / 2.0
-        assert np.array_equal(W, ridge * np.eye(2))
-
-    def test_symmetric_bit_exact(self):
-        d = gen_synthetic(100, 6, 1.0, 3)
-        spec = make_loss_spec("logistic", 6, "tight")
-        cfg = TrainConfig()
-        model = train(d, spec, cfg, PrivacyBudget(0.5, 1e-3), NoiseDraw.generate(6, 1))
-        W = assemble_w(model, d, spec)
-        assert np.array_equal(W, W.T)
+def system_matrix(model, d):
+    """W = hess(L) + ((Lam + Delta_eps)/n) I at theta_hat, as the solve
+    builds it."""
+    eps = model.budget.epsilon
+    ridge = (model.reg_lambda + delta_coeff(model.loss.lambda_hess, eps)) / d.n
+    return losses.hessian(model.loss, losses.margins(model.theta, d), d) + ridge * np.eye(d.p)
 
 
 def trained_logistic():
@@ -121,7 +98,7 @@ class TestDthetaDeps:
         model = train(d, spec, cfg, PrivacyBudget(0.4, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.4, spec.lambda_hess)
         report = dtheta_deps(model, d, spec, pert)
-        W = assemble_w(model, d, spec)
+        W = system_matrix(model, d)
         rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
         resid = np.linalg.norm(W @ report.dtheta_deps - rhs)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(rhs))
@@ -148,9 +125,35 @@ class TestDthetaDeps:
         report = dtheta_deps(model, d, spec, pert, allow_nonstationary=sgd)
         assert len(calls) == 1
         assert (report.damping_added > 0) == sgd
-        W = assemble_w(model, d, spec) + report.damping_added * np.eye(4)
+        W = system_matrix(model, d) + report.damping_added * np.eye(4)
         rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
         assert np.array_equal(report.dtheta_deps, cho_solve(cho_factor(W, lower=True), rhs))
+
+    def test_flat_loss_region_solves_against_pure_ridge(self, monkeypatch):
+        """Huber margins beyond 1+h everywhere: the loss Hessian vanishes,
+        W is exactly the scaled identity, and the solution is rhs / ridge."""
+        d = Dataset(features=[[0.5, 0.0], [0.0, 0.4]], labels=[1, 1])
+        spec = LossSpec(kind="huber_svm", zeta=1.0, lambda_hess=5.0, s_third=0.0)
+        noise = NoiseDraw(np.array([0.7, -1.3]), 0)
+        model = PrivateModel(
+            theta=np.array([10.0, 10.0]), budget=PrivacyBudget(2.0, 0.1), reg_lambda=0.3,
+            noise=noise, loss=spec,
+            grad_norm_at_solution=0.0, solver_mode="exact", iterations_used=0,
+        )
+        pert = materialize(noise, spec.zeta, 0.1, 2.0, spec.lambda_hess)
+        solved = []
+
+        def recording_cho_factor(a, **kwargs):
+            solved.append(a)
+            return cho_factor(a, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "cho_factor", recording_cho_factor)
+        report = dtheta_deps(model, d, spec, pert)
+        ridge = (0.3 + 2.0 * 5.0 / 2.0) / 2.0
+        (W,) = solved
+        assert np.array_equal(W, ridge * np.eye(2))
+        rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
+        np.testing.assert_allclose(report.dtheta_deps, rhs / ridge, rtol=1e-15)
 
     def test_rejects_foreign_noise(self, quad_instance):
         d, spec, model, _ = trained_quad(quad_instance)
@@ -193,8 +196,6 @@ class TestDthetaDeps:
             dtheta_deps(model, d, other, pert)
         with pytest.raises(ValueError, match="loss spec"):
             utility_slope(model, d, other, report)
-        with pytest.raises(ValueError, match="loss spec"):
-            assemble_w(model, d, other)
         assert utility_slope(model, d, spec, report) < 0
 
     def test_sgd_model_needs_override(self):
@@ -260,7 +261,7 @@ class TestTinyRidge:
         tcfg = TrainConfig(reg_lambda=0.0, solver_mode="exact", stationarity_tol=1e-12)
         m = measure(d, spec, tcfg, eps, cfg.delta, 0)
         assert m.model.grad_norm_at_solution <= 1e-12
-        assert np.linalg.cond(assemble_w(m.model, d, spec)) < max_cond
+        assert np.linalg.cond(system_matrix(m.model, d)) < max_cond
         (row,) = oracle_compare(cfg, d=d)
         assert row["slope_rel_err"] <= 1e-6
 

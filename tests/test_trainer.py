@@ -44,8 +44,9 @@ class TestPerturbedObjective:
         spec = make_loss_spec("logistic", 3, "tight")
         cfg = TrainConfig(reg_lambda=0.5)
         pert = materialize(NoiseDraw(np.zeros(3), 0), spec.zeta, 0.1, 1.0, spec.lambda_hess)
-        value, grad = perturbed_objective(np.zeros(3), d, spec, cfg, pert)
-        L, gradL = aggregate(spec, margins(np.zeros(3), d), d)
+        m = margins(np.zeros(3), d)
+        value, grad = perturbed_objective(np.zeros(3), m, d, spec, cfg, pert)
+        L, gradL = aggregate(spec, m, d)
         assert value == pytest.approx(L, rel=1e-12)
         np.testing.assert_allclose(grad, gradL, rtol=1e-12)
 
@@ -53,7 +54,8 @@ class TestPerturbedObjective:
         d, spec, cfg, zero_noise = quad_instance
         pert = materialize(zero_noise, spec.zeta, 0.1, 1.0, spec.lambda_hess)
         # objective 0.5*(1-t)^2 + t^2 has its minimum at t = 1/3
-        v_min, g_min = perturbed_objective(np.array([1.0 / 3.0]), d, spec, cfg, pert)
+        t = np.array([1.0 / 3.0])
+        v_min, g_min = perturbed_objective(t, margins(t, d), d, spec, cfg, pert)
         assert abs(g_min[0]) < 1e-12
         assert v_min == pytest.approx(0.5 * (2.0 / 3.0) ** 2 + 1.0 / 9.0, rel=1e-12)
 
@@ -65,13 +67,14 @@ class TestPerturbedObjective:
         pert = materialize(NoiseDraw.generate(4, 2), spec.zeta, 1e-2, 0.6, spec.lambda_hess)
         for _ in range(5):
             theta = rng.standard_normal(4)
-            _, grad = perturbed_objective(theta, d, spec, cfg, pert)
+            _, grad = perturbed_objective(theta, margins(theta, d), d, spec, cfg, pert)
             h = 1e-6
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                vp, _ = perturbed_objective(theta + e, d, spec, cfg, pert)
-                vm, _ = perturbed_objective(theta - e, d, spec, cfg, pert)
+                tp, tm = theta + e, theta - e
+                vp, _ = perturbed_objective(tp, margins(tp, d), d, spec, cfg, pert)
+                vm, _ = perturbed_objective(tm, margins(tm, d), d, spec, cfg, pert)
                 assert (vp - vm) / (2 * h) == pytest.approx(grad[j], rel=1e-6, abs=1e-9)
 
 
@@ -150,7 +153,7 @@ class TestTrainExact:
         at_solution = margins(m.theta, d)
         assert sum(np.array_equal(v, at_solution) for v in evaluated) == 1
         pert = materialize(noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
-        _, grad = perturbed_objective(m.theta, d, spec, cfg, pert, with_value=False)
+        _, grad = perturbed_objective(m.theta, margins(m.theta, d), d, spec, cfg, pert)
         assert m.grad_norm_at_solution == float(np.linalg.norm(grad))
 
     def test_indefinite_newton_matrix_raises(self, monkeypatch):
@@ -185,7 +188,7 @@ class TestTrainSgdRepro:
         pert = materialize(noise, spec.zeta, 1e-3, 0.5, spec.lambda_hess)
         theta = np.zeros(3)
         for _ in range(7):
-            _, g = perturbed_objective(theta, d, spec, cfg, pert)
+            _, g = perturbed_objective(theta, margins(theta, d), d, spec, cfg, pert)
             theta = theta - 0.05 * g
         assert np.array_equal(m.theta, theta)
 
@@ -214,7 +217,7 @@ class TestTrainSgdRepro:
         noise = NoiseDraw.generate(6, 2)
         m = train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
-        _, grad = perturbed_objective(m.theta, d, spec, cfg, pert, with_value=False)
+        _, grad = perturbed_objective(m.theta, margins(m.theta, d), d, spec, cfg, pert)
         assert m.grad_norm_at_solution == np.linalg.norm(grad)
 
     def test_label_folded_rows_are_one_transient_copy(self):
