@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 from importlib import metadata
 
 import numpy as np
@@ -325,6 +326,14 @@ def _writing(path):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path):
+    """Report now, before any data is read or model trained, a directory
+    of `path` that cannot take a new file. The probe is an unnamed
+    temporary file, so `path` itself is neither created nor truncated."""
+    with _writing(path), tempfile.TemporaryFile(dir=os.path.dirname(path) or "."):
+        pass
+
+
 def _write_summary(path, command, args, **sections):
     """The run summary JSON: command, resolved inputs, versions and `sections`."""
     summary = {
@@ -447,6 +456,8 @@ def run_cli(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(_with_config(parser, argv))
+        if args.out:
+            _check_writable(args.out)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

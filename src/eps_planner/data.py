@@ -8,14 +8,18 @@ Two file formats are supported:
                  1-based; the dimensionality is the largest index. A
                  repeated index keeps its last value.
 
-Files are read in blocks of BLOCK_ROWS lines (csv: records, one line
-each unless a quoted field holds a newline). Each block is split (by
-one csv reader over the file, or by whole-block string operations for
-sparse_text) and converted by one numpy pass over its fields; only a
-block that fails a check is scanned again line by line, to report the
-fault at the file's physical line. Memory is therefore the parsed arrays (twice over
-while the blocks are joined) plus one block, not one Python object per
-field. `write_csv_dataset` also converts BLOCK_ROWS rows at a time.
+Files are read in blocks of BLOCK_ROWS physical lines. numpy's C reader
+(`np.loadtxt`) parses a csv block with no quote character, and a
+sparse_text block whose lines each hold the same number of index:value
+pairs, one space apart, in one pass. It declines any other block, and
+any block with a field it would read otherwise than float() and int(),
+such as `1_0`; a declined block is parsed one field at a time, and so is
+the rest of a csv file (a quoted field may hold newlines). Both routes
+accept the same syntax and give the same bits. Only a block that fails a
+check is scanned again line by line, to report the fault at its physical
+line. Memory is the parsed arrays (twice over while the blocks are
+joined) plus one block, not one Python object per field.
+`write_csv_dataset` also converts BLOCK_ROWS rows at a time.
 
 Ingestion canonicalizes labels to {-1, +1} ({0, 1} input is remapped) and
 rescales features by the max row norm whenever that norm exceeds 1, so
@@ -53,11 +57,12 @@ def _floats(fields: list) -> np.ndarray:
 
 
 def _check_label(raw: str, where: str) -> None:
-    """DataError unless _canonical_labels accepts the one label `raw`."""
+    """DataError, naming the label stripped, unless _canonical_labels
+    accepts the one label field `raw`."""
     try:
         _canonical_labels(_floats([raw]))
     except ValueError:
-        raise DataError(f"unknown label symbol {raw!r} at {where}") from None
+        raise DataError(f"unknown label symbol {raw.strip()!r} at {where}") from None
 
 
 def _line_blocks(fh):
@@ -115,21 +120,66 @@ def _parse_csv(fh, label_col: str) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"no column named {label_col!r} in header {header}")
     label_idx = header.index(label_col)
     width = len(header)
-    labels, feats = [], []
+    labels, feats = [np.empty(0)], []
+    for y, values in _csv_blocks(fh, reader.line_num, width, label_idx):
+        labels.append(y)
+        feats.append(np.delete(values, label_idx, axis=1))
+    return _stack(feats, width - 1), np.concatenate(labels)
+
+
+def _csv_blocks(fh, line: int, width: int, label_idx: int):
+    """(labels, values) of each block of the rest of a csv file, of
+    which `line` physical lines are read. Blocks go to numpy's C reader
+    until one is declined; the csv reader parses the rest."""
+    for lines in _line_blocks(fh):
+        try:
+            values = _loadtxt_csv(lines, width)
+            y = _canonical_labels(values[:, label_idx])
+        except ValueError:
+            yield from _csv_records(csv.reader(chain(lines, fh)), line, width, label_idx)
+            return
+        yield y, values
+        line += len(lines)
+
+
+# float() keeps \x1c-\x1f around an ASCII number, where loadtxt strips
+# them as whitespace; a quote may start a field that spans lines
+_CSV_DECLINED = '"\x1c\x1d\x1e\x1f'
+
+
+def _loadtxt_csv(lines: list, width: int) -> np.ndarray:
+    """A block of csv lines as a float matrix, by numpy's C reader.
+
+    ValueError for a block the C reader declines: one that holds no data
+    or a character of _CSV_DECLINED, or has a field loadtxt rejects or a
+    record of other than `width` fields.
+    """
+    text = "".join(lines)
+    if text.isspace() or any(map(text.__contains__, _CSV_DECLINED)):
+        raise ValueError("block needs the csv reader")
+    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if values.shape[1] != width:
+        raise ValueError("wrong number of fields")
+    return values
+
+
+def _csv_records(reader, before: int, width: int, label_idx: int):
+    """(labels, values) of each block of BLOCK_ROWS records of a csv
+    reader whose first line is physical line before + 1; a fault raises
+    its DataError."""
     while True:
         # a quoted field may hold newlines, so a block of records can span
         # more physical lines than it has records
-        line = reader.line_num + 1
+        line = before + reader.line_num + 1
         records = list(islice(reader, BLOCK_ROWS))
         if not records:
-            break
+            return
         try:
             values = _csv_values(records, width)
-            labels.append(_canonical_labels(values[:, label_idx]))
+            y = _canonical_labels(values[:, label_idx])
         except ValueError:
             _locate_csv_error(records, line, width, label_idx)
-        feats.append(np.delete(values, label_idx, axis=1))
-    return _stack(feats, width - 1), np.concatenate(labels or [np.empty(0)])
+        yield y, values
 
 
 def _csv_values(records: list, width: int) -> np.ndarray:
@@ -156,7 +206,7 @@ def _locate_csv_error(records, line: int, width: int, label_idx: int):
                 [float(v) for i, v in enumerate(row) if i != label_idx]
             except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from None
-            _check_label(row[label_idx].strip(), where)
+            _check_label(row[label_idx], where)
         line += 1 + sum(field.count("\n") for field in row)
     raise RuntimeError("csv block rejected, but every record parses")
 
@@ -164,8 +214,7 @@ def _locate_csv_error(records, line: int, width: int, label_idx: int):
 def _parse_sparse(fh) -> tuple[np.ndarray, np.ndarray]:
     labels, blocks = [], []
     max_idx, line = 0, 1
-    for chunk in _line_blocks(fh):
-        lines = "".join(chunk).splitlines()
+    for lines in _line_blocks(fh):
         try:
             y, rows, idx, vals = _sparse_block(lines)
         except (ValueError, OverflowError):
@@ -182,15 +231,63 @@ def _sparse_block(lines: list):
     """(labels, row, index, value) of a block's examples and index:value
     pairs. Any fault _locate_sparse_error names raises ValueError, or
     OverflowError for an index past the int64 range."""
+    try:
+        raw, counts, idx, vals = _loadtxt_sparse(lines)
+    except ValueError:
+        raw, counts, idx, vals = _sparse_fields(lines)
+    y = _canonical_labels(raw)
+    if (idx < 1).any():
+        raise ValueError("feature index is not 1-based")
+    return y, np.repeat(np.arange(len(y)), counts), idx, vals
+
+
+def _sparse_fields(lines: list):
+    """(raw labels, pairs per example, indices, values) of a block, one
+    field at a time: the text before any #, split at whitespace."""
     lines = map(itemgetter(0), map(methodcaller("partition", "#"), lines))
     tokens = list(filter(None, map(str.split, lines)))
-    y = _canonical_labels(_floats(list(map(itemgetter(0), tokens))))
     counts = np.fromiter(map(len, tokens), np.intp, len(tokens)) - 1
     pairs = chain.from_iterable(map(itemgetter(slice(1, None)), tokens))
     idx, vals = _pairs(" ".join(pairs), int(counts.sum()))
-    if (idx < 1).any():
-        raise ValueError("feature index is not 1-based")
-    return y, np.repeat(np.arange(len(tokens)), counts), idx, vals
+    return _floats(list(map(itemgetter(0), tokens))), counts, idx, vals
+
+
+# every byte above the space but ":"
+_TOKEN_BYTES = bytes(range(33, 256)).replace(b":", b"")
+
+
+def _loadtxt_sparse(lines: list):
+    """_sparse_fields of a block, by numpy's C reader in one pass.
+
+    ValueError unless every line is ASCII `label index:value ...` with the
+    same number k >= 1 of pairs, one space between tokens: deleting all
+    but its separators (colons, and the bytes up to the space, among them
+    every one str.split or loadtxt splits at) must leave " :" k times and
+    the line end, so the label holds no colon and each pair one. With
+    colons read as spaces, loadtxt then takes only lines of 2k + 1
+    fields, and parses them as float64 (label, values) and int64
+    (indices), rejecting any field float() or int() would read otherwise.
+    """
+    text = "".join(lines)
+    k = lines[0].count(":")
+    if not text.endswith("\n"):
+        text += "\n"
+    # a ragged block, as in most svmlight files, declines at the count
+    if (
+        k == 0
+        or text.count(":") != k * len(lines)
+        or not text.isascii()
+        or text.encode().translate(None, _TOKEN_BYTES) != (b" :" * k + b"\n") * len(lines)
+    ):
+        raise ValueError("block needs the per-field route")
+    table = np.loadtxt(
+        [line.replace(":", " ") for line in lines],
+        dtype="f8" + ",i8,f8" * k, comments=None, ndmin=1,
+    )
+    # every field is 8 bytes wide, so a row reads as 2k + 1 of either type
+    cells = table.view(np.float64).reshape(len(lines), -1)
+    idx = table.view(np.int64).reshape(len(lines), -1)[:, 1::2]
+    return cells[:, 0], k, idx.ravel(), cells[:, 2::2].ravel()
 
 
 def _pairs(text: str, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eps_planner import trainer
 from eps_planner.cli import (
     _long_flags, _with_config, build_parser, run_cli, sample_counts, targets_spec,
 )
@@ -198,11 +199,27 @@ class TestUnwritableOut:
          "--targets", "0.5,1.0", "--repeats", "1"],
     ])
     def test_is_one_line_usage_error(self, tmp_path, capsys, argv):
+        """Reported before any model is trained or result printed."""
         out = str(tmp_path / "missing" / "out")
+        before = trainer.TRAIN_CALL_COUNT
         assert run_cli(argv + ["--out", out]) == 1
-        assert capsys.readouterr().err == (
-            f"error: cannot write {out}: No such file or directory\n"
+        assert trainer.TRAIN_CALL_COUNT == before
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: No such file or directory\n"
         )
+
+    def test_check_creates_and_truncates_nothing(self, tmp_path, capsys):
+        """A run that fails after the check leaves an existing --out as it
+        was and makes no new file."""
+        old = tmp_path / "old.json"
+        old.write_text("kept\n")
+        for out in (old, tmp_path / "new.json"):
+            code = run_cli(["choose-eps", "--data", str(tmp_path / "absent.csv"),
+                            "--target-utility", "0.5", "--out", str(out)])
+            assert code == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["old.json"]
+        assert old.read_text() == "kept\n"
 
 
 class TestNumericalErrors:

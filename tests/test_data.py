@@ -2,9 +2,12 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eps_planner import data
 from eps_planner.data import BLOCK_ROWS, gen_synthetic, load_dataset, write_csv_dataset
@@ -149,6 +152,17 @@ class TestSparseLoader:
         f = tmp_path / "d.sp"
         f.write_text("+1 0:0.5\n")
         with pytest.raises(DataError, match="1-based"):
+            load_dataset(str(f), "sparse_text")
+
+    def test_form_feed_separates_tokens_not_lines(self, tmp_path):
+        """Only \\n ends a line: \\f (like \\u2028) is whitespace between
+        tokens, and a bad line is named by its physical line number."""
+        f = tmp_path / "d.sp"
+        f.write_text("1 1:0.5\f2:0.25\n-1 1:0.3\u2028\n")
+        d = load_dataset(str(f), "sparse_text")
+        assert d.features.tolist() == [[0.5, 0.25], [0.3, 0.0]]
+        f.write_text("1 1:0.5\f2:0.25\n-1 1:0.3\n1 1:x\n")
+        with pytest.raises(DataError, match=r"^line 3: bad feature token '1:x'$"):
             load_dataset(str(f), "sparse_text")
 
 
@@ -328,3 +342,175 @@ class TestBlockBoundaries:
         with pytest.raises(DataError) as info:
             load_dataset(str(path), fmt)
         assert str(info.value) == message.format(line=len(head) + row + 1)
+
+
+def write_dense_svmlight(d, path):
+    """Sparse text with every feature written, one space apart: the
+    form of an svmlight file written from a dense matrix."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for x, y in zip(d.features.tolist(), d.labels.tolist()):
+            fh.write(" ".join([str(int(y))] + [f"{j + 1}:{v!r}" for j, v in enumerate(x)]) + "\n")
+
+
+def test_regular_files_make_no_per_field_call(tmp_path, monkeypatch):
+    """Every block of a 3-block csv file and of a dense svmlight file goes
+    to numpy's C reader: a numpy upgrade or an over-strict check that
+    sends them to the per-field route fails here, not only as a slower
+    load."""
+    calls = []
+    for name in ("_floats", "_pairs"):
+        def counting(*args, _original=getattr(data, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(data, name, counting)
+    d = gen_synthetic(2 * BLOCK_ROWS + 3, 4, 1.5, 8)
+    write_csv_dataset(d, str(tmp_path / "d.csv"))
+    write_dense_svmlight(d, str(tmp_path / "d.svm"))
+    for name, fmt in (("d.csv", "csv"), ("d.svm", "sparse_text")):
+        back = load_dataset(str(tmp_path / name), fmt)
+        assert back.features.tobytes() == d.features.tobytes()
+        assert back.labels.tobytes() == d.labels.tobytes()
+    assert calls == []
+
+
+def _decline(*args):
+    raise ValueError("declined")
+
+
+def _outcome(path, fmt, block_rows, c_reader):
+    """What load_dataset gives for a file: the bits of its arrays or its
+    DataError message, with the warnings raised on the way."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(data, "BLOCK_ROWS", block_rows)
+        if not c_reader:
+            mp.setattr(data, "_loadtxt_csv", _decline)
+            mp.setattr(data, "_loadtxt_sparse", _decline)
+        try:
+            d = load_dataset(path, fmt)
+            result = (d.features.shape, d.features.tobytes(), d.labels.tobytes())
+        except DataError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# numbers float() reads; loadtxt declines "1_0" and the non-ASCII digits
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from([
+        "inf", "-Infinity", "nan", "+.5", "5.", "1e400", "-0", "+1", "01", "1.0",
+        "1_0", "\u0663", "\uff11",
+    ]),
+)
+BAD_NUMBERS = st.sampled_from(["", "x", "0x1", "1e", "\u0663x"])
+LABELS = st.sampled_from(["1", "-1", "0", "+1", "01", "1.0", "-1e0", "1_0", "\u0661"])
+BAD_LABELS = st.sampled_from(["2", "x", "", "0.5"])
+# indices int() reads, and some it rejects
+INDICES = st.one_of(st.integers(1, 4).map(str), st.sampled_from(["+1", "01", "1_0", "\u0661"]))
+BAD_INDICES = st.sampled_from(["0", "-1", "1.0", "1e0", "99999999999999999999", "x", ""])
+SPACES = st.sampled_from(
+    [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u2003"]
+)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _mostly(draw, good, bad, hostile):
+    """A draw from `good`, or at times from `bad` in a hostile file."""
+    return draw(bad if hostile and draw(st.integers(0, 7)) == 0 else good)
+
+
+@st.composite
+def csv_texts(draw):
+    """A csv file: regular rows of numbers in the forms float() reads,
+    padded with one kind of whitespace, and in hostile files bad fields,
+    blank, whitespace-only and ragged lines and quoted fields, some
+    holding a newline."""
+    p = draw(st.integers(0, 3))
+    hostile = draw(st.booleans())
+    pad = draw(SPACES) if draw(st.booleans()) else ""
+    numbers = NUMBERS if hostile else st.floats(allow_nan=False).map(repr)
+    labels = LABELS if hostile else st.sampled_from(["1", "-1", "0"])
+
+    def field(good, bad):
+        value = _mostly(draw, good, bad, hostile)
+        return draw(st.sampled_from(["", pad])) + value + draw(st.sampled_from(["", pad]))
+
+    lines = [",".join([f"f{j + 1}" for j in range(p)] + ["label"]) + "\n"]
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [field(numbers, BAD_NUMBERS) for _ in range(p)] + [field(labels, BAD_LABELS)]
+        kind = draw(st.integers(0, 9) if hostile else st.sampled_from([0, 0, 0, 2]))
+        if kind == 1:
+            fields.append(field(numbers, BAD_NUMBERS))
+        elif kind == 2:
+            fields = [""]
+        elif kind == 3:
+            fields = [draw(SPACES)]
+        elif kind == 4:
+            i = draw(st.integers(0, p))
+            fields[i] = '"' + fields[i] + draw(st.sampled_from(["", "\n"])) + '"'
+        lines.append(",".join(fields) + draw(LINE_ENDS))
+    return "".join(lines)
+
+
+@st.composite
+def sparse_texts(draw):
+    """A sparse_text file: lines of k pairs, one space apart, of numbers
+    and indices in the forms float() and int() read, and in hostile files
+    bad fields, ragged lines, other whitespace, bad tokens, repeated and
+    unsorted indices, comments and blank lines."""
+    hostile = draw(st.booleans())
+    numbers = NUMBERS if hostile else st.floats(allow_nan=False).map(repr)
+    labels = LABELS if hostile else st.sampled_from(["1", "-1", "0", "+1"])
+    indices = INDICES if hostile else st.integers(1, 4).map(str)
+    k = draw(st.integers(0, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        ragged = hostile and draw(st.integers(0, 3)) == 0
+        tokens = [_mostly(draw, labels, BAD_LABELS, hostile)] + [
+            f"{_mostly(draw, indices, BAD_INDICES, hostile)}:"
+            f"{_mostly(draw, numbers, BAD_NUMBERS, hostile)}"
+            for _ in range(draw(st.integers(0, 4)) if ragged else k)
+        ]
+        if ragged:
+            tokens.append(draw(st.sampled_from(["", "5", "1:2:3", ":5", "5:", "# c 1:2", "#"])))
+            line = draw(st.sampled_from(["", " "])) + draw(SPACES).join(tokens)
+        else:
+            line = " ".join(tokens)
+        if hostile and draw(st.integers(0, 5)) == 0:
+            line = draw(st.sampled_from(["", " ", "# 1 1:2", "\x0c"]))
+        lines.append(line + draw(LINE_ENDS if hostile else st.just("\n")))
+    return "".join(lines)
+
+
+# files where a looser check on the C reader's side would change the
+# result: float() rejects an ASCII number next to \x1c, loadtxt warns on
+# a block of blank lines, and the pieces of "1:0.5\u20282" and ":4" add
+# up to two pairs, where str.split finds the bad token "2"
+KNOWN_TEXTS = {
+    "csv": [
+        "label\n1\x1c\n", "f1,label\n1\x1f,1\n", "f1,label\n\u20032\u2028,1\n",
+        "f1,label\n0.5,1\n\n0.25,0\n",
+    ],
+    "sparse_text": ["1 1:0.5\u20282 :4\n", "1 1:0.5 2:0.25\n-1 1:0.3\u2028\n"],
+}
+
+
+@pytest.mark.parametrize("fmt, texts", [("csv", csv_texts()), ("sparse_text", sparse_texts())])
+def test_both_routes_load_the_same(tmp_path, fmt, texts):
+    """A file loads to the same arrays, bit for bit, or the same DataError
+    whether or not numpy's C reader takes its blocks, wherever the blocks
+    split it."""
+    path = tmp_path / "f.txt"
+
+    def compare(text):
+        path.write_text(text, encoding="utf-8", newline="")
+        for block_rows in (1, 2, 3, BLOCK_ROWS):
+            assert _outcome(str(path), fmt, block_rows, True) == _outcome(
+                str(path), fmt, block_rows, False
+            )
+
+    for text in KNOWN_TEXTS[fmt]:
+        compare(text)
+    settings(max_examples=100, deadline=None, derandomize=True, database=None)(
+        given(texts)(compare)
+    )()
