@@ -23,7 +23,9 @@ joined) plus one block, not one Python object per field.
 
 Ingestion canonicalizes labels to {-1, +1} ({0, 1} input is remapped) and
 rescales features by the max row norm whenever that norm exceeds 1, so
-the bound constants computed for ||x|| <= 1 apply.
+the bound constants computed for ||x|| <= 1 apply. A file whose squared
+entries overflow (|x| above about 1.3e154) is first divided by its
+largest absolute entry, so it too loads at unit max norm.
 """
 from __future__ import annotations
 
@@ -81,8 +83,16 @@ def _stack(blocks: list, width: int) -> np.ndarray:
 
 
 def _normalize(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1)
+    # squaring an entry above about 1.3e154 overflows; the inf it gives is
+    # handled below, so numpy's overflow warning is not raised
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
     max_norm = norms.max() if norms.size else 0.0
+    if max_norm == np.inf and np.isfinite(X).all():
+        # every entry is finite: rows divided by max |x| have norms in
+        # [0, sqrt(p)], and the division below brings the largest to 1
+        X = X / np.abs(X).max()
+        max_norm = np.linalg.norm(X, axis=1).max()
     # an inf or NaN row is left as it is for validate_dataset to report
     if 1.0 < max_norm < np.inf:
         X = X / max_norm

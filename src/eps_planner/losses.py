@@ -11,8 +11,18 @@ loop, which folds the labels into its rows once per training and calls
 margins vector, not theta, so a caller that needs value, gradient and
 Hessian at one point computes its margins once and passes them to each.
 `aggregate` returns the mean value and the mean gradient. `hessian` is
-the one Hessian build, called only by an accepted Newton iterate and by
+the one Hessian path, called only by an accepted Newton iterate and by
 the sensitivity solve.
+
+Where every row has the same curvature c > 0, the Hessian is
+c * G with G = X^T X / n, which depends on the data alone: the quadratic
+loss at every point, and logistic and smooth_hinge at theta = 0, the
+exact solver's start point. `hessian` then scales G, built once per
+`Dataset` by the blocked build below at unit curvature and cached on it
+read-only. Scaling by c is exact when sqrt(c) is a power of two (c = 1,
+and 1/4 for logistic at 0), so those Hessians keep the blocked build's
+bits; other values of c (smooth_hinge at 0) move the last bit. Zero and
+NaN curvatures always take the blocked build.
 
 The Hessian is streamed over row blocks of about HESSIAN_BLOCK_BYTES
 (512 KB) of features, so the extra memory is one block, not a scaled
@@ -158,10 +168,26 @@ def aggregate(spec: LossSpec, m: np.ndarray, d: Dataset) -> tuple[float, np.ndar
     return L, d.features.T @ (margin_slopes(spec, m) * d.labels) / d.n
 
 
+def _gram(d: Dataset) -> np.ndarray:
+    """X^T X / n, the Hessian build at unit curvature: built on first use,
+    read-only, and kept on the dataset outside its dataclass fields."""
+    G = getattr(d, "_gram", None)
+    if G is None:
+        G = _mean_hessian(d, np.ones(d.n))
+        G.setflags(write=False)
+        # a racing thread builds the same bits, so either copy may stay
+        object.__setattr__(d, "_gram", G)
+    return G
+
+
 def hessian(spec: LossSpec, m: np.ndarray, d: Dataset) -> np.ndarray:
     """Mean loss Hessian (1/n) sum_i kappa_i x_i x_i^T, symmetric PSD, at
     the point whose margins `m = margins(theta, d)` are given."""
-    return _mean_hessian(d, margin_curvatures(spec, _check_margins(m, d)))
+    k = margin_curvatures(spec, _check_margins(m, d))
+    # one curvature c > 0 for every row (NaN equals nothing): c * X^T X / n
+    if k.size and k[0] > 0.0 and (k == k[0]).all():
+        return k[0] * _gram(d)
+    return _mean_hessian(d, k)
 
 
 # max |sigma (1-sigma) (1-2 sigma)|, the logistic third-derivative bound

@@ -1,8 +1,11 @@
 """Shared domain types and their invariants.
 
 Everything here is immutable after construction (arrays are marked
-read-only) and safe to share across threads. No numerics beyond
-validation live in this module.
+read-only) and safe to share across threads. The one later write is
+`losses`' cache of X^T X / n on a `Dataset`, a read-only array set once
+outside the dataclass fields (equality, repr and `subset` ignore it);
+two threads racing to set it compute the same bits, so the race is
+harmless. No numerics beyond validation live in this module.
 """
 from __future__ import annotations
 

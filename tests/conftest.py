@@ -42,6 +42,23 @@ def hessian_builds(monkeypatch):
     return builds
 
 
+@pytest.fixture
+def blocked_builds(monkeypatch):
+    """List with one entry per blocked O(n p^2) Hessian build, the work
+    `hessian` does unless it scales the dataset's cached X^T X / n."""
+    from eps_planner import losses
+
+    builds = []
+    blocked = losses._mean_hessian
+
+    def counting(d, curvatures):
+        builds.append("blocked")
+        return blocked(d, curvatures)
+
+    monkeypatch.setattr(losses, "_mean_hessian", counting)
+    return builds
+
+
 def _record_sites(monkeypatch, name, original, modules):
     """List that records, for each call of `original` through the `name`
     binding of one of `modules`, that module's short name."""

@@ -119,6 +119,25 @@ class TestPlan:
         assert len(hessian_builds) == result.model.iterations_used + 1
 
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_second_plan_serves_constant_curvature_from_gram(self, kind, blocked_builds):
+        """Once a dataset's X^T X / n is cached, the theta = 0 start point
+        of logistic and smooth_hinge and every quadratic point make no
+        blocked build; huber_svm at 0 has curvature 0 and builds as before."""
+        d = gen_synthetic(2000, 10, 2.0, 0)
+        spec = make_loss_spec(kind, 10, "tight")
+        cfg = TrainConfig()
+        m = train(d, spec, cfg, PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(10, 0))
+        target = utility(m.theta, d, spec) - 0.01
+        plan(d, spec, cfg, 0.25, 1e-3, target, seed=0)
+        del blocked_builds[:]
+        result = plan(d, spec, cfg, 0.25, 1e-3, target, seed=1)
+        steps = result.model.iterations_used
+        assert steps >= 1
+        expected = {"logistic": steps, "smooth_hinge": steps, "quadratic": 0,
+                    "huber_svm": steps + 1}
+        assert len(blocked_builds) == expected[kind]
+
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
     def test_exact_plan_computes_margins_once_per_point(
         self, kind, margins_calls, aggregate_calls, hessian_builds
     ):

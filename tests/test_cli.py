@@ -178,6 +178,15 @@ class TestDataErrors:
         assert code == 2
         assert "non-finite feature value at row 1" in capsys.readouterr().err
 
+    def test_entries_whose_squares_overflow_load(self, tmp_path, capsys):
+        """Row norms of 1e200 entries overflow; the file still loads."""
+        f = tmp_path / "big.csv"
+        f.write_text("f1,f2,label\n1e200,1e200,1\n0.5,0.5,-1\n")
+        code = run_cli(["choose-eps", "--data", str(f), "--measure-eps", "0.25",
+                        "--target-utility", "0.5", "--seed", "1"])
+        assert code == 0
+        assert "chosen_eps" in capsys.readouterr().out
+
     @pytest.mark.parametrize("format, text", [
         ("csv", "label\n1\n-1\n"),
         ("sparse_text", "1\n-1\n"),

@@ -94,6 +94,26 @@ class TestCsvLoader:
         # both rows divided by the same max norm (5.0)
         assert d.features[1, 0] == pytest.approx(0.2, rel=1e-12)
 
+    def test_rescale_divides_by_the_max_row_norm(self, tmp_path):
+        """Rows with finite norms are divided by numpy's max row norm, bit for bit."""
+        X = np.array([[3.0, 4.0], [1e150, 2e150], [0.1, -0.7]])
+        f = tmp_path / "d.csv"
+        f.write_text("f1,f2,label\n" + "".join(f"{a!r},{b!r},1\n" for a, b in X.tolist()))
+        d = load_dataset(str(f), "csv")
+        np.testing.assert_array_equal(d.features, X / np.linalg.norm(X, axis=1).max())
+
+    def test_entries_whose_squares_overflow_rescale_to_unit_norm(self, tmp_path):
+        """1e200 squared overflows, yet every entry is finite: the file
+        rescales to unit max norm, with no warning."""
+        f = tmp_path / "d.csv"
+        f.write_text("f1,f2,label\n1e200,1e200,1\n0.5,0.5,-1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = load_dataset(str(f), "csv")
+        assert abs(np.linalg.norm(d.features[0]) - 1.0) <= 1e-15
+        assert np.isfinite(d.features).all()
+        assert d.labels.tolist() == [1.0, -1.0]
+
 
 @pytest.mark.parametrize("format, text", [
     ("csv", "label\n1\n-1\n"),

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -302,6 +305,107 @@ class TestBlockedHessian:
         finally:
             tracemalloc.stop()
         assert peak < d.features.nbytes / 4
+
+
+def gram_data():
+    """3000 x 60: three Hessian row blocks of 1092 rows at the default size."""
+    d = gen_synthetic(3000, 60, 2.0, 1)
+    assert losses.HESSIAN_BLOCK_BYTES // (8 * d.p) == 1092
+    return d
+
+
+class TestGramPath:
+    """Constant curvature c > 0 is served as c * X^T X / n from a cache."""
+
+    @pytest.mark.parametrize("kind, c", [("quadratic", 1.0), ("logistic", 0.25)])
+    def test_power_of_four_curvature_is_bit_identical(self, kind, c):
+        d = gram_data()
+        spec = make_loss_spec(kind, d.p, mode="tight")
+        theta = spread_theta(d.p) if kind == "quadratic" else np.zeros(d.p)
+        m = margins(theta, d)
+        assert (margin_curvatures(spec, m) == c).all()
+        H = hessian(spec, m, d)
+        np.testing.assert_array_equal(H, losses._mean_hessian(d, np.full(d.n, c)))
+        np.testing.assert_array_equal(H, hessian(spec, m, d))
+
+    def test_smooth_hinge_at_zero_matches_blocked_build(self):
+        """sigma'(10)/0.1 is no power of four: the product rounds apart."""
+        d = gram_data()
+        spec = make_loss_spec("smooth_hinge", d.p, mode="tight")
+        m = margins(np.zeros(d.p), d)
+        ref = losses._mean_hessian(d, margin_curvatures(spec, m))
+        H = hessian(spec, m, d)
+        np.testing.assert_array_equal(H, H.T)
+        assert np.abs(H - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    def test_nan_feature_gives_non_finite_hessian(self, kind):
+        """A NaN curvature (logistic) takes the blocked build; quadratic's
+        curvature is 1 even there, and the NaN reaches it through G."""
+        X = gram_data().features.copy()
+        X[1500, 7] = np.nan
+        d = Dataset(X, np.ones(len(X)))
+        spec = make_loss_spec(kind, d.p, mode="tight")
+        assert not np.isfinite(hessian(spec, margins(np.zeros(d.p), d), d)).all()
+
+    def test_all_nan_curvatures_are_not_constant(self):
+        """NaN equals no value, so every-NaN curvature takes the blocked build."""
+        spec = make_loss_spec("logistic", 60, mode="tight")
+        assert not np.isfinite(hessian(spec, np.full(3000, np.nan), gram_data())).all()
+
+    def test_gram_is_built_once_and_read_only(self, blocked_builds):
+        d = gram_data()
+        zero = margins(np.zeros(d.p), d)
+        for kind in ("quadratic", "logistic", "quadratic", "smooth_hinge"):
+            hessian(make_loss_spec(kind, d.p, mode="tight"), zero, d)
+        assert len(blocked_builds) == 1
+        G = losses._gram(d)
+        assert G is losses._gram(d) and len(blocked_builds) == 1
+        assert not G.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            G[0, 0] = 1.0
+        # zero curvature (huber_svm at theta = 0) and varying curvature
+        # take the blocked build
+        hessian(make_loss_spec("huber_svm", d.p, mode="tight"), zero, d)
+        hessian(make_loss_spec("logistic", d.p, mode="tight"), margins(spread_theta(d.p), d), d)
+        assert len(blocked_builds) == 3
+
+    def test_threads_racing_to_fill_the_cache_get_the_same_bits(self):
+        d, ref = gram_data(), losses._mean_hessian(gram_data(), np.full(3000, 0.25))
+        spec = make_loss_spec("logistic", d.p, mode="tight")
+        zero = margins(np.zeros(d.p), d)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.append(hessian(spec, zero, d)))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        for H in results:
+            np.testing.assert_array_equal(H, ref)
+        np.testing.assert_array_equal(0.25 * losses._gram(d), ref)
+
+    def test_dataset_fields_equality_and_repr_ignore_the_cache(self, blocked_builds):
+        d = gram_data()
+        twin = Dataset(d.features.copy(), d.labels.copy())
+        before = repr(d)
+        losses._gram(d)
+        assert [f.name for f in dataclasses.fields(d)] == ["features", "labels"]
+        assert repr(d) == before
+        assert d == twin and twin == d
+        sub = d.subset(range(100))
+        assert "_gram" not in vars(sub)
+        losses._gram(sub)
+        assert len(blocked_builds) == 2
 
 
 class TestDefaultBounds:
