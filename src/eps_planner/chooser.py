@@ -88,12 +88,11 @@ def measure(
 
 
 @dataclass(frozen=True)
-class PlanResult:
-    """Everything one planning run produces."""
+class PlanResult(Measurement):
+    """Everything one planning run produces: the measurement at the
+    measuring budget plus the chosen budget, its remainder scale and the
+    magnitude-gap flag."""
 
-    model: PrivateModel
-    report: SensitivityReport
-    line: ExtrapolationLine
     chosen_eps: float
     scale: ErrorScale
     magnitude_warning: bool
@@ -125,9 +124,7 @@ def plan(
 
     ratio = max(eps_hat, measure_eps) / min(eps_hat, measure_eps)
     return PlanResult(
-        model=m.model,
-        report=m.report,
-        line=m.line,
+        **vars(m),
         chosen_eps=eps_hat,
         scale=scale,
         magnitude_warning=ratio > MAGNITUDE_GAP,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -28,10 +29,10 @@ import scipy
 
 from . import experiments
 from .chooser import plan
-from .data import FORMATS, gen_synthetic, write_csv_dataset
+from .data import FORMATS, gen_synthetic, load_dataset, write_csv_dataset
 from .errors import DataError, EpsPlannerError, NumericalError, UsageError
 from .losses import BOUNDS_MODES
-from .model import LOSS_KINDS, NoiseDraw, PrivacyBudget
+from .model import LOSS_KINDS, Dataset, NoiseDraw, PrivacyBudget
 from .trainer import classification_error_rate, train, utility
 
 SEED_ENV_VAR = "EPS_PLANNER_SEED"
@@ -274,14 +275,13 @@ def _with_config(parser: _Parser, argv: list) -> list:
     return argv[:i + 1] + tokens + argv[i + 1:]
 
 
-def _experiment_config(args) -> experiments.ExperimentConfig:
-    """The run's config; a field the subcommand has no flag for keeps its default."""
+def _inputs(args) -> tuple[experiments.ExperimentConfig, Dataset | None]:
+    """The run's config, then its `--data` dataset (None without one). A
+    config field the subcommand has no flag for keeps its default; the
+    config is built first, so its errors come before the file is read."""
     default = experiments.ExperimentConfig()
     budgets = getattr(args, "measure_eps", default.measure_eps_list)
-    return experiments.ExperimentConfig(
-        dataset_path=args.data,
-        data_format=args.format,
-        label_col=args.label_col,
+    cfg = experiments.ExperimentConfig(
         synthetic=args.synthetic or experiments.SyntheticSpec(),
         loss_kind=args.loss,
         bounds_mode=args.bounds,
@@ -296,6 +296,9 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
         huber_h=args.huber_h,
         smooth_t=args.smooth_t,
     )
+    if args.data is None:
+        return cfg, None
+    return cfg, load_dataset(args.data, args.format, label_col=args.label_col)
 
 
 def _versions() -> dict:
@@ -338,30 +341,17 @@ def _write_summary(path, command, args, **sections):
     """The run summary JSON: command, resolved inputs, versions and `sections`."""
     summary = {
         "command": command,
-        "inputs": _jsonable_args(args),
+        "inputs": {k: v for k, v in vars(args).items() if k not in ("command", "config")},
         "versions": _versions(),
         **sections,
     }
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, default=dataclasses.asdict)
         fh.write("\n")
 
 
-def _jsonable_args(args) -> dict:
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("command", "config"):
-            continue
-        if isinstance(value, experiments.SyntheticSpec):
-            value = {"n": value.n, "p": value.p, "separation": value.separation}
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
-
-
 def cmd_train(args) -> int:
-    d, spec, tcfg = experiments.resolve(_experiment_config(args))
+    d, spec, tcfg = experiments.resolve(*_inputs(args))
     noise = NoiseDraw.generate(d.p, args.seed)
     model = train(d, spec, tcfg, PrivacyBudget(args.eps, args.delta), noise)
     result = {
@@ -388,7 +378,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_choose_eps(args) -> int:
-    d, spec, tcfg = experiments.resolve(_experiment_config(args))
+    d, spec, tcfg = experiments.resolve(*_inputs(args))
     result = plan(d, spec, tcfg, args.measure_eps, args.delta, args.target_utility, args.seed)
     print(f"chosen_eps: {result.chosen_eps!r}")
     print(
@@ -422,8 +412,8 @@ _TABLES = {
 def cmd_table(args) -> int:
     """The table as CSV to --out, with its run summary beside it, or to stdout."""
     experiment, columns = _TABLES[args.command]
-    cfg = _experiment_config(args)
-    rows = experiment(cfg)
+    cfg, d = _inputs(args)
+    rows = experiment(cfg, d)
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, rows, columns)

@@ -12,11 +12,12 @@ the config, so identical configs give identical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from .chooser import measure
-from .data import gen_synthetic, load_dataset
+from .data import gen_synthetic
 from .losses import make_loss_spec
 from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget
 from .sensitivity import extrapolate
@@ -51,12 +52,10 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a harness run needs; defaults follow the reference
-    protocol (10 repeats, reg 1e-2, sgd training) with tight bound mode."""
+    """Everything a harness run needs besides a dataset; defaults follow
+    the reference protocol (10 repeats, reg 1e-2, sgd training) with tight
+    bound mode. An experiment given no dataset generates `synthetic`."""
 
-    dataset_path: str | None = None
-    data_format: str = "csv"
-    label_col: str = "label"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     loss_kind: str = "logistic"
     bounds_mode: str = "tight"
@@ -72,16 +71,18 @@ class ExperimentConfig:
     smooth_t: float = 0.1
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if any(e <= 0 for e in self.measure_eps_list):
-            raise ValueError("all measuring eps must be positive")
+        if not isinstance(self.repeats, Integral) or self.repeats < 1:
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if not self.measure_eps_list or any(e <= 0 for e in self.measure_eps_list):
+            raise ValueError("measure_eps_list must list at least one positive eps")
         if any(e <= 0 for e in self.target_grid):
             raise ValueError("all target eps must be positive")
         if list(self.target_grid) != sorted(self.target_grid):
             raise ValueError("target grid must be sorted ascending")
-        if any(n < 1 for n in self.sample_grid):
-            raise ValueError("sample counts must be >= 1")
+        if not self.sample_grid or not all(
+            isinstance(n, Integral) and n >= 1 for n in self.sample_grid
+        ):
+            raise ValueError("sample_grid must list at least one integer >= 1")
 
 
 def resolve(
@@ -89,11 +90,10 @@ def resolve(
 ) -> tuple[Dataset, LossSpec, TrainConfig]:
     """(dataset, loss spec, solver settings) a config refers to.
 
-    The dataset is `d` if given, else the config's file, else synthetic.
+    The dataset is `d` if given, else generated from `cfg.synthetic` with
+    the base seed.
     """
-    if d is None and cfg.dataset_path is not None:
-        d = load_dataset(cfg.dataset_path, cfg.data_format, label_col=cfg.label_col)
-    elif d is None:
+    if d is None:
         s = cfg.synthetic
         d = gen_synthetic(s.n, s.p, s.separation, cfg.base_seed)
     spec = make_loss_spec(

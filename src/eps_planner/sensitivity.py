@@ -11,13 +11,14 @@ budget change, the chain rule turns it into a utility slope, and a
 first-order Taylor step extrapolates the utility to any other budget.
 
 `dtheta_deps` owns that system. It forms the ridge (Lam + Delta_eps)/n
-from the model it is given and, for a non-stationary sgd_repro iterate,
-derives its own damping from the same ridge and solves against
-W + damping I instead: the damping is added to the finished W, not
-folded into the ridge, which would round differently. The loss Hessian
-is built once, for W, and the matrix solved is factored once: the
-Cholesky factor that solves it is also its positive-definiteness check.
-The slope needs only the loss gradient.
+from the model's Lam and the Delta_eps of the perturbation it
+materializes from the model, in `trainer`'s order of operations, and,
+for a non-stationary sgd_repro iterate, derives its own damping from
+the same ridge and solves against W + damping I instead: the damping is
+added to the finished W, not folded into the ridge, which would round
+differently. The loss Hessian is built once, for W, and the matrix
+solved is factored once: the Cholesky factor that solves it is also its
+positive-definiteness check. The slope needs only the loss gradient.
 
 W, the loss gradient and the utility all read the margins at theta_hat.
 The public functions here, `dtheta_deps` and `utility_slope`, compute
@@ -39,11 +40,6 @@ from .errors import NoiseMismatchError, NumericalError
 from .losses import aggregate, hessian, margins
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
 from .perturbation import PerturbationAtEps, delta_coeff, materialize, noise_sigma
-
-
-def _ridge(model: PrivateModel, n: int) -> float:
-    # Hessian of the quadratic terms: the regularizer and Delta_eps
-    return (model.reg_lambda + delta_coeff(model.loss.lambda_hess, model.budget.epsilon)) / n
 
 
 def _check_spec(model: PrivateModel, spec: LossSpec) -> None:
@@ -101,7 +97,8 @@ def _dtheta_deps(model, m, d):
     # the perturbation derivatives all come from the model itself
     spec, budget = model.loss, model.budget
     pert = materialize(model.noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
-    ridge = _ridge(model, d.n)
+    # Hessian of the quadratic terms: the regularizer and Delta_eps
+    ridge = (model.reg_lambda + pert.delta_eps_coeff) / d.n
     damping = ridge if model.solver_mode == "sgd_repro" else 0.0
     W = hessian(model.loss, m, d) + ridge * np.eye(d.p)
     if damping > 0:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -59,10 +60,14 @@ class TrainConfig:
             raise ValueError(f"reg_lambda must be nonnegative and finite, got {self.reg_lambda}")
         if self.solver_mode not in SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.solver_mode!r}")
-        if not self.stationarity_tol > 0:
-            raise ValueError("stationarity_tol must be positive")
-        if not self.sgd_learning_rate > 0:
-            raise ValueError("sgd_learning_rate must be positive")
+        for name in ("sgd_iterations", "max_exact_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        for name in ("stationarity_tol", "sgd_learning_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def perturbed_objective(
@@ -143,19 +148,20 @@ def _run_newton(theta, d, spec, cfg, pert):
     value, grad = perturbed_objective(theta, m, d, spec, cfg, pert)
     gnorm = float(np.linalg.norm(grad))
     ridge_eye = ((cfg.reg_lambda + pert.delta_eps_coeff) / d.n) * np.eye(d.p)
-    steps_taken = 0
-    for it in range(cfg.max_exact_iterations):
+    # `it` is the number of steps accepted so far
+    for it in range(cfg.max_exact_iterations + 1):
         if not np.isfinite(value) or not np.isfinite(gnorm):
             raise NumericalError(f"non-finite objective at exact-solver step {it}")
         if gnorm <= cfg.stationarity_tol:
-            return theta, steps_taken, gnorm
+            return theta, it, gnorm
+        if it == cfg.max_exact_iterations:
+            break
         hess = hessian(spec, m, d) + ridge_eye
         step = _newton_step(hess, grad)
         slope = float(grad @ step)
         # Armijo backtracking on the objective value; once value differences
         # fall below float resolution, accept on gradient-norm progress with
         # an ulp-level value slack instead
-        accepted = False
         t = 1.0
         slack = 8.0 * np.spacing(max(1.0, abs(value)))
         while t >= 1e-14:
@@ -170,14 +176,10 @@ def _run_newton(theta, d, spec, cfg, pert):
             flat_ok = cand_value <= value + slack and cand_gnorm < 0.9 * gnorm
             if np.isfinite(cand_value) and (armijo_ok or flat_ok):
                 theta, m, value, grad, gnorm = cand, cand_m, cand_value, cand_grad, cand_gnorm
-                accepted = True
-                steps_taken += 1
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break  # no certifiable progress left at float resolution
-    if gnorm <= cfg.stationarity_tol:
-        return theta, steps_taken, gnorm
     raise NumericalError(
         f"exact solver did not reach tolerance {cfg.stationarity_tol:.3e} "
         f"(gradient norm {gnorm:.3e})"

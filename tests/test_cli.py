@@ -164,6 +164,11 @@ class TestDataErrors:
         code = run_cli(["train", "--data", "/nonexistent/x.csv", "--eps", "1.0"])
         assert code == 2
 
+    def test_config_error_comes_before_reading_the_file(self, capsys):
+        code = run_cli(["estimate", "--data", "/nonexistent/x.csv", "--targets", "0.5,0.2"])
+        assert code == 1
+        assert "target grid must be sorted ascending" in capsys.readouterr().err
+
     def test_bad_label_is_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("f1,label\n0.5,maybe\n")
@@ -329,6 +334,53 @@ class TestChooseEps:
                         "--seed", "7", "--solver", "sgd", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["result"]["chosen_eps"] == want
+
+
+class TestSummaryInputs:
+    """A summary's `inputs` are every parsed flag, written as sorted JSON."""
+
+    COMMON = {
+        "bounds": "tight", "delta": 0.001, "format": "csv", "huber_h": 0.1,
+        "label_col": "label", "loss": "logistic", "reg_lambda": 0.01, "smooth_t": 0.1,
+    }
+
+    def _inputs(self, path):
+        text = path.read_text()
+        loaded = json.loads(text)
+        assert text == json.dumps(loaded, indent=2, sort_keys=True) + "\n"
+        return loaded["inputs"]
+
+    def test_table_run(self, tmp_path):
+        out = tmp_path / "est.csv"
+        assert run_cli(["estimate", "--synthetic", "150,3,1.5", "--measure-eps", "0.1,0.25",
+                        "--targets", "0.2,0.3", "--repeats", "2", "--seed", "5",
+                        "--out", str(out)]) == 0
+        assert self._inputs(tmp_path / "est.csv.summary.json") == {
+            **self.COMMON,
+            "data": None,
+            "measure_eps": [0.1, 0.25],
+            "out": str(out),
+            "repeats": 2,
+            "seed": 5,
+            "solver": "sgd",
+            "synthetic": {"n": 150, "p": 3, "separation": 1.5},
+            "targets": [0.2, 0.3],
+        }
+
+    def test_choose_eps_run(self, data_csv, tmp_path):
+        out = tmp_path / "choose.json"
+        assert run_cli(["choose-eps", "--data", data_csv, "--target-utility", "0.5",
+                        "--seed", "3", "--out", str(out)]) == 0
+        assert self._inputs(out) == {
+            **self.COMMON,
+            "data": data_csv,
+            "measure_eps": 0.25,
+            "out": str(out),
+            "seed": 3,
+            "solver": "exact",
+            "synthetic": None,
+            "target_utility": 0.5,
+        }
 
 
 class TestEstimate:

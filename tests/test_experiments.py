@@ -55,6 +55,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(repeats=0)
 
+    @pytest.mark.parametrize("repeats", [2.5, "2"])
+    def test_rejects_non_integer_repeats(self, repeats):
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            ExperimentConfig(repeats=repeats)
+
+    def test_rejects_empty_measuring_list(self):
+        """It raised IndexError in the sample sweep and gave an empty
+        estimate table."""
+        with pytest.raises(ValueError, match="measure_eps_list"):
+            ExperimentConfig(measure_eps_list=())
+
+    @pytest.mark.parametrize("grid", [(), (100, 200.5), (0, 100)])
+    def test_rejects_bad_sample_grid(self, grid):
+        with pytest.raises(ValueError, match="sample_grid"):
+            ExperimentConfig(sample_grid=grid)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = ExperimentConfig(repeats=np.int64(2), sample_grid=tuple(np.array([10, 20])))
+        assert cfg.repeats == 2 and cfg.sample_grid == (10, 20)
+
 
 class TestEstimateVsActual:
     def test_deterministic(self):

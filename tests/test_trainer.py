@@ -37,6 +37,25 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="reg_lambda must be nonnegative and finite"):
             TrainConfig(reg_lambda=reg)
 
+    @pytest.mark.parametrize("field", ["sgd_iterations", "max_exact_iterations"])
+    @pytest.mark.parametrize("value", [-3, 2.5, float("nan")])
+    def test_rejects_bad_step_counts(self, field, value):
+        """A negative count trained nothing and reported it as steps; a
+        fractional one failed with a TypeError inside training."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sgd_iterations", "max_exact_iterations"])
+    def test_zero_steps_allowed(self, field):
+        assert getattr(TrainConfig(**{field: 0}), field) == 0
+
+    @pytest.mark.parametrize("field", ["stationarity_tol", "sgd_learning_rate"])
+    @pytest.mark.parametrize("value", [0.0, -1e-8, float("inf"), float("nan")])
+    def test_rejects_bad_tolerance_and_rate(self, field, value):
+        """An infinite tolerance returned theta = 0 as an exact model."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            TrainConfig(**{field: value})
+
 
 class TestPerturbedObjective:
     def test_zero_point_with_zero_noise(self):
@@ -167,6 +186,55 @@ class TestTrainExact:
             NumericalError, match=r"Newton matrix is not positive definite \(min eigenvalue -"
         ):
             train(d, spec, TrainConfig(), PrivacyBudget(0.5, 1e-3), NoiseDraw.generate(4, 9))
+
+
+class TestNewtonExits:
+    """Every way out of the exact solver: tolerance reached within the
+    step budget, the budget spent, and no step making certifiable progress."""
+
+    NOT_REACHED = r"exact solver did not reach tolerance 1\.000e-12 \(gradient norm "
+
+    @pytest.fixture
+    def problem(self):
+        d = gen_synthetic(500, 4, 2.0, 0)
+        spec = make_loss_spec("logistic", 4, "tight")
+        return d, spec, PrivacyBudget(0.5, 1e-3), NoiseDraw.generate(4, 1)
+
+    def _train(self, problem, theta0=None, **cfg):
+        d, spec, budget, noise = problem
+        return train(d, spec, TrainConfig(**cfg), budget, noise, theta0=theta0)
+
+    def test_step_budget_equal_to_the_steps_taken_suffices(self, problem):
+        free = self._train(problem, stationarity_tol=1e-12)
+        assert free.iterations_used == 7
+        capped = self._train(
+            problem, stationarity_tol=1e-12, max_exact_iterations=free.iterations_used
+        )
+        assert capped.iterations_used == free.iterations_used
+        np.testing.assert_array_equal(capped.theta, free.theta)
+
+    def test_spent_step_budget_raises(self, problem):
+        with pytest.raises(NumericalError, match=self.NOT_REACHED):
+            self._train(problem, stationarity_tol=1e-12, max_exact_iterations=1)
+
+    def test_zero_steps_at_the_solution_returns_it(self, problem):
+        solution = self._train(problem, stationarity_tol=1e-12).theta
+        m = self._train(problem, solution, stationarity_tol=1e-12, max_exact_iterations=0)
+        assert m.iterations_used == 0
+        np.testing.assert_array_equal(m.theta, solution)
+
+    def test_zero_steps_from_zero_raises(self, problem):
+        with pytest.raises(NumericalError, match=self.NOT_REACHED):
+            self._train(problem, stationarity_tol=1e-12, max_exact_iterations=0)
+
+    def test_no_certifiable_progress_raises(self, problem, hessian_builds):
+        """A tolerance below float resolution stops the solver once no
+        line-search candidate improves, long before its step budget."""
+        with pytest.raises(
+            NumericalError, match=r"did not reach tolerance 1\.000e-300 \(gradient norm "
+        ):
+            self._train(problem, stationarity_tol=1e-300)
+        assert len(hessian_builds) < TrainConfig().max_exact_iterations
 
 
 class TestTrainSgdRepro:
