@@ -70,10 +70,11 @@ def measure(
 
     The noise draw is NoiseDraw.generate(d.p, seed). An sgd_repro iterate
     is not stationary; measure accepts it, and its sensitivity solve is
-    damped by (Lam + Delta_eps)/n, as dtheta_deps with
-    allow_nonstationary=True does. Exact models are solved undamped. The
-    results equal those of dtheta_deps, utility and utility_slope bit for
-    bit, from one margins pass at theta_hat.
+    damped by (Lam + Delta_eps)/n, a convex quadratic approximation of the
+    loss around the iterate (dtheta_deps refuses such models). Exact
+    models are solved undamped, and their results equal those of
+    dtheta_deps, utility and utility_slope bit for bit, from one margins
+    pass at theta_hat.
     """
     noise = NoiseDraw.generate(d.p, seed)
     model = train(d, spec, cfg, PrivacyBudget(epsilon=eps, delta=delta), noise)

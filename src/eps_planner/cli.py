@@ -30,7 +30,7 @@ import scipy
 from . import experiments
 from .chooser import plan
 from .data import FORMATS, gen_synthetic, load_dataset, write_csv_dataset
-from .errors import DataError, EpsPlannerError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError
 from .losses import BOUNDS_MODES
 from .model import LOSS_KINDS, Dataset, NoiseDraw, PrivacyBudget
 from .trainer import classification_error_rate, train, utility
@@ -63,13 +63,24 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
     return value
 
 
@@ -138,9 +149,9 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+        return nonnegative_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{SEED_ENV_VAR}={exc}") from None
 
 
 def build_parser() -> _Parser:
@@ -151,10 +162,11 @@ def build_parser() -> _Parser:
     def add_common(
         p, *, out_help="CSV table path; the run summary goes to PATH.summary.json", solver="sgd"
     ):
-        p.add_argument("--data", help="dataset file path")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--data", help="dataset file path")
         p.add_argument("--format", choices=FORMATS, default="csv")
         p.add_argument("--label-col", default="label", help="csv label column name")
-        p.add_argument(
+        source.add_argument(
             "--synthetic", type=synthetic_spec,
             help="use generated data: n,p,separation",
         )
@@ -162,7 +174,7 @@ def build_parser() -> _Parser:
         p.add_argument("--bounds", choices=BOUNDS_MODES, default="tight")
         p.add_argument("--reg-lambda", type=nonnegative_float, default=0.01)
         p.add_argument("--delta", type=positive_float, default=1e-3)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=nonnegative_int, default=_default_seed())
         if solver is not None:
             p.add_argument("--solver", choices=("exact", "sgd"), default=solver)
         p.add_argument("--huber-h", type=positive_float, default=0.1)
@@ -206,7 +218,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--n", type=positive_int, required=True)
     p_gen.add_argument("--p", type=positive_int, required=True)
     p_gen.add_argument("--separation", type=finite_float, default=2.0)
-    p_gen.add_argument("--seed", type=int, default=_default_seed())
+    p_gen.add_argument("--seed", type=nonnegative_int, default=_default_seed())
     p_gen.add_argument("--out", required=True)
 
     return parser
@@ -314,10 +326,11 @@ def _versions() -> dict:
     }
 
 
-def _write_csv(fh, rows, columns):
-    writer = csv.writer(fh)
-    writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
+def _write_csv(fh, rows):
+    """The rows as CSV, headed by the first row's keys in their order."""
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 @contextlib.contextmanager
@@ -400,28 +413,27 @@ def cmd_choose_eps(args) -> int:
     return 0
 
 
-# the table commands: experiment function and CSV column order
+# the table commands and their experiments; each row lists its columns in CSV order
 _TABLES = {
-    "estimate": (experiments.experiment_estimate_vs_actual, experiments.ESTIMATE_COLUMNS),
-    "sweep-measuring": (experiments.experiment_measuring_sweep, experiments.SWEEP_COLUMNS),
-    "sweep-samples": (experiments.experiment_sample_sweep, experiments.SAMPLE_COLUMNS),
-    "oracle-compare": (experiments.oracle_compare, experiments.ORACLE_COLUMNS),
+    "estimate": experiments.experiment_estimate_vs_actual,
+    "sweep-measuring": experiments.experiment_measuring_sweep,
+    "sweep-samples": experiments.experiment_sample_sweep,
+    "oracle-compare": experiments.oracle_compare,
 }
 
 
 def cmd_table(args) -> int:
     """The table as CSV to --out, with its run summary beside it, or to stdout."""
-    experiment, columns = _TABLES[args.command]
     cfg, d = _inputs(args)
-    rows = experiment(cfg, d)
+    rows = _TABLES[args.command](cfg, d)
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, rows, columns)
+            _write_csv(fh, rows)
         _write_summary(
             args.out + ".summary.json", args.command, args, seeds=experiments.seed_scheme(cfg)
         )
     else:
-        _write_csv(sys.stdout, rows, columns)
+        _write_csv(sys.stdout, rows)
     return 0
 
 
@@ -457,9 +469,6 @@ def run_cli(argv=None) -> int:
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except EpsPlannerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

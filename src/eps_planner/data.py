@@ -36,7 +36,7 @@ from operator import itemgetter, methodcaller
 import numpy as np
 
 from .errors import DataError
-from .model import Dataset, validate_dataset
+from .model import Dataset, _adopt, validate_dataset
 
 FORMATS = ("csv", "sparse_text")
 
@@ -117,7 +117,7 @@ def load_dataset(
         raise DataError(f"cannot read {path}: {exc}") from None
     if X.shape[0] == 0:
         raise DataError(f"empty file: {path}")
-    return validate_dataset(Dataset(_normalize(X), y))
+    return validate_dataset(_adopt(_normalize(X), y))
 
 
 def _parse_csv(fh, label_col: str) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +380,7 @@ def gen_synthetic(n: int, p: int, separation: float, seed: int) -> Dataset:
     order = rng.permutation(n)
     X, y = X[order], y[order]
     X = X / np.linalg.norm(X, axis=1).max()
-    return validate_dataset(Dataset(X, y))
+    return validate_dataset(_adopt(X, y))
 
 
 def write_csv_dataset(d: Dataset, path: str) -> None:

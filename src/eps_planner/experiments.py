@@ -24,9 +24,7 @@ from .sensitivity import extrapolate
 from .trainer import TrainConfig, train, utility
 
 DEFAULT_TARGETS_LOW = tuple(round(0.05 * i, 2) for i in range(1, 21))
-DEFAULT_TARGETS_HIGH = tuple(1.0 + 0.5 * i for i in range(19))
 DEFAULT_MEASURING_LOW = (0.1, 0.25, 0.75)
-DEFAULT_MEASURING_HIGH = (1.0, 2.5, 7.5)
 DEFAULT_SAMPLE_GRID = (1000, 4000, 16000)
 
 ACTUAL_SEED_OFFSET = 1_000_003
@@ -34,11 +32,6 @@ SUBSAMPLE_SEED_OFFSET = 7_777
 
 # oracle-compare's central-difference step, relative to the measuring eps
 ORACLE_FD_STEP_REL = 1e-4
-
-ESTIMATE_COLUMNS = ("measure_eps", "target_eps", "estimated_loss", "actual_loss", "abs_error")
-SWEEP_COLUMNS = ("measure_eps", "avg_abs_error")
-SAMPLE_COLUMNS = ("n", "target_eps", "estimated_loss", "actual_loss", "abs_error")
-ORACLE_COLUMNS = ("measure_eps", "seed", "dtheta_rel_err", "slope_rel_err", "fd_step")
 
 
 @dataclass(frozen=True)
@@ -73,10 +66,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.repeats, Integral) or self.repeats < 1:
             raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if not isinstance(self.base_seed, Integral) or self.base_seed < 0:
+            raise ValueError(f"base_seed must be an integer >= 0, got {self.base_seed!r}")
         if not self.measure_eps_list or any(e <= 0 for e in self.measure_eps_list):
             raise ValueError("measure_eps_list must list at least one positive eps")
-        if any(e <= 0 for e in self.target_grid):
-            raise ValueError("all target eps must be positive")
+        if not self.target_grid or any(e <= 0 for e in self.target_grid):
+            raise ValueError("target_grid must list at least one positive eps")
         if list(self.target_grid) != sorted(self.target_grid):
             raise ValueError("target grid must be sorted ascending")
         if not self.sample_grid or not all(

@@ -1,7 +1,10 @@
 """Shared domain types and their invariants.
 
-Everything here is immutable after construction (arrays are marked
-read-only) and safe to share across threads. The one later write is
+Everything here is immutable after construction and safe to share
+across threads. Array fields are read-only float64 arrays; a writable
+array passed in is copied, since the caller may still write to it or to
+a view of it (`load_dataset`, `gen_synthetic` and `Dataset.subset` pass
+theirs read-only, so they take no copy). The one later write is
 `losses`' cache of X^T X / n on a `Dataset`, a read-only array set once
 outside the dataclass fields (equality, repr and `subset` ignore it);
 two threads racing to set it compute the same bits, so the race is
@@ -22,10 +25,20 @@ LOSS_KINDS = ("logistic", "huber_svm", "quadratic", "smooth_hinge")
 SOLVER_MODES = ("exact", "sgd_repro")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.float64)
+    # `a` itself or a view of the caller's memory, which the caller may still write
+    if out.flags.writeable and (out is a or out.base is not None):
+        out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def _adopt(features: np.ndarray, labels: np.ndarray) -> "Dataset":
+    """A Dataset over fresh arrays that nothing else holds, taken uncopied."""
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return Dataset(features, labels)
 
 
 class _FieldwiseEq:
@@ -54,14 +67,14 @@ class Dataset(_FieldwiseEq):
     labels: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        y = np.atleast_1d(np.asarray(self.labels, dtype=np.float64))
+        X = np.atleast_2d(_readonly(self.features))
+        y = np.atleast_1d(_readonly(self.labels))
         if X.shape[0] != y.shape[0]:
             raise DataError(
                 f"feature rows ({X.shape[0]}) and labels ({y.shape[0]}) disagree"
             )
-        object.__setattr__(self, "features", _readonly(X))
-        object.__setattr__(self, "labels", _readonly(y))
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "labels", y)
 
     @property
     def n(self) -> int:
@@ -73,7 +86,7 @@ class Dataset(_FieldwiseEq):
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.features[idx], self.labels[idx])
+        return _adopt(self.features[idx], self.labels[idx])
 
 
 def validate_dataset(d: Dataset) -> Dataset:
@@ -166,7 +179,7 @@ class NoiseDraw(_FieldwiseEq):
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "base_u", _readonly(np.atleast_1d(self.base_u)))
+        object.__setattr__(self, "base_u", np.atleast_1d(_readonly(self.base_u)))
         object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
@@ -211,17 +224,13 @@ class PrivateModel(_FieldwiseEq):
     iterations_used: int
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _readonly(np.atleast_1d(self.theta)))
+        object.__setattr__(self, "theta", np.atleast_1d(_readonly(self.theta)))
         if self.solver_mode not in SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.solver_mode!r}")
         if self.reg_lambda < 0:
             raise ValueError("reg_lambda must be nonnegative")
         if self.theta.shape != self.noise.base_u.shape:
             raise ValueError("theta and noise draw dimensionality disagree")
-
-    @property
-    def p(self) -> int:
-        return self.theta.shape[0]
 
     @property
     def theta_norm(self) -> float:
@@ -241,7 +250,7 @@ class SensitivityReport(_FieldwiseEq):
     damping_added: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "dtheta_deps", _readonly(np.atleast_1d(self.dtheta_deps)))
+        object.__setattr__(self, "dtheta_deps", np.atleast_1d(_readonly(self.dtheta_deps)))
         if not self.w_min_eigen_lower > 0:
             raise ValueError("w_min_eigen_lower must be positive")
         if self.damping_added < 0:

@@ -10,13 +10,15 @@ definite. One Cholesky solve therefore prices the model's response to a
 budget change, the chain rule turns it into a utility slope, and a
 first-order Taylor step extrapolates the utility to any other budget.
 
-`dtheta_deps` owns that system. It forms the ridge (Lam + Delta_eps)/n
+`_dtheta_deps` owns that system. It forms the ridge (Lam + Delta_eps)/n
 from the model's Lam and the Delta_eps of the perturbation it
 materializes from the model, in `trainer`'s order of operations, and,
 for a non-stationary sgd_repro iterate, derives its own damping from
 the same ridge and solves against W + damping I instead: the damping is
 added to the finished W, not folded into the ridge, which would round
-differently. The loss Hessian is built once, for W, and the matrix
+differently. The public `dtheta_deps` refuses sgd_repro models, whose
+iterate is not a minimizer; `chooser.measure` is the one route to their
+damped slope. The loss Hessian is built once, for W, and the matrix
 solved is factored once: the Cholesky factor that solves it is also its
 positive-definiteness check. The slope needs only the loss gradient.
 
@@ -48,30 +50,24 @@ def _check_spec(model: PrivateModel, spec: LossSpec) -> None:
 
 
 def dtheta_deps(
-    model: PrivateModel,
-    d: Dataset,
-    spec: LossSpec,
-    pert: PerturbationAtEps,
-    allow_nonstationary: bool = False,
+    model: PrivateModel, d: Dataset, spec: LossSpec, pert: PerturbationAtEps
 ) -> SensitivityReport:
     """Solve for d(theta_hat)/d(eps) at the model's own budget.
 
     `spec` must be the model's own loss, and the perturbation must have
     been materialized from the model's noise draw, budget and bound
     constants: its eps, base vector, sigma and Delta_eps are checked bit
-    for bit (NoiseMismatchError otherwise). Models trained in
-    sgd_repro mode are not stationary, so the implicit-differentiation
-    identity does not hold exactly; pass allow_nonstationary=True to
-    proceed anyway. Their solve is then damped by (Lam + Delta_eps)/n,
-    which amounts to solving against a convex quadratic approximation of
-    the loss around the returned iterate; exact models are solved
-    undamped. The solved matrix is factored once, and that factorization
-    is the definiteness check: NumericalError if it fails.
+    for bit (NoiseMismatchError otherwise). The model must be exact:
+    an sgd_repro iterate is not stationary, so the implicit-differentiation
+    identity does not hold for it, and NumericalError says so;
+    `chooser.measure` gives its damped slope. The solved matrix is
+    factored once, and that factorization is the definiteness check:
+    NumericalError if it fails.
     """
-    if model.solver_mode == "sgd_repro" and not allow_nonstationary:
+    if model.solver_mode == "sgd_repro":
         raise NumericalError(
             "model was trained in sgd_repro mode and is not stationary; "
-            "pass allow_nonstationary=True to accept the quadratic-approximation caveat"
+            "measure gives its damped slope"
         )
     _check_spec(model, spec)
     eps = model.budget.epsilon
@@ -143,9 +139,6 @@ class ErrorScale:
     factors make this an advisory, not a certified bound.
     """
 
-    measure_eps: float
-    target_eps: float
-    n: int
     scale: float
 
 
@@ -161,5 +154,5 @@ def error_scale(measure_eps: float, target_eps: float, n: int) -> ErrorScale:
         raise ValueError("n must be >= 1")
     tilde = min(measure_eps, target_eps)
     scale = (measure_eps - target_eps) ** 2 / (n * tilde**3)
-    return ErrorScale(measure_eps=measure_eps, target_eps=target_eps, n=n, scale=scale)
+    return ErrorScale(scale)
 

@@ -27,8 +27,9 @@ def random_unit_ball(rng, p):
 
 @pytest.fixture
 def hessian_builds(monkeypatch):
-    """List that records each loss Hessian trainer and sensitivity build:
-    one entry per `hessian` call, the only Hessian build."""
+    """List with one entry per `hessian` call that trainer and sensitivity
+    make. A call on constant curvature scales the dataset's cached
+    X^T X / n and builds nothing; `blocked_builds` counts the builds."""
     from eps_planner import losses, sensitivity, trainer
 
     builds = []

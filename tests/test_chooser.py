@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from eps_planner import losses, trainer
+from eps_planner import losses, sensitivity, trainer
 from eps_planner.chooser import choose_epsilon, measure, plan
 from eps_planner.data import gen_synthetic
-from eps_planner.errors import FlatSlopeError, UnreachableUtilityError
+from eps_planner.errors import FlatSlopeError, NumericalError, UnreachableUtilityError
 from eps_planner.losses import make_loss_spec
 from eps_planner.model import ExtrapolationLine, NoiseDraw, PrivacyBudget
 from eps_planner.perturbation import delta_coeff, materialize
-from eps_planner.sensitivity import dtheta_deps, extrapolate, utility_slope
+from eps_planner.sensitivity import dtheta_deps, error_scale, extrapolate, utility_slope
 from eps_planner.trainer import TrainConfig, train, utility
 
 
@@ -43,7 +43,9 @@ class TestMeasure:
     def test_equals_low_level_sequence(self, solver_mode):
         """measure() is train, materialize, dtheta_deps and utility_slope,
         bit for bit, with the solve damped by (Lam + Delta_eps)/n for
-        sgd_repro iterates and undamped for exact ones."""
+        sgd_repro iterates and undamped for exact ones. dtheta_deps refuses
+        an sgd_repro iterate, so its damped report comes from the solve
+        measure runs, on margins computed here."""
         d = gen_synthetic(500, 4, 1.5, 2)
         spec = make_loss_spec("logistic", 4, "tight")
         cfg = TrainConfig(reg_lambda=0.01, solver_mode=solver_mode)
@@ -54,7 +56,12 @@ class TestMeasure:
         noise = NoiseDraw.generate(4, 5)
         model = train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
-        report = dtheta_deps(model, d, spec, pert, allow_nonstationary=sgd)
+        if sgd:
+            with pytest.raises(NumericalError, match="not stationary; measure gives"):
+                dtheta_deps(model, d, spec, pert)
+            report = sensitivity._dtheta_deps(model, losses.margins(model.theta, d), d)
+        else:
+            report = dtheta_deps(model, d, spec, pert)
         slope = utility_slope(model, d, spec, report)
 
         assert m.model == model
@@ -255,6 +262,5 @@ class TestPlan:
         d, spec, cfg, line = quad_setup()
         target = extrapolate(line, 2.0)
         result = plan(d, spec, cfg, 1.0, 0.1, target, seed=0)
-        assert result.scale.measure_eps == 1.0
-        assert result.scale.target_eps == result.chosen_eps
-        assert result.scale.n == 1
+        assert result.scale.scale == error_scale(1.0, result.chosen_eps, 1).scale
+        assert result.scale.scale > 0

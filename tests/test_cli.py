@@ -14,7 +14,7 @@ from eps_planner.cli import (
 )
 from eps_planner.data import gen_synthetic, write_csv_dataset
 from eps_planner.errors import UsageError
-from eps_planner.experiments import DEFAULT_TARGETS_HIGH, DEFAULT_TARGETS_LOW
+from eps_planner.experiments import DEFAULT_TARGETS_LOW
 
 
 class TestTargetsSpec:
@@ -26,8 +26,7 @@ class TestTargetsSpec:
         assert len(DEFAULT_TARGETS_LOW) == 20
 
     def test_inclusive_range_high_grid(self):
-        assert targets_spec("1.0:10.0:0.5") == DEFAULT_TARGETS_HIGH
-        assert len(DEFAULT_TARGETS_HIGH) == 19
+        assert targets_spec("1.0:10.0:0.5") == tuple(1.0 + 0.5 * i for i in range(19))
 
     def test_rejects_malformed(self):
         for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2",
@@ -658,6 +657,7 @@ class TestSeedEnvVar:
         monkeypatch.setenv("EPS_PLANNER_SEED", "abc")
         code = run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0"])
         assert code == 1
+        assert capsys.readouterr().err == "error: EPS_PLANNER_SEED='abc' is not an integer\n"
 
 
 class TestCrossProcessDeterminism:
@@ -728,3 +728,93 @@ class TestSweepCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("measure_eps,seed,dtheta_rel_err,slope_rel_err,fd_step")
+
+
+# each table's CSV header, the first line it writes to --out or to stdout
+TABLE_HEADERS = {
+    "estimate": "measure_eps,target_eps,estimated_loss,actual_loss,abs_error\r\n",
+    "sweep-measuring": "measure_eps,avg_abs_error\r\n",
+    "sweep-samples": "n,target_eps,estimated_loss,actual_loss,abs_error\r\n",
+    "oracle-compare": "measure_eps,seed,dtheta_rel_err,slope_rel_err,fd_step\r\n",
+}
+
+_SMALL_TABLE_FLAGS = {
+    "estimate": ["--targets", "0.2,0.4"],
+    "sweep-measuring": ["--targets", "0.2,0.4"],
+    "sweep-samples": ["--targets", "0.2,0.4", "--samples", "100"],
+    "oracle-compare": [],
+}
+
+
+class TestTableHeaders:
+    @pytest.mark.parametrize("command", sorted(TABLE_HEADERS))
+    def test_header_line_to_out_and_stdout(self, command, tmp_path, capsys):
+        argv = [command, "--synthetic", "200,3,2.0", "--repeats", "1",
+                *_SMALL_TABLE_FLAGS[command]]
+        out = tmp_path / "table.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert run_cli(argv) == 0
+        header = TABLE_HEADERS[command]
+        assert out.read_bytes().split(b"\n", 1)[0] + b"\n" == header.encode()
+        stdout = capsys.readouterr().out
+        assert stdout.split("\n", 1)[0] + "\n" == header
+        assert stdout.encode() == out.read_bytes()
+
+
+class TestDataSource:
+    """--data and --synthetic exclude each other: before, --synthetic was
+    dropped without a word while the summary still recorded it."""
+
+    def test_both_flags_are_usage_error(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code = run_cli(["choose-eps", "--data", data_csv, "--synthetic", "500,4,2.0",
+                        "--target-utility", "0.6", "--out", str(out)])
+        assert code == 1
+        assert "argument --synthetic: not allowed with argument --data" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_config_line_counts_as_given(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synthetic=500,4,2.0\n")
+        before = trainer.TRAIN_CALL_COUNT
+        code = run_cli(["--config", str(cfg), "train", "--data", data_csv, "--eps", "0.5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err
+        assert "--data" in err and "--synthetic" in err
+        assert trainer.TRAIN_CALL_COUNT == before
+
+
+class TestNegativeSeed:
+    """A negative seed is refused at parse time, naming its flag or
+    variable: before, numpy refused it after the trainings had run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--synthetic", "200,3,2.0", "--repeats", "2", "--targets", "0.1:1.0:0.1",
+         "--measure-eps", "0.25", "--seed", "-1"],
+        ["choose-eps", "--synthetic", "200,3,2.0", "--target-utility", "0.5", "--seed", "-1"],
+        ["gen-data", "--n", "50", "--p", "3", "--out", os.devnull, "--seed", "-1"],
+    ], ids=lambda argv: argv[0])
+    def test_flag(self, argv, capsys):
+        before = trainer.TRAIN_CALL_COUNT
+        assert run_cli(argv) == 1
+        assert "argument --seed: '-1' is not a nonnegative integer" in capsys.readouterr().err
+        assert trainer.TRAIN_CALL_COUNT == before
+
+    def test_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-2\n")
+        assert run_cli(["--config", str(cfg), "train", "--synthetic", "100,3,1.0",
+                        "--eps", "1.0"]) == 1
+        assert "argument --seed: '-2' is not a nonnegative integer" in capsys.readouterr().err
+
+    def test_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv("EPS_PLANNER_SEED", "-3")
+        before = trainer.TRAIN_CALL_COUNT
+        assert run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: EPS_PLANNER_SEED='-3' is not a nonnegative integer\n"
+        )
+        assert trainer.TRAIN_CALL_COUNT == before

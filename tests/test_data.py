@@ -326,6 +326,26 @@ class TestBlockBoundaries:
         # bytes; one block of 16 peaks at about half of them
         assert peak < d.features.nbytes
 
+    @pytest.mark.parametrize("source", ["gen_synthetic", "csv"])
+    def test_dataset_is_built_without_a_copy(self, tmp_path, source):
+        """gen_synthetic and load_dataset hand their fresh arrays to the
+        Dataset read-only, so it takes them uncopied: the peak is about
+        2.2 times the features' bytes, and 3.2 times with a copy."""
+        path = tmp_path / "wide.csv"
+        if source == "csv":
+            write_csv_dataset(gen_synthetic(20000, 50, 2.0, 1), str(path))
+        tracemalloc.start()
+        try:
+            if source == "csv":
+                d = load_dataset(str(path), "csv")
+            else:
+                d = gen_synthetic(20000, 50, 2.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (d.n, d.p) == (20000, 50)
+        assert peak < 2.5 * d.features.nbytes
+
     def test_svmlight_round_trip_is_bit_identical(self, tmp_path):
         d = gen_synthetic(self.N, 4, 1.5, 4)
         path = tmp_path / "d.svm"

@@ -30,18 +30,10 @@ class TestConfigValidation:
         assert cfg.target_grid[0] == 0.05 and cfg.target_grid[-1] == 1.0
 
     def test_default_grids(self):
-        from eps_planner.experiments import (
-            DEFAULT_MEASURING_HIGH,
-            DEFAULT_MEASURING_LOW,
-            DEFAULT_TARGETS_HIGH,
-            DEFAULT_TARGETS_LOW,
-        )
+        from eps_planner.experiments import DEFAULT_MEASURING_LOW, DEFAULT_TARGETS_LOW
 
         assert DEFAULT_MEASURING_LOW == (0.1, 0.25, 0.75)
-        assert DEFAULT_MEASURING_HIGH == (1.0, 2.5, 7.5)
         assert len(DEFAULT_TARGETS_LOW) == 20
-        assert DEFAULT_TARGETS_HIGH[:3] == (1.0, 1.5, 2.0)
-        assert DEFAULT_TARGETS_HIGH[-1] == 10.0
 
     def test_rejects_unsorted_targets(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -65,6 +57,17 @@ class TestConfigValidation:
         estimate table."""
         with pytest.raises(ValueError, match="measure_eps_list"):
             ExperimentConfig(measure_eps_list=())
+
+    def test_rejects_empty_target_grid(self):
+        """Without it the estimate and sample tables returned no rows,
+        after the estimate table had run its measuring trainings."""
+        with pytest.raises(ValueError, match="target_grid"):
+            ExperimentConfig(target_grid=())
+
+    @pytest.mark.parametrize("base_seed", [-1, 2.5, "3"])
+    def test_rejects_bad_base_seed(self, base_seed):
+        with pytest.raises(ValueError, match="base_seed must be an integer >= 0"):
+            ExperimentConfig(base_seed=base_seed)
 
     @pytest.mark.parametrize("grid", [(), (100, 200.5), (0, 100)])
     def test_rejects_bad_sample_grid(self, grid):

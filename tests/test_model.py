@@ -108,6 +108,50 @@ class TestDatasetStorage:
         with pytest.raises(ValueError):
             d.features[0, 0] = 9.0
 
+    def test_callers_view_cannot_change_the_dataset(self):
+        """A writable array is copied: before, the dataset adopted it and
+        a view taken earlier could still write to it, under the cached
+        X^T X / n that a quadratic hessian call serves."""
+        from eps_planner import losses
+
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((50, 3)) / 10
+        y = np.where(rng.standard_normal(50) > 0, 1.0, -1.0)
+        view = X[:]
+        d = Dataset(X, y)
+        spec = LossSpec(kind="quadratic", zeta=2.0, lambda_hess=1.0, s_third=0.0)
+        m = losses.margins(np.zeros(3), d)
+        before = d.features.copy()
+        losses.hessian(spec, m, d)
+        view[0, 0] = 5.0
+        assert X.flags.writeable and X[0, 0] == 5.0
+        assert np.array_equal(d.features, before)
+        assert np.array_equal(losses.hessian(spec, m, d), losses._mean_hessian(d, np.ones(d.n)))
+
+    def test_read_only_arrays_are_adopted(self):
+        X = np.array([[0.1, 0.2], [0.3, 0.4]])
+        y = np.array([1.0, -1.0])
+        X.setflags(write=False)
+        y.setflags(write=False)
+        d = Dataset(X, y)
+        assert d.features is X and d.labels is y
+        s = d.subset([1])
+        assert not s.features.flags.writeable and not s.labels.flags.writeable
+
+    def test_converted_input_is_copied_once(self):
+        """A float32 array is converted to a fresh float64 array, which
+        nothing else holds, so it is not copied a second time."""
+        import tracemalloc
+
+        X = np.full((2000, 50), 0.01, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            d = Dataset(X, np.ones(2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d.features.nbytes
+
     def test_subset_keeps_order(self):
         d = Dataset(features=[[0.1], [0.2], [0.3]], labels=[1, -1, 1])
         s = d.subset([2, 0])

@@ -45,6 +45,16 @@ def system_matrix(model, d):
     return losses.hessian(model.loss, losses.margins(model.theta, d), d) + ridge * np.eye(d.p)
 
 
+def sensitivity_report(model, d, spec, pert):
+    """dtheta_deps's report for an exact model. dtheta_deps refuses an
+    sgd_repro model, which gets the damped solve `measure` runs instead."""
+    if model.solver_mode == "exact":
+        return dtheta_deps(model, d, spec, pert)
+    with pytest.raises(NumericalError, match="sgd_repro mode and is not stationary"):
+        dtheta_deps(model, d, spec, pert)
+    return sensitivity._dtheta_deps(model, losses.margins(model.theta, d), d)
+
+
 def trained_logistic():
     """Exact logistic model, tight bounds, trained at (0.3, 1e-3)."""
     d = gen_synthetic(500, 4, 1.5, 5)
@@ -124,7 +134,7 @@ class TestDthetaDeps:
 
         monkeypatch.setattr(sensitivity, "cho_factor", counting_cho_factor)
         sgd = solver_mode == "sgd_repro"
-        report = dtheta_deps(model, d, spec, pert, allow_nonstationary=sgd)
+        report = sensitivity_report(model, d, spec, pert)
         assert len(calls) == 1
         assert (report.damping_added > 0) == sgd
         W = system_matrix(model, d) + report.damping_added * np.eye(4)
@@ -207,16 +217,17 @@ class TestDthetaDeps:
         noise = NoiseDraw.generate(3, 2)
         model = train(d, spec, cfg, PrivacyBudget(0.5, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.5, spec.lambda_hess)
-        with pytest.raises(NumericalError, match="sgd_repro"):
+        with pytest.raises(NumericalError, match="sgd_repro mode and is not stationary; measure"):
             dtheta_deps(model, d, spec, pert)
-        report = dtheta_deps(model, d, spec, pert, allow_nonstationary=True)
-        assert report.damping_added == (0.01 + delta_coeff(spec.lambda_hess, 0.5)) / d.n
+        m = measure(d, spec, cfg, 0.5, 1e-3, seed=2)
+        assert m.model == model
+        assert m.report.damping_added == (0.01 + delta_coeff(spec.lambda_hess, 0.5)) / d.n
 
     def test_damping_raises_certified_floor(self, quad_instance):
         d, spec, model, pert = trained_quad(quad_instance)
         plain = dtheta_deps(model, d, spec, pert)
         sgd_model = replace(model, solver_mode="sgd_repro")
-        damped = dtheta_deps(sgd_model, d, spec, pert, allow_nonstationary=True)
+        damped = sensitivity_report(sgd_model, d, spec, pert)
         # the damping is the ridge (Lam + Delta_eps)/n = (0 + 2)/1
         assert damped.damping_added == 2.0
         assert damped.w_min_eigen_lower == pytest.approx(plain.w_min_eigen_lower + 2.0)
@@ -240,7 +251,7 @@ class TestIndefiniteSystem:
         assert -1.0 < -2.0 * ridge
         monkeypatch.setattr(sensitivity, "hessian", lambda spec, m, d: -np.eye(d.p))
         with pytest.raises(NumericalError, match="not positive definite .min eigenvalue"):
-            dtheta_deps(model, d, spec, pert, allow_nonstationary=solver_mode == "sgd_repro")
+            sensitivity_report(model, d, spec, pert)
 
 
 class TestTinyRidge:
