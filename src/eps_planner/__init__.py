@@ -6,7 +6,7 @@ budget -- or invert the relationship to pick the budget matching a
 utility requirement.
 """
 
-from .chooser import Measurement, PlanResult, choose_epsilon, measure, plan
+from .chooser import Measurement, PlanResult, choose_epsilon, measure, measure_many, plan
 from .data import gen_synthetic, load_dataset, write_csv_dataset
 from .errors import (
     DataError,
@@ -56,6 +56,7 @@ from .trainer import (
     classification_error_rate,
     perturbed_objective,
     train,
+    train_many,
     utility,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "PlanResult",
     "choose_epsilon",
     "measure",
+    "measure_many",
     "plan",
     "gen_synthetic",
     "load_dataset",
@@ -108,5 +110,6 @@ __all__ = [
     "classification_error_rate",
     "perturbed_objective",
     "train",
+    "train_many",
     "utility",
 ]

@@ -2,15 +2,19 @@
 
 Train once at a measuring budget, measure the utility and its slope in
 eps, and read the budget expected to reach a requested utility off the
-resulting affine predictor. `measure` is that train-and-measure step;
-`plan`, the experiment harnesses and the CLI all go through it. The
+resulting affine predictor. `measure_many` is that train-and-measure
+step for a list of runs, and `measure` its one-run case; `plan`, the
+experiment harnesses and the CLI all go through them. `measure_many`
+trains its runs with one `train_many` call, so a table's sgd_repro
+measuring runs step together, then measures each model alone. The
 sensitivity solve it calls reads the loss, the damping and the
-perturbation off the trained model, so `measure` passes it only the
+perturbation off the trained model, so it is passed only the
 margins at theta_hat, computed once: W, the utility and its gradient all
 read that one vector.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import FlatSlopeError, UnreachableUtilityError
@@ -25,7 +29,7 @@ from .model import (
     SensitivityReport,
 )
 from .sensitivity import ErrorScale, _dtheta_deps, error_scale
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, train_many
 
 SLOPE_TOL = 1e-12
 
@@ -74,18 +78,37 @@ def measure(
     loss around the iterate (dtheta_deps refuses such models). Exact
     models are solved undamped, and their results equal those of
     dtheta_deps, utility and utility_slope bit for bit, from one margins
-    pass at theta_hat.
+    pass at theta_hat. This is the one-run case of `measure_many`.
     """
-    noise = NoiseDraw.generate(d.p, seed)
-    model = train(d, spec, cfg, PrivacyBudget(epsilon=eps, delta=delta), noise)
-    m = margins(model.theta, d)
-    report = _dtheta_deps(model, m, d)
-    # the utility F is the mean loss, so aggregate gives F and its gradient
-    base_utility, gradF = aggregate(spec, m, d)
-    line = ExtrapolationLine(
-        measure_eps=eps, base_utility=base_utility, slope=float(gradF @ report.dtheta_deps)
-    )
-    return Measurement(model=model, report=report, line=line)
+    return measure_many(d, spec, cfg, delta, [(eps, seed)])[0]
+
+
+def measure_many(
+    d: Dataset,
+    spec: LossSpec,
+    cfg: TrainConfig,
+    delta: float,
+    runs: Iterable[tuple[float, int]],
+) -> list[Measurement]:
+    """`measure` for each (eps, seed) run, in order, from one `train_many`
+    call: sgd_repro runs train together, and each is then measured alone."""
+    draws = [
+        (PrivacyBudget(epsilon=eps, delta=delta), NoiseDraw.generate(d.p, seed))
+        for eps, seed in runs
+    ]
+    out = []
+    for model in train_many(d, spec, cfg, draws):
+        m = margins(model.theta, d)
+        report = _dtheta_deps(model, m, d)
+        # the utility F is the mean loss, so aggregate gives F and its gradient
+        base_utility, gradF = aggregate(spec, m, d)
+        line = ExtrapolationLine(
+            measure_eps=model.budget.epsilon,
+            base_utility=base_utility,
+            slope=float(gradF @ report.dtheta_deps),
+        )
+        out.append(Measurement(model=model, report=report, line=line))
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ position, so estimates are never correlated with the runs they are
 judged against. The oracle, by contrast, REQUIRES the same draw on both
 sides of its finite difference. Every emitted row is a pure function of
 the config, so identical configs give identical tables.
+
+Each table trains its actual-loss runs, every grid point times every
+repeat, with one `train_many` call, and its measuring runs, every
+measuring eps times every repeat, with one `measure_many` call (once per
+subset in the sample sweep), so sgd_repro runs step together in column
+blocks. A row therefore differs from the row that one training at a
+time gives only by float reassociation (within 1e-14 relative in theta).
 """
 from __future__ import annotations
 
@@ -16,12 +23,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .chooser import measure
+from .chooser import measure, measure_many
 from .data import gen_synthetic
 from .losses import make_loss_spec
 from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget
 from .sensitivity import extrapolate
-from .trainer import TrainConfig, train, utility
+from .trainer import TrainConfig, train, train_many, utility
 
 DEFAULT_TARGETS_LOW = tuple(round(0.05 * i, 2) for i in range(1, 21))
 DEFAULT_MEASURING_LOW = (0.1, 0.25, 0.75)
@@ -110,26 +117,31 @@ def seed_scheme(cfg: ExperimentConfig) -> dict:
 
 
 def _actual_means(d, spec, tcfg, grid, cfg) -> np.ndarray:
-    """Mean actual loss per grid point over `repeats` independent draws."""
-    means = np.zeros(len(grid))
-    for j, eps in enumerate(grid):
-        budget = PrivacyBudget(eps, cfg.delta)
-        seed = cfg.base_seed + ACTUAL_SEED_OFFSET + j * cfg.repeats
-        vals = [
-            utility(train(d, spec, tcfg, budget, NoiseDraw.generate(d.p, seed + r)).theta, d, spec)
-            for r in range(cfg.repeats)
-        ]
-        means[j] = float(np.mean(vals))
+    """Mean actual loss per grid point over `repeats` independent draws,
+    every draw of every grid point trained by one `train_many` call."""
+    first = cfg.base_seed + ACTUAL_SEED_OFFSET
+    runs = [
+        (PrivacyBudget(eps, cfg.delta), NoiseDraw.generate(d.p, first + j * cfg.repeats + r))
+        for j, eps in enumerate(grid)
+        for r in range(cfg.repeats)
+    ]
+    vals = [utility(model.theta, d, spec) for model in train_many(d, spec, tcfg, runs)]
+    return np.mean(np.reshape(vals, (len(grid), cfg.repeats)), axis=1)
+
+
+def _estimate_means(d, spec, tcfg, measuring, grid, cfg) -> list[np.ndarray]:
+    """Mean estimated loss per grid point, extrapolated from each measuring
+    eps in turn, every repeat of every measuring eps measured by one
+    `measure_many` call."""
+    seeds = [cfg.base_seed + r for r in range(cfg.repeats)]
+    found = measure_many(d, spec, tcfg, cfg.delta, [(me, s) for me in measuring for s in seeds])
+    means = []
+    for i in range(len(measuring)):
+        acc = np.zeros(len(grid))
+        for m in found[i * cfg.repeats : (i + 1) * cfg.repeats]:
+            acc += [extrapolate(m.line, t) for t in grid]
+        means.append(acc / cfg.repeats)
     return means
-
-
-def _estimate_means(d, spec, tcfg, measure_eps, grid, cfg) -> np.ndarray:
-    """Mean estimated loss per grid point, extrapolated from measure_eps."""
-    acc = np.zeros(len(grid))
-    for r in range(cfg.repeats):
-        line = measure(d, spec, tcfg, measure_eps, cfg.delta, cfg.base_seed + r).line
-        acc += [extrapolate(line, t) for t in grid]
-    return acc / cfg.repeats
 
 
 def _error_rows(key, value, grid, est, act) -> list[dict]:
@@ -154,9 +166,9 @@ def experiment_estimate_vs_actual(cfg: ExperimentConfig, d: Dataset | None = Non
     """
     d, spec, tcfg = resolve(cfg, d)
     act = _actual_means(d, spec, tcfg, cfg.target_grid, cfg)
+    ests = _estimate_means(d, spec, tcfg, cfg.measure_eps_list, cfg.target_grid, cfg)
     rows = []
-    for me in cfg.measure_eps_list:
-        est = _estimate_means(d, spec, tcfg, me, cfg.target_grid, cfg)
+    for me, est in zip(cfg.measure_eps_list, ests):
         rows += _error_rows("measure_eps", me, cfg.target_grid, est, act)
     return rows
 
@@ -173,9 +185,9 @@ def experiment_measuring_sweep(cfg: ExperimentConfig, d: Dataset | None = None) 
         raise ValueError(f"the measuring sweep needs at least 2 targets, got {len(grid)}")
     d, spec, tcfg = resolve(cfg, d)
     act = _actual_means(d, spec, tcfg, grid, cfg)
+    ests = _estimate_means(d, spec, tcfg, grid, grid, cfg)
     rows = []
-    for mi, me in enumerate(grid):
-        est = _estimate_means(d, spec, tcfg, me, grid, cfg)
+    for mi, (me, est) in enumerate(zip(grid, ests)):
         others = [j for j in range(len(grid)) if j != mi]
         avg_err = float(np.mean([abs(est[j] - act[j]) for j in others]))
         rows.append({"measure_eps": me, "avg_abs_error": avg_err})
@@ -200,7 +212,7 @@ def experiment_sample_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> 
     for n_sub in cfg.sample_grid:
         sub = d.subset(perm[:n_sub])
         act = _actual_means(sub, spec, tcfg, cfg.target_grid, cfg)
-        est = _estimate_means(sub, spec, tcfg, me, cfg.target_grid, cfg)
+        (est,) = _estimate_means(sub, spec, tcfg, (me,), cfg.target_grid, cfg)
         rows += _error_rows("n", n_sub, cfg.target_grid, est, act)
     return rows
 

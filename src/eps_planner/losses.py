@@ -26,14 +26,15 @@ NaN curvatures always take the blocked build.
 
 The Hessian is streamed over row blocks of about HESSIAN_BLOCK_BYTES
 (512 KB) of features, so the extra memory is one block, not a scaled
-copy of all n rows. Each block scales its rows by sqrt(kappa) and adds
-them to the upper triangle of one p x p sum with a single symmetric
-rank-k update (BLAS dsyrk), about half the flops of a full product; the
-triangle is mirrored at the end, so the Hessian is exactly symmetric,
-and its last bits differ from a general product's. Rows of curvature
-exactly 0 add nothing and are dropped first: huber_svm outside its band,
-and logistic or smooth_hinge rows whose e^{-|x|} underflows. NaN
-curvatures are kept, so non-finite input stays loud.
+copy of all n rows. The square roots of all curvatures are taken once.
+Each block scales its rows by sqrt(kappa) into one buffer allocated per
+build and adds them to the upper triangle of one p x p sum with a single
+symmetric rank-k update (BLAS dsyrk), about half the flops of a full
+product; the triangle is mirrored at the end, so the Hessian is exactly
+symmetric, and its last bits differ from a general product's. Rows of
+curvature exactly 0 add nothing and are dropped first: huber_svm outside
+its band, and logistic or smooth_hinge rows whose e^{-|x|} underflows.
+NaN curvatures are kept, so non-finite input stays loud.
 """
 from __future__ import annotations
 
@@ -132,18 +133,21 @@ HESSIAN_BLOCK_BYTES = 512 * 1024
 
 def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
     rows = max(1, HESSIAN_BLOCK_BYTES // (8 * d.p))
+    # kappa >= 0 for every loss, so kappa x x^T = (sqrt(kappa) x)(sqrt(kappa) x)^T
+    roots = np.sqrt(curvatures)
+    # each block's scaled rows go to the leading rows of one buffer
+    buf = np.empty((min(rows, d.n), d.p))
     # dsyrk adds a a^T into the upper triangle of a Fortran-ordered sum;
     # a.T of a C-ordered block is Fortran-ordered, so BLAS gets it uncopied
     upper = np.zeros((d.p, d.p), order="F")
     for start in range(0, d.n, rows):
         xb = d.features[start : start + rows]
-        kb = curvatures[start : start + rows]
+        sb = roots[start : start + rows]
         # a row of zero curvature adds nothing; NaN rows are kept
-        curved = kb != 0.0
+        curved = sb != 0.0
         if not curved.all():
-            xb, kb = xb[curved], kb[curved]
-        # kappa >= 0 for every loss, so kappa x x^T = (sqrt(kappa) x)(sqrt(kappa) x)^T
-        a = xb * np.sqrt(kb)[:, None]
+            xb, sb = xb[curved], sb[curved]
+        a = np.multiply(xb, sb[:, None], out=buf[: len(xb)])
         upper = dsyrk(1.0, a.T, beta=1.0, c=upper, trans=0, lower=0, overwrite_c=1)
     upper /= d.n
     # exact zeros lie below the diagonal, so upper + upper.T is the exactly

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoiseDraw
+from .model import NoiseDraw, _readonly
 
 
 def _check_domain(zeta: float | None, delta: float | None, eps: float) -> None:
@@ -82,10 +82,9 @@ class PerturbationAtEps:
     base_u: np.ndarray
 
     def __post_init__(self):
+        # a writable array the caller passes in is copied, not frozen in place
         for name in ("b", "b_prime", "base_u"):
-            a = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, np.atleast_1d(_readonly(getattr(self, name))))
 
 
 def materialize(

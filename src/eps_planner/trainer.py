@@ -13,22 +13,34 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
 
 Each point the solver visits gets one margins pass, X theta, and
 everything evaluated there reads that one vector: `perturbed_objective`
-takes those margins, as `aggregate` and `hessian` do. An sgd step and the
-sgd final gradient check evaluate the gradient alone, on rows
-z_i = y_i x_i that the sgd loop builds once per training (one transient
-n x p copy): z theta and z^T l' carry the bits of `margins` and
-`aggregate`, since y = +-1 only flips signs. A Newton line-search
-candidate evaluates value and gradient, and the accepted candidate's
-gradient is the one reported at the solution. The loss Hessian is built
-only at the start point and at each accepted iterate that has not yet
-converged, once per Newton step, from the margins that point's line
-search already computed.
+takes those margins, as `aggregate` and `hessian` do. A Newton
+line-search candidate evaluates value and gradient, and the accepted
+candidate's gradient is the one reported at the solution. The loss
+Hessian is built only at the start point and at each accepted iterate
+that has not yet converged, once per Newton step, from the margins that
+point's line search already computed.
 
-Training is deterministic given (dataset, spec, config, budget, seed).
+`train_many` trains a list of (budget, noise draw) runs. Its sgd_repro
+runs step together as the columns of a p x K iterate, in blocks of K
+columns sized so that an n x K temporary stays within SGD_BLOCK_BYTES
+(as HESSIAN_BLOCK_BYTES sizes the Hessian's row blocks), with one ridge
+and one noise vector per column, the per-step finiteness check and a
+final gradient norm per column. `train` is the one-column case of that
+loop. An sgd step and the final gradient check evaluate the gradient
+alone, on rows z_i = y_i x_i built once per call (one transient n x p
+copy): z theta and z^T l' carry the bits of `margins` and `aggregate`,
+since y = +-1 only flips signs, and with one column numpy's products
+are the 1-D ones, so `train` keeps those bits. With more columns a
+column can differ from its one-run `train` by the reassociation of the
+BLAS products, within 1e-14 relative. Exact runs train one at a time.
+
+Training is deterministic given (dataset, spec, config, budget, seed)
+and, for `train_many`'s sgd_repro runs, the block a run is stepped in.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -101,15 +113,53 @@ def train(
 ) -> PrivateModel:
     """Minimize the perturbed objective and return the trained model."""
     global TRAIN_CALL_COUNT
+    pert = _perturbation(d, spec, budget, noise)
     TRAIN_CALL_COUNT += 1
+    theta = np.zeros(d.p) if theta0 is None else np.array(theta0, dtype=np.float64)
+    if cfg.solver_mode == "sgd_repro":
+        (theta,), (grad_norm,) = _run_sgd(theta[:, None], d, spec, cfg, [pert])
+        iters = cfg.sgd_iterations
+    else:
+        theta, iters, grad_norm = _run_newton(theta, d, spec, cfg, pert)
+    return _model(theta, iters, grad_norm, spec, cfg, budget, noise)
 
+
+def train_many(
+    d: Dataset,
+    spec: LossSpec,
+    cfg: TrainConfig,
+    runs: Iterable[tuple[PrivacyBudget, NoiseDraw]],
+) -> list[PrivateModel]:
+    """One model per (budget, noise draw) run, in order, each as `train`
+    trains it from zero.
+
+    sgd_repro runs step together, as the columns of a p x K iterate in
+    blocks of columns sized by SGD_BLOCK_BYTES; a column's bits may
+    differ from its one-run `train` by the reassociation of the BLAS
+    products (within 1e-14 relative). Exact runs train one at a time,
+    through `train`.
+    """
+    global TRAIN_CALL_COUNT
+    runs = list(runs)
+    # every run is checked before any trains
+    perts = [_perturbation(d, spec, budget, noise) for budget, noise in runs]
+    if cfg.solver_mode != "sgd_repro":
+        return [train(d, spec, cfg, budget, noise) for budget, noise in runs]
+    TRAIN_CALL_COUNT += len(runs)
+    thetas, grad_norms = _run_sgd(np.zeros((d.p, len(runs))), d, spec, cfg, perts)
+    return [
+        _model(theta, cfg.sgd_iterations, grad_norm, spec, cfg, budget, noise)
+        for theta, grad_norm, (budget, noise) in zip(thetas, grad_norms, runs)
+    ]
+
+
+def _perturbation(d, spec, budget, noise) -> PerturbationAtEps:
     if noise.p != d.p:
         raise ValueError(f"noise draw has length {noise.p}, dataset has p={d.p}")
-    pert = materialize(noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
-    theta = np.zeros(d.p) if theta0 is None else np.array(theta0, dtype=np.float64)
+    return materialize(noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
 
-    run = _run_sgd if cfg.solver_mode == "sgd_repro" else _run_newton
-    theta, iters, grad_norm = run(theta, d, spec, cfg, pert)
+
+def _model(theta, iters, grad_norm, spec, cfg, budget, noise) -> PrivateModel:
     if not np.isfinite(grad_norm):
         raise NumericalError("non-finite gradient at solution")
     return PrivateModel(
@@ -124,23 +174,51 @@ def train(
     )
 
 
-def _run_sgd(theta, d, spec, cfg, pert):
+# bytes of one n x K temporary of the sgd loop (K = 3 at n = 5000). Kept
+# below glibc's default 128 KiB mmap and trim thresholds, header included,
+# a block's temporaries reuse freed heap memory; at K = 4 (160 KB) the
+# allocator returned and re-faulted their pages at every step, which
+# doubled a table's time
+SGD_BLOCK_BYTES = 120 * 1024
+
+
+def _run_sgd(theta, d, spec, cfg, perts):
+    """Step the columns of the p x K start `theta`, one per perturbation,
+    in blocks; the final thetas and gradient norms, one per column."""
     # label-folded rows: z @ theta is margins(theta, d), and z.T @ l' is
     # aggregate's X^T (l' * y), bit for bit
     z = d.features * d.labels[:, None]
-    n = d.n
-    ridge = cfg.reg_lambda + pert.delta_eps_coeff
+    width = max(1, SGD_BLOCK_BYTES // (8 * d.n))
+    thetas, grad_norms = [], []
+    for first in range(0, len(perts), width):
+        cols = slice(first, first + width)
+        start = np.ascontiguousarray(theta[:, cols])
+        block, norms = _sgd_block(start, z, spec, cfg, perts[cols], first)
+        thetas += list(block.T)
+        grad_norms += norms
+    return thetas, grad_norms
+
+
+def _sgd_block(theta, z, spec, cfg, perts, first):
+    n = z.shape[0]
+    # one ridge and one noise vector per column
+    ridge = np.array([cfg.reg_lambda + pert.delta_eps_coeff for pert in perts])
+    b = np.stack([pert.b for pert in perts], axis=1)
 
     def gradient(theta):
-        # perturbed_objective's gradient, in its order of operations
-        return z.T @ margin_slopes(spec, z @ theta) / n + (ridge * theta + pert.b) / n
+        # perturbed_objective's gradient, in its order of operations; with
+        # one column, numpy's products are the 1-D ones and keep their bits
+        return z.T @ margin_slopes(spec, z @ theta) / n + (ridge * theta + b) / n
 
     lr = cfg.sgd_learning_rate
     for it in range(cfg.sgd_iterations):
         theta = theta - lr * gradient(theta)
-        if not np.all(np.isfinite(theta)):
-            raise NumericalError(f"non-finite iterate at sgd step {it + 1}")
-    return theta, cfg.sgd_iterations, float(np.linalg.norm(gradient(theta)))
+        finite = np.isfinite(theta).all(axis=0)
+        if not finite.all():
+            run = first + int(np.flatnonzero(~finite)[0])
+            raise NumericalError(f"non-finite iterate at sgd step {it + 1} of run {run}")
+    grad = gradient(theta)
+    return theta, [float(np.linalg.norm(g)) for g in grad.T]
 
 
 def _run_newton(theta, d, spec, cfg, pert):

@@ -106,3 +106,30 @@ def aggregate_calls(monkeypatch):
     return _record_sites(
         monkeypatch, "aggregate", losses.aggregate, (trainer, sensitivity, chooser)
     )
+
+
+@pytest.fixture
+def sgd_block_widths(monkeypatch):
+    """List with the column count of each block the sgd loop steps."""
+    from eps_planner import trainer
+
+    widths = []
+    block = trainer._sgd_block
+
+    def recording(theta, *args):
+        widths.append(theta.shape[1])
+        return block(theta, *args)
+
+    monkeypatch.setattr(trainer, "_sgd_block", recording)
+    return widths
+
+
+@pytest.fixture
+def three_column_blocks(monkeypatch):
+    """A 300 x 6 dataset whose sgd runs step in blocks of 3 columns."""
+    from eps_planner import trainer
+    from eps_planner.data import gen_synthetic
+
+    d = gen_synthetic(300, 6, 1.5, 12)
+    monkeypatch.setattr(trainer, "SGD_BLOCK_BYTES", 3 * 8 * d.n)
+    return d

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eps_planner import losses, sensitivity, trainer
-from eps_planner.chooser import choose_epsilon, measure, plan
+from eps_planner.chooser import choose_epsilon, measure, measure_many, plan
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import FlatSlopeError, NumericalError, UnreachableUtilityError
 from eps_planner.losses import make_loss_spec
@@ -264,3 +264,43 @@ class TestPlan:
         result = plan(d, spec, cfg, 1.0, 0.1, target, seed=0)
         assert result.scale.scale == error_scale(1.0, result.chosen_eps, 1).scale
         assert result.scale.scale > 0
+
+
+class TestMeasureMany:
+    """Runs measured together: each is `measure`'s result for its own
+    (eps, seed), and `measure` is the one-run case."""
+
+    RUNS = [(0.05, 4), (0.3, 4), (1.0, 9), (0.3, 11), (2.0, 0), (0.1, 23), (0.7, 5)]
+
+    @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_measure_is_the_one_run_case(self, three_column_blocks, kind, solver_mode):
+        d = three_column_blocks
+        spec = make_loss_spec(kind, d.p, "tight")
+        cfg = TrainConfig(solver_mode=solver_mode)
+        assert measure(d, spec, cfg, 0.3, 1e-3, 4) == measure_many(d, spec, cfg, 1e-3, [(0.3, 4)])[0]
+
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_exact_runs_equal_measure_bit_for_bit(self, three_column_blocks, kind):
+        d = three_column_blocks
+        spec = make_loss_spec(kind, d.p, "tight")
+        cfg = TrainConfig()
+        runs = self.RUNS[:4]
+        many = measure_many(d, spec, cfg, 1e-3, runs)
+        assert many == [measure(d, spec, cfg, eps, 1e-3, seed) for eps, seed in runs]
+
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_sgd_runs_match_measure(self, three_column_blocks, kind):
+        d = three_column_blocks
+        spec = make_loss_spec(kind, d.p, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        before = trainer.TRAIN_CALL_COUNT
+        many = measure_many(d, spec, cfg, 1e-3, self.RUNS)
+        assert trainer.TRAIN_CALL_COUNT - before == len(self.RUNS)
+        for (eps, seed), m in zip(self.RUNS, many):
+            one = measure(d, spec, cfg, eps, 1e-3, seed)
+            assert m.model.noise == one.model.noise and m.line.measure_eps == eps
+            rel = np.linalg.norm(m.model.theta - one.model.theta) / np.linalg.norm(one.model.theta)
+            assert rel <= 1e-14
+            assert m.line.base_utility == pytest.approx(one.line.base_utility, rel=1e-12)
+            assert m.line.slope == pytest.approx(one.line.slope, rel=1e-10)

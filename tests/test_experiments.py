@@ -139,16 +139,38 @@ class TestMeasuringSweep:
 
     def test_one_target_is_value_error_before_training(self, monkeypatch):
         """One target leaves no other grid point to score it against."""
-        from eps_planner import experiments
+        from eps_planner import experiments, trainer
 
         def no_training(*args, **kwargs):
             raise AssertionError("trained before rejecting the grid")
 
-        monkeypatch.setattr(experiments, "train", no_training)
-        monkeypatch.setattr(experiments, "measure", no_training)
+        for name in ("train", "train_many", "measure", "measure_many"):
+            monkeypatch.setattr(experiments, name, no_training)
+        before = trainer.TRAIN_CALL_COUNT
         cfg = ExperimentConfig(target_grid=(0.5,), **SMALL)
         with pytest.raises(ValueError, match="at least 2 targets, got 1"):
             experiment_measuring_sweep(cfg)
+        assert trainer.TRAIN_CALL_COUNT == before
+
+    def test_trainings_step_in_column_blocks(self, sgd_block_widths):
+        """A 20-target sweep on 5000 x 10 steps its 20 actual and 20
+        measuring runs in blocks of several columns, one train_many call
+        each: a table that falls back to one training per loop, or a
+        block budget too small for two columns, fails here, not only as
+        a slower table."""
+        from eps_planner import trainer
+
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(n=5000, p=10, separation=2.0),
+            measure_eps_list=(0.25,),
+            repeats=1,
+        )
+        assert len(cfg.target_grid) == 20 and cfg.solver_mode == "sgd_repro"
+        experiment_measuring_sweep(cfg)
+        width = trainer.SGD_BLOCK_BYTES // (8 * 5000)
+        assert width >= 2
+        assert sum(sgd_block_widths) == 40
+        assert len(sgd_block_widths) == 2 * -(-20 // width) < 40
 
 
 class TestSampleSweep:

@@ -5,6 +5,7 @@ import pytest
 
 from eps_planner.model import NoiseDraw
 from eps_planner.perturbation import (
+    PerturbationAtEps,
     delta_coeff,
     delta_coeff_prime,
     materialize,
@@ -129,6 +130,25 @@ class TestMaterialize:
             pert = materialize(nd, 2.0, 1e-3, eps, 4.0)
             assert pert.sigma_prime < 0.0
             assert pert.delta_eps_prime < 0.0
+
+
+class TestPerturbationArrays:
+    def test_caller_arrays_are_copied_not_frozen(self):
+        """A view of the caller's array taken before construction cannot
+        write through to the perturbation, and the caller's array stays
+        writeable."""
+        b = np.ones(3)
+        view = b[:]
+        pert = PerturbationAtEps(1.0, 1.0, -1.0, 1.0, -1.0, b, b.copy(), b.copy())
+        view[0] = 7.0
+        np.testing.assert_array_equal(pert.b, np.ones(3))
+        assert b.flags.writeable
+        assert not pert.b.flags.writeable
+
+    def test_materialized_arrays_are_read_only(self):
+        pert = materialize(NoiseDraw.generate(4, 2), 1.0, 0.1, 0.5, 1.0)
+        for a in (pert.b, pert.b_prime, pert.base_u):
+            assert not a.flags.writeable
 
 
 class TestDistributionalSanity:

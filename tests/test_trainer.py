@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from eps_planner import trainer
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import NumericalError
 from eps_planner.losses import aggregate, hessian, make_loss_spec, margins
@@ -15,6 +16,7 @@ from eps_planner.trainer import (
     classification_error_rate,
     perturbed_objective,
     train,
+    train_many,
     utility,
 )
 
@@ -317,6 +319,85 @@ class TestTrainSgdRepro:
             for eps in (0.05, 0.5, 5.0):
                 m = train(d, spec, cfg, PrivacyBudget(eps, 1e-3), NoiseDraw.generate(8, seed))
                 assert np.isfinite(utility(m.theta, d, spec))
+
+
+class TestTrainMany:
+    """Runs stepped together as the columns of one iterate give each run
+    its one-run model; a block width of 3 leaves 7 runs a one-column last
+    block."""
+
+    EPS = (0.05, 0.3, 1.0, 0.3, 2.0, 0.1, 0.7)
+    SEEDS = (4, 4, 9, 11, 0, 23, 5)
+
+    def runs(self, p):
+        return [
+            (PrivacyBudget(eps, 1e-3), NoiseDraw.generate(p, seed))
+            for eps, seed in zip(self.EPS, self.SEEDS)
+        ]
+
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_each_column_is_its_one_run_model(self, three_column_blocks, kind):
+        d = three_column_blocks
+        spec = make_loss_spec(kind, d.p, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        runs = self.runs(d.p)
+        many = train_many(d, spec, cfg, runs)
+        assert len(many) == len(runs)
+        for (budget, noise), m in zip(runs, many):
+            one = train(d, spec, cfg, budget, noise)
+            assert m.budget == budget and m.noise is noise
+            assert m.iterations_used == one.iterations_used == cfg.sgd_iterations
+            rel = np.linalg.norm(m.theta - one.theta) / np.linalg.norm(one.theta)
+            assert rel <= 1e-14
+            assert m.grad_norm_at_solution == pytest.approx(one.grad_norm_at_solution, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_exact_runs_equal_train_bit_for_bit(self, three_column_blocks, kind):
+        d = three_column_blocks
+        spec = make_loss_spec(kind, d.p, "tight")
+        cfg = TrainConfig()
+        runs = self.runs(d.p)[:4]
+        assert train_many(d, spec, cfg, runs) == [train(d, spec, cfg, *run) for run in runs]
+
+    @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])
+    def test_train_call_count_rises_by_the_run_count(self, three_column_blocks, solver_mode):
+        d = three_column_blocks
+        spec = make_loss_spec("logistic", d.p, "tight")
+        before = trainer.TRAIN_CALL_COUNT
+        train_many(d, spec, TrainConfig(solver_mode=solver_mode), self.runs(d.p))
+        assert trainer.TRAIN_CALL_COUNT - before == len(self.EPS)
+
+    def test_non_finite_iterate_names_step_and_run(self, three_column_blocks):
+        """Run 4, in the second block, has an infinite noise vector: its
+        first step leaves the iterate infinite."""
+        d = three_column_blocks
+        spec = make_loss_spec("logistic", d.p, "tight")
+        runs = self.runs(d.p)
+        runs[4] = (runs[4][0], NoiseDraw(np.full(d.p, np.inf), 0))
+        with pytest.raises(NumericalError, match=r"^non-finite iterate at sgd step 1 of run 4$"):
+            train_many(d, spec, TrainConfig(solver_mode="sgd_repro"), runs)
+
+    @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])
+    def test_noise_length_is_checked_before_training(self, three_column_blocks, solver_mode):
+        d = three_column_blocks
+        spec = make_loss_spec("logistic", d.p, "tight")
+        runs = self.runs(d.p)
+        runs[-1] = (runs[-1][0], NoiseDraw.generate(d.p + 1, 0))
+        before = trainer.TRAIN_CALL_COUNT
+        with pytest.raises(ValueError, match="noise draw has length 7, dataset has p=6"):
+            train_many(d, spec, TrainConfig(solver_mode=solver_mode), runs)
+        assert trainer.TRAIN_CALL_COUNT == before
+
+    def test_blocks_follow_the_byte_budget(self, three_column_blocks, sgd_block_widths):
+        d = three_column_blocks
+        spec = make_loss_spec("logistic", d.p, "tight")
+        train_many(d, spec, TrainConfig(solver_mode="sgd_repro"), self.runs(d.p))
+        assert sgd_block_widths == [3, 3, 1]
+
+    def test_no_runs_train_nothing(self, three_column_blocks):
+        d = three_column_blocks
+        spec = make_loss_spec("logistic", d.p, "tight")
+        assert train_many(d, spec, TrainConfig(solver_mode="sgd_repro"), []) == []
 
 
 class TestUtility:
