@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .model import NoiseDraw, _readonly
 
 
@@ -24,6 +25,11 @@ def _check_domain(zeta: float | None, delta: float | None, eps: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+
+
+def _extreme_eps(eps: float) -> NumericalError:
+    # eps**2 overflows above about 1.3e154 and rounds to 0 below about 1e-162
+    return NumericalError(f"eps={eps!r} is too extreme: eps**2 is not a positive finite float")
 
 
 def delta_coeff(lambda_hess: float, eps: float) -> float:
@@ -39,7 +45,10 @@ def delta_coeff_prime(lambda_hess: float, eps: float) -> float:
     if not lambda_hess > 0:
         raise ValueError(f"lambda_hess must be positive, got {lambda_hess}")
     _check_domain(None, None, eps)
-    return -2.0 * lambda_hess / eps**2
+    try:
+        return -2.0 * lambda_hess / eps**2
+    except (OverflowError, ZeroDivisionError):
+        raise _extreme_eps(eps) from None
 
 
 def noise_sigma(zeta: float, delta: float, eps: float) -> float:
@@ -57,7 +66,10 @@ def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
     """
     _check_domain(zeta, delta, eps)
     a = math.log(2.0 / delta)
-    return -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps))
+    try:
+        return -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps))
+    except (OverflowError, ZeroDivisionError):
+        raise _extreme_eps(eps) from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,17 +22,25 @@ point's line search already computed.
 
 `train_many` trains a list of (budget, noise draw) runs. Its sgd_repro
 runs step together as the columns of a p x K iterate, in blocks of K
-columns sized so that an n x K temporary stays within SGD_BLOCK_BYTES
-(as HESSIAN_BLOCK_BYTES sizes the Hessian's row blocks), with one ridge
-and one noise vector per column, the per-step finiteness check and a
-final gradient norm per column. `train` is the one-column case of that
-loop. An sgd step and the final gradient check evaluate the gradient
-alone, on rows z_i = y_i x_i built once per call (one transient n x p
-copy): z theta and z^T l' carry the bits of `margins` and `aggregate`,
-since y = +-1 only flips signs, and with one column numpy's products
-are the 1-D ones, so `train` keeps those bits. With more columns a
-column can differ from its one-run `train` by the reassociation of the
-BLAS products, within 1e-14 relative. Exact runs train one at a time.
+columns, with one ridge and one noise vector per column, the per-step
+finiteness check and a final gradient norm per column. `train` is the
+one-column case of that loop. An sgd step and the final gradient check
+evaluate the gradient alone, on rows z_i = y_i x_i built once per call
+(one transient n x p copy): z theta and z^T l' carry the bits of
+`margins` and `aggregate`, since y = +-1 only flips signs, and with one
+column numpy's products are the 1-D ones, so `train` keeps those bits.
+With more columns a column can differ from its one-run `train` by the
+reassociation of the BLAS products, within 1e-14 relative. Exact runs
+train one at a time.
+
+Each call allocates one n x K margins buffer, for its widest block, and
+each block one p x K gradient buffer. Every gradient writes z theta into
+the first, overwrites it in place with the slopes l', a row chunk at a
+time, and writes z^T l' into the second, so no step of a wide block
+allocates an n x K array. A block of one chunk, and so a one-column
+block, reads its slopes where `margin_slopes` put them, as `aggregate`
+does, instead of copying them back. SGD_BLOCK_BYTES bounds the buffer,
+and so sets K.
 
 Training is deterministic given (dataset, spec, config, budget, seed)
 and, for `train_many`'s sgd_repro runs, the block a run is stepped in.
@@ -134,10 +142,10 @@ def train_many(
     trains it from zero.
 
     sgd_repro runs step together, as the columns of a p x K iterate in
-    blocks of columns sized by SGD_BLOCK_BYTES; a column's bits may
-    differ from its one-run `train` by the reassociation of the BLAS
-    products (within 1e-14 relative). Exact runs train one at a time,
-    through `train`.
+    blocks of columns whose n x K margins buffer stays within
+    SGD_BLOCK_BYTES; a column's bits may differ from its one-run `train`
+    by the reassociation of the BLAS products (within 1e-14 relative).
+    Exact runs train one at a time, through `train`.
     """
     global TRAIN_CALL_COUNT
     runs = list(runs)
@@ -174,12 +182,18 @@ def _model(theta, iters, grad_norm, spec, cfg, budget, noise) -> PrivateModel:
     )
 
 
-# bytes of one n x K temporary of the sgd loop (K = 3 at n = 5000). Kept
-# below glibc's default 128 KiB mmap and trim thresholds, header included,
-# a block's temporaries reuse freed heap memory; at K = 4 (160 KB) the
-# allocator returned and re-faulted their pages at every step, which
-# doubled a table's time
-SGD_BLOCK_BYTES = 120 * 1024
+# bytes of the n x K margins buffer that an sgd call allocates once and
+# reuses at every step (K = 104 at n = 5000, 26 at n = 20000, 1 from
+# n = 262145). Each step streams z twice per block, so wider blocks pay
+# for that pass over fewer runs; 20 runs at 20000 x 50 took 1.19, 0.83
+# and 0.49 s at 1, 2 and 4 MiB (one BLAS thread, 2-vCPU Xeon)
+SGD_BLOCK_BYTES = 4 * 1024 * 1024
+
+# bytes of one row chunk's slope temporaries. Kept below glibc's default
+# 128 KiB mmap and trim thresholds, header included, they reuse freed
+# heap memory; unchunked, a 20-target table on 5000 x 10 (K = 20)
+# faulted about 112,000 pages
+_SLOPE_CHUNK_BYTES = 120 * 1024
 
 
 def _run_sgd(theta, d, spec, cfg, perts):
@@ -189,26 +203,44 @@ def _run_sgd(theta, d, spec, cfg, perts):
     # aggregate's X^T (l' * y), bit for bit
     z = d.features * d.labels[:, None]
     width = max(1, SGD_BLOCK_BYTES // (8 * d.n))
+    # a block of k columns reads the first n * k entries as its n x k
+    # margins, so each block's view is C-ordered
+    buf = np.empty(d.n * min(width, len(perts)))
     thetas, grad_norms = [], []
     for first in range(0, len(perts), width):
         cols = slice(first, first + width)
         start = np.ascontiguousarray(theta[:, cols])
-        block, norms = _sgd_block(start, z, spec, cfg, perts[cols], first)
+        block, norms = _sgd_block(start, z, spec, cfg, perts[cols], first, buf)
         thetas += list(block.T)
         grad_norms += norms
     return thetas, grad_norms
 
 
-def _sgd_block(theta, z, spec, cfg, perts, first):
-    n = z.shape[0]
+def _sgd_block(theta, z, spec, cfg, perts, first, buf):
+    n, k = z.shape[0], theta.shape[1]
     # one ridge and one noise vector per column
     ridge = np.array([cfg.reg_lambda + pert.delta_eps_coeff for pert in perts])
     b = np.stack([pert.b for pert in perts], axis=1)
+    m = buf[: n * k].reshape(n, k)
+    grad = np.empty_like(theta)
+    # a one-column block is one chunk: its slopes are n-vectors, as in
+    # `aggregate`, and copying them back made `train` about 2% slower
+    rows = n if k == 1 else max(1, _SLOPE_CHUNK_BYTES // (8 * k))
 
     def gradient(theta):
         # perturbed_objective's gradient, in its order of operations; with
         # one column, numpy's products are the 1-D ones and keep their bits
-        return z.T @ margin_slopes(spec, z @ theta) / n + (ridge * theta + b) / n
+        np.matmul(z, theta, out=m)
+        if rows >= n:
+            s = margin_slopes(spec, m)
+        else:
+            s = m
+            for r in range(0, n, rows):
+                s[r : r + rows] = margin_slopes(spec, m[r : r + rows])
+        g = np.matmul(z.T, s, out=grad)
+        g /= n
+        g += (ridge * theta + b) / n
+        return g
 
     lr = cfg.sgd_learning_rate
     for it in range(cfg.sgd_iterations):
@@ -217,8 +249,7 @@ def _sgd_block(theta, z, spec, cfg, perts, first):
         if not finite.all():
             run = first + int(np.flatnonzero(~finite)[0])
             raise NumericalError(f"non-finite iterate at sgd step {it + 1} of run {run}")
-    grad = gradient(theta)
-    return theta, [float(np.linalg.norm(g)) for g in grad.T]
+    return theta, [float(np.linalg.norm(g)) for g in gradient(theta).T]
 
 
 def _run_newton(theta, d, spec, cfg, pert):

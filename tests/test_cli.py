@@ -256,6 +256,20 @@ class TestNumericalErrors:
         assert code == 3
         assert "not positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--eps", "1e-300"],
+        ["train", "--eps", "1e300"],
+        ["choose-eps", "--measure-eps", "1e-300", "--target-utility", "0.5"],
+        ["estimate", "--measure-eps", "1e-300", "--repeats", "1", "--targets", "0.5,1"],
+    ])
+    def test_extreme_budget_is_exit_3(self, argv, capsys):
+        """A budget whose square leaves the float range is one numerical
+        failure line, not a traceback."""
+        code = run_cli(argv + ["--synthetic", "300,3,2.0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: eps=1e[-+]300 is too extreme: .*\n", err)
+
     def test_indefinite_newton_matrix_is_exit_3(self, data_csv, monkeypatch, capsys):
         from eps_planner import trainer
 

@@ -154,12 +154,10 @@ class TestMeasuringSweep:
 
     def test_trainings_step_in_column_blocks(self, sgd_block_widths):
         """A 20-target sweep on 5000 x 10 steps its 20 actual and 20
-        measuring runs in blocks of several columns, one train_many call
-        each: a table that falls back to one training per loop, or a
-        block budget too small for two columns, fails here, not only as
-        a slower table."""
-        from eps_planner import trainer
-
+        measuring runs in one block each, one train_many call each: a
+        table that falls back to one training per loop, or a block
+        budget too small for all 20 columns, fails here, not only as a
+        slower table."""
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(n=5000, p=10, separation=2.0),
             measure_eps_list=(0.25,),
@@ -167,10 +165,7 @@ class TestMeasuringSweep:
         )
         assert len(cfg.target_grid) == 20 and cfg.solver_mode == "sgd_repro"
         experiment_measuring_sweep(cfg)
-        width = trainer.SGD_BLOCK_BYTES // (8 * 5000)
-        assert width >= 2
-        assert sum(sgd_block_widths) == 40
-        assert len(sgd_block_widths) == 2 * -(-20 // width) < 40
+        assert sgd_block_widths == [20, 20]
 
 
 class TestSampleSweep:

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from eps_planner.errors import NumericalError
 from eps_planner.model import NoiseDraw
 from eps_planner.perturbation import (
     PerturbationAtEps,
@@ -88,6 +90,29 @@ class TestNoiseSigmaPrime:
         coeff = (4 * LN20 + 1.0) / math.sqrt(2 * LN20 + 1.0)
         assert abs(noise_sigma_prime(1.0, 0.1, 1.0)) == pytest.approx(coeff, rel=1e-15)
         assert noise_sigma_prime(1.0, 0.1, 1.0) == pytest.approx(SIGMA_PRIME_1, rel=1e-15)
+
+
+class TestExtremeEps:
+    """eps**2 overflows above about 1.3e154 and rounds to 0 below about
+    1e-162: both derivatives raise NumericalError naming eps there, and
+    keep their formulas' values just inside."""
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-163, 1e155, 1e300])
+    def test_out_of_range_is_numerical_error(self, eps):
+        pattern = re.escape(f"eps={eps!r} is too extreme")
+        with pytest.raises(NumericalError, match=pattern):
+            delta_coeff_prime(1.0, eps)
+        with pytest.raises(NumericalError, match=pattern):
+            noise_sigma_prime(1.0, 0.1, eps)
+        with pytest.raises(NumericalError, match=pattern):
+            materialize(NoiseDraw.generate(3, 0), 1.0, 0.1, eps, 1.0)
+
+    @pytest.mark.parametrize("eps", [1e-160, 1e150])
+    def test_in_range_keeps_the_formulas(self, eps):
+        a = math.log(2.0 / 0.1)
+        assert delta_coeff_prime(1.0, eps) == -2.0 / eps**2
+        expected = -(4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps))
+        assert noise_sigma_prime(1.0, 0.1, eps) == expected
 
 
 class TestMaterialize:

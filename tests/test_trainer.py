@@ -394,6 +394,28 @@ class TestTrainMany:
         train_many(d, spec, TrainConfig(solver_mode="sgd_repro"), self.runs(d.p))
         assert sgd_block_widths == [3, 3, 1]
 
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_steps_reuse_one_margins_buffer(self, kind):
+        """20 runs on 5000 x 10 step as one block and hold the rows z, one
+        n x 20 margins buffer and a few 120 KiB slope chunks: n x 20
+        temporaries at every step would exceed this. Each column, whose
+        slopes are taken a row chunk at a time, is its one-run model,
+        whose slopes are taken at once."""
+        d = gen_synthetic(5000, 10, 2.0, 1)
+        spec = make_loss_spec(kind, d.p, "tight")
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        runs = [(PrivacyBudget(0.05 * (i + 1), 1e-3), NoiseDraw.generate(d.p, i)) for i in range(20)]
+        tracemalloc.start()
+        try:
+            many = train_many(d, spec, cfg, runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= d.features.nbytes + 8 * d.n * len(runs) + 6 * 120 * 1024
+        for run, m in zip(runs, many):
+            one = train(d, spec, cfg, *run)
+            assert np.linalg.norm(m.theta - one.theta) <= 1e-14 * np.linalg.norm(one.theta)
+
     def test_no_runs_train_nothing(self, three_column_blocks):
         d = three_column_blocks
         spec = make_loss_spec("logistic", d.p, "tight")
