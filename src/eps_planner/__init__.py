@@ -37,19 +37,15 @@ from .model import (
     validate_dataset,
 )
 from .perturbation import (
-    PerturbationAtEps,
     delta_coeff,
     delta_coeff_prime,
-    materialize,
     noise_sigma,
     noise_sigma_prime,
 )
 from .sensitivity import (
     ErrorScale,
-    dtheta_deps,
     error_scale,
     extrapolate,
-    utility_slope,
 )
 from .trainer import (
     TrainConfig,
@@ -95,17 +91,13 @@ __all__ = [
     "PrivateModel",
     "SensitivityReport",
     "validate_dataset",
-    "PerturbationAtEps",
     "delta_coeff",
     "delta_coeff_prime",
-    "materialize",
     "noise_sigma",
     "noise_sigma_prime",
     "ErrorScale",
-    "dtheta_deps",
     "error_scale",
     "extrapolate",
-    "utility_slope",
     "TrainConfig",
     "classification_error_rate",
     "perturbed_objective",

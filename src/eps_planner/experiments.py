@@ -9,12 +9,17 @@ judged against. The oracle, by contrast, REQUIRES the same draw on both
 sides of its finite difference. Every emitted row is a pure function of
 the config, so identical configs give identical tables.
 
-Each table trains its actual-loss runs, every grid point times every
-repeat, with one `train_many` call, and its measuring runs, every
-measuring eps times every repeat, with one `measure_many` call (once per
-subset in the sample sweep), so sgd_repro runs step together in column
-blocks. A row therefore differs from the row that one training at a
-time gives only by float reassociation (within 1e-14 relative in theta).
+The three experiments share one table, `experiment_estimate_vs_actual`:
+the measuring sweep averages it with every target as a measuring eps,
+and the sample sweep builds it on each nested subset. That table trains
+its actual-loss runs, every grid point times every repeat, with one
+`train_many` call, and its measuring runs, every measuring eps times
+every repeat, with one `measure_many` call, so sgd_repro runs step
+together in column blocks. A row therefore differs from the row that one
+training at a time gives only by float reassociation (within 1e-14
+relative in theta). The oracle likewise measures all its runs with one
+`measure_many` call and retrains both sides of every difference with
+one `train_many` call.
 """
 from __future__ import annotations
 
@@ -23,12 +28,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .chooser import measure, measure_many
+from .chooser import measure_many
 from .data import gen_synthetic
 from .losses import make_loss_spec
 from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget
 from .sensitivity import extrapolate
-from .trainer import TrainConfig, train, train_many, utility
+from .trainer import TrainConfig, train_many, utility
 
 DEFAULT_TARGETS_LOW = tuple(round(0.05 * i, 2) for i in range(1, 21))
 DEFAULT_MEASURING_LOW = (0.1, 0.25, 0.75)
@@ -116,104 +121,84 @@ def seed_scheme(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _actual_means(d, spec, tcfg, grid, cfg) -> np.ndarray:
-    """Mean actual loss per grid point over `repeats` independent draws,
-    every draw of every grid point trained by one `train_many` call."""
-    first = cfg.base_seed + ACTUAL_SEED_OFFSET
-    runs = [
-        (PrivacyBudget(eps, cfg.delta), NoiseDraw.generate(d.p, first + j * cfg.repeats + r))
-        for j, eps in enumerate(grid)
-        for r in range(cfg.repeats)
-    ]
-    vals = [utility(model.theta, d, spec) for model in train_many(d, spec, tcfg, runs)]
-    return np.mean(np.reshape(vals, (len(grid), cfg.repeats)), axis=1)
-
-
-def _estimate_means(d, spec, tcfg, measuring, grid, cfg) -> list[np.ndarray]:
-    """Mean estimated loss per grid point, extrapolated from each measuring
-    eps in turn, every repeat of every measuring eps measured by one
-    `measure_many` call."""
-    seeds = [cfg.base_seed + r for r in range(cfg.repeats)]
-    found = measure_many(d, spec, tcfg, cfg.delta, [(me, s) for me in measuring for s in seeds])
-    means = []
-    for i in range(len(measuring)):
-        acc = np.zeros(len(grid))
-        for m in found[i * cfg.repeats : (i + 1) * cfg.repeats]:
-            acc += [extrapolate(m.line, t) for t in grid]
-        means.append(acc / cfg.repeats)
-    return means
-
-
-def _error_rows(key, value, grid, est, act) -> list[dict]:
-    """One (key, target, estimated, actual, abs error) row per grid point."""
-    return [
-        {
-            key: value,
-            "target_eps": t,
-            "estimated_loss": float(est[j]),
-            "actual_loss": float(act[j]),
-            "abs_error": float(abs(est[j] - act[j])),
-        }
-        for j, t in enumerate(grid)
-    ]
-
-
 def experiment_estimate_vs_actual(cfg: ExperimentConfig, d: Dataset | None = None) -> list[dict]:
-    """Experiment 1: extrapolated vs independently retrained loss.
+    """Experiment 1: extrapolated vs independently retrained loss, the
+    table the other two experiments are read from.
 
     One row per (measuring eps, target eps) with the repeat-averaged
     estimated loss, actual loss and their absolute gap.
     """
     d, spec, tcfg = resolve(cfg, d)
-    act = _actual_means(d, spec, tcfg, cfg.target_grid, cfg)
-    ests = _estimate_means(d, spec, tcfg, cfg.measure_eps_list, cfg.target_grid, cfg)
+    grid, reps = cfg.target_grid, cfg.repeats
+    first = cfg.base_seed + ACTUAL_SEED_OFFSET
+    actual_runs = [
+        (PrivacyBudget(eps, cfg.delta), NoiseDraw.generate(d.p, first + j * reps + r))
+        for j, eps in enumerate(grid)
+        for r in range(reps)
+    ]
+    vals = [utility(model.theta, d, spec) for model in train_many(d, spec, tcfg, actual_runs)]
+    act = np.mean(np.reshape(vals, (len(grid), reps)), axis=1)
+    measuring_runs = [(me, cfg.base_seed + r) for me in cfg.measure_eps_list for r in range(reps)]
+    found = measure_many(d, spec, tcfg, cfg.delta, measuring_runs)
     rows = []
-    for me, est in zip(cfg.measure_eps_list, ests):
-        rows += _error_rows("measure_eps", me, cfg.target_grid, est, act)
+    for i, me in enumerate(cfg.measure_eps_list):
+        est = np.zeros(len(grid))
+        for m in found[i * reps : (i + 1) * reps]:
+            est += [extrapolate(m.line, t) for t in grid]
+        est /= reps
+        rows += [
+            {
+                "measure_eps": me,
+                "target_eps": t,
+                "estimated_loss": float(est[j]),
+                "actual_loss": float(act[j]),
+                "abs_error": float(abs(est[j] - act[j])),
+            }
+            for j, t in enumerate(grid)
+        ]
     return rows
 
 
 def experiment_measuring_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> list[dict]:
     """Experiment 2: how the measuring point placement drives average error.
 
-    Every point of the target grid doubles as a measuring candidate and
-    is scored by its average absolute error over all other grid points,
-    so the grid needs at least 2 targets (ValueError otherwise).
+    The estimate table with every target doubling as a measuring eps:
+    each is scored by the mean abs_error of its rows at the other grid
+    points, so the grid needs at least 2 targets (ValueError otherwise,
+    before any training).
     """
     grid = cfg.target_grid
     if len(grid) < 2:
         raise ValueError(f"the measuring sweep needs at least 2 targets, got {len(grid)}")
-    d, spec, tcfg = resolve(cfg, d)
-    act = _actual_means(d, spec, tcfg, grid, cfg)
-    ests = _estimate_means(d, spec, tcfg, grid, grid, cfg)
-    rows = []
-    for mi, (me, est) in enumerate(zip(grid, ests)):
-        others = [j for j in range(len(grid)) if j != mi]
-        avg_err = float(np.mean([abs(est[j] - act[j]) for j in others]))
-        rows.append({"measure_eps": me, "avg_abs_error": avg_err})
-    return rows
+    rows = experiment_estimate_vs_actual(replace(cfg, measure_eps_list=grid), d)
+    # row i of `errors` holds measuring eps i's abs_error at every target
+    errors = np.reshape([r["abs_error"] for r in rows], (len(grid), len(grid)))
+    return [
+        {"measure_eps": me, "avg_abs_error": float(np.mean(np.delete(errors[i], i)))}
+        for i, me in enumerate(grid)
+    ]
 
 
 def experiment_sample_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> list[dict]:
     """Experiment 3: estimation error against sample count.
 
-    Subsets are prefixes of one seeded permutation, so smaller samples
-    are nested inside larger ones. The measuring point is the first
-    entry of cfg.measure_eps_list.
+    The estimate table on each subset, measured at the first entry of
+    cfg.measure_eps_list, with `n` in place of `measure_eps`. Subsets are
+    prefixes of one seeded permutation, so smaller samples are nested
+    inside larger ones.
     """
-    d, spec, tcfg = resolve(cfg, d)
+    d = resolve(cfg, d)[0]
     if max(cfg.sample_grid) > d.n:
         raise ValueError(
             f"sample grid goes up to {max(cfg.sample_grid)} but the dataset has n={d.n}"
         )
-    me = cfg.measure_eps_list[0]
+    first_eps = replace(cfg, measure_eps_list=cfg.measure_eps_list[:1])
     perm = np.random.default_rng(cfg.base_seed + SUBSAMPLE_SEED_OFFSET).permutation(d.n)
     rows = []
     for n_sub in cfg.sample_grid:
-        sub = d.subset(perm[:n_sub])
-        act = _actual_means(sub, spec, tcfg, cfg.target_grid, cfg)
-        (est,) = _estimate_means(sub, spec, tcfg, (me,), cfg.target_grid, cfg)
-        rows += _error_rows("n", n_sub, cfg.target_grid, est, act)
+        for row in experiment_estimate_vs_actual(first_eps, d.subset(perm[:n_sub])):
+            del row["measure_eps"]
+            rows.append({"n": n_sub, **row})
     return rows
 
 
@@ -221,36 +206,39 @@ def oracle_compare(cfg: ExperimentConfig, d: Dataset | None = None) -> list[dict
     """Brute-force check of the implicit-differentiation solve.
 
     For each measuring eps and repeat: measure dtheta/deps and the
-    utility slope analytically with `measure`, then recompute both by
-    central finite differences of exact retraining at eps +/- h, with
+    utility slope analytically, then recompute both by central finite
+    differences of exact retraining at eps +/- h, with
     h = ORACLE_FD_STEP_REL * eps and the SAME noise draw, and report
     relative errors. Requires the exact solver.
     """
     d, spec, tcfg = resolve(cfg, d)
     tcfg = replace(tcfg, solver_mode="exact", stationarity_tol=1e-12, max_exact_iterations=500)
+    runs = [(me, cfg.base_seed + r) for me in cfg.measure_eps_list for r in range(cfg.repeats)]
+    found = measure_many(d, spec, tcfg, cfg.delta, runs)
+    steps = [ORACLE_FD_STEP_REL * me for me, _ in runs]
+    # eps - h, then eps + h, both on the measuring run's own draw
+    retrain = [
+        (PrivacyBudget(me + side, cfg.delta), m.model.noise)
+        for (me, _), h, m in zip(runs, steps, found)
+        for side in (-h, h)
+    ]
+    sides = train_many(d, spec, tcfg, retrain)
     rows = []
-    for me in cfg.measure_eps_list:
-        h = ORACLE_FD_STEP_REL * me
-        for r in range(cfg.repeats):
-            seed = cfg.base_seed + r
-            m = measure(d, spec, tcfg, me, cfg.delta, seed)
-            noise = m.model.noise
-            lo = train(d, spec, tcfg, PrivacyBudget(me - h, cfg.delta), noise)
-            hi = train(d, spec, tcfg, PrivacyBudget(me + h, cfg.delta), noise)
-            v_fd = (hi.theta - lo.theta) / (2.0 * h)
-            slope_fd = (utility(hi.theta, d, spec) - utility(lo.theta, d, spec)) / (2.0 * h)
+    for (me, seed), h, m, lo, hi in zip(runs, steps, found, sides[::2], sides[1::2]):
+        v_fd = (hi.theta - lo.theta) / (2.0 * h)
+        slope_fd = (utility(hi.theta, d, spec) - utility(lo.theta, d, spec)) / (2.0 * h)
 
-            dtheta_rel = float(
-                np.linalg.norm(m.report.dtheta_deps - v_fd) / max(np.linalg.norm(v_fd), 1e-300)
-            )
-            slope_rel = float(abs(m.line.slope - slope_fd) / max(abs(slope_fd), 1e-300))
-            rows.append(
-                {
-                    "measure_eps": me,
-                    "seed": seed,
-                    "dtheta_rel_err": dtheta_rel,
-                    "slope_rel_err": slope_rel,
-                    "fd_step": h,
-                }
-            )
+        dtheta_rel = float(
+            np.linalg.norm(m.report.dtheta_deps - v_fd) / max(np.linalg.norm(v_fd), 1e-300)
+        )
+        slope_rel = float(abs(m.line.slope - slope_fd) / max(abs(slope_fd), 1e-300))
+        rows.append(
+            {
+                "measure_eps": me,
+                "seed": seed,
+                "dtheta_rel_err": dtheta_rel,
+                "slope_rel_err": slope_rel,
+                "fd_step": h,
+            }
+        )
     return rows

@@ -45,6 +45,8 @@ def delta_coeff_prime(lambda_hess: float, eps: float) -> float:
     if not lambda_hess > 0:
         raise ValueError(f"lambda_hess must be positive, got {lambda_hess}")
     _check_domain(None, None, eps)
+    # a Python float raises where a numpy scalar's eps**2 would warn
+    eps = float(eps)
     try:
         return -2.0 * lambda_hess / eps**2
     except (OverflowError, ZeroDivisionError):
@@ -65,7 +67,7 @@ def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
     finite differences of noise_sigma confirm the negative one.)
     """
     _check_domain(zeta, delta, eps)
-    a = math.log(2.0 / delta)
+    a, eps = math.log(2.0 / delta), float(eps)
     try:
         return -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps))
     except (OverflowError, ZeroDivisionError):

@@ -124,11 +124,14 @@ def train(
     pert = _perturbation(d, spec, budget, noise)
     TRAIN_CALL_COUNT += 1
     theta = np.zeros(d.p) if theta0 is None else np.array(theta0, dtype=np.float64)
-    if cfg.solver_mode == "sgd_repro":
-        (theta,), (grad_norm,) = _run_sgd(theta[:, None], d, spec, cfg, [pert])
-        iters = cfg.sgd_iterations
-    else:
-        theta, iters, grad_norm = _run_newton(theta, d, spec, cfg, pert)
+    # the solvers' finiteness checks report an overflow or NaN as one
+    # NumericalError, so numpy does not also warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.solver_mode == "sgd_repro":
+            (theta,), (grad_norm,) = _run_sgd(theta[:, None], d, spec, cfg, [pert])
+            iters = cfg.sgd_iterations
+        else:
+            theta, iters, grad_norm = _run_newton(theta, d, spec, cfg, pert)
     return _model(theta, iters, grad_norm, spec, cfg, budget, noise)
 
 
@@ -154,7 +157,8 @@ def train_many(
     if cfg.solver_mode != "sgd_repro":
         return [train(d, spec, cfg, budget, noise) for budget, noise in runs]
     TRAIN_CALL_COUNT += len(runs)
-    thetas, grad_norms = _run_sgd(np.zeros((d.p, len(runs))), d, spec, cfg, perts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas, grad_norms = _run_sgd(np.zeros((d.p, len(runs))), d, spec, cfg, perts)
     return [
         _model(theta, cfg.sgd_iterations, grad_norm, spec, cfg, budget, noise)
         for theta, grad_norm, (budget, noise) in zip(thetas, grad_norms, runs)

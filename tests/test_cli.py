@@ -270,6 +270,23 @@ class TestNumericalErrors:
         err = capsys.readouterr().err
         assert re.fullmatch(r"numerical failure: eps=1e[-+]300 is too extreme: .*\n", err)
 
+    @pytest.mark.parametrize("solver, message", [
+        ("exact", "non-finite objective at exact-solver step 0"),
+        ("sgd", "non-finite iterate at sgd step 2 of run 0"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--eps", "1e-160"],
+        ["choose-eps", "--measure-eps", "1e-160", "--target-utility", "0.5"],
+    ])
+    def test_overflowing_training_is_one_line(self, argv, solver, message, capsys):
+        """A noise scale near 1e160 overflows the first steps. The
+        solver's finiteness check reports it as the only stderr line,
+        with no numpy RuntimeWarning before it (under pytest's warning
+        filter such a warning is an error)."""
+        code = run_cli(argv + ["--synthetic", "300,3,2.0", "--solver", solver])
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
     def test_indefinite_newton_matrix_is_exit_3(self, data_csv, monkeypatch, capsys):
         from eps_planner import trainer
 
@@ -727,6 +744,22 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,target_eps,estimated_loss,actual_loss,abs_error"
         assert len(lines) == 5
+
+    def test_sweep_samples_runs_on_its_default_samples(self, capsys):
+        """With no dataset named, the generated set has rows enough for
+        the default grid's largest sample, 16000."""
+        code = run_cli(["sweep-samples", "--targets", "0.5", "--repeats", "1"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines] == ["n", "1000", "4000", "16000"]
+
+    def test_sweep_samples_explicit_synthetic_too_small(self, capsys):
+        code = run_cli(["sweep-samples", "--synthetic", "5000,10,2.0",
+                        "--targets", "0.5", "--repeats", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sample grid goes up to 16000 but the dataset has n=5000\n"
+        )
 
     def test_sweep_samples_rejects_fractional_counts(self, tmp_path, capsys):
         out = tmp_path / "samples.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,22 @@ class TestMeasuringSweep:
         assert sweep[0]["avg_abs_error"] == pytest.approx(cross[(0.2, 0.5)], rel=1e-12)
         assert sweep[1]["avg_abs_error"] == pytest.approx(cross[(0.5, 0.2)], rel=1e-12)
 
+    def test_is_the_off_diagonal_mean_of_the_estimate_table(self):
+        """Each measuring eps scores the mean abs_error of the estimate
+        table's rows at every other target, on the same seeds."""
+        grid = (0.2, 0.35, 0.5, 0.8)
+        cfg = ExperimentConfig(measure_eps_list=(0.25,), target_grid=grid, **SMALL)
+        sweep = experiment_measuring_sweep(cfg)
+        table = experiment_estimate_vs_actual(
+            ExperimentConfig(measure_eps_list=grid, target_grid=grid, **SMALL)
+        )
+        assert [r["measure_eps"] for r in sweep] == list(grid)
+        for row in sweep:
+            me = row["measure_eps"]
+            cross = [r["abs_error"] for r in table if r["measure_eps"] == me != r["target_eps"]]
+            assert len(cross) == len(grid) - 1
+            assert row["avg_abs_error"] == pytest.approx(np.mean(cross), rel=1e-12)
+
     def test_one_target_is_value_error_before_training(self, monkeypatch):
         """One target leaves no other grid point to score it against."""
         from eps_planner import experiments, trainer
@@ -144,7 +162,8 @@ class TestMeasuringSweep:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before rejecting the grid")
 
-        for name in ("train", "train_many", "measure", "measure_many"):
+        # the module's only training routes
+        for name in ("train_many", "measure_many"):
             monkeypatch.setattr(experiments, name, no_training)
         before = trainer.TRAIN_CALL_COUNT
         cfg = ExperimentConfig(target_grid=(0.5,), **SMALL)
@@ -177,6 +196,25 @@ class TestSampleSweep:
         rows = experiment_sample_sweep(cfg)
         half = len(rows) // 2
         assert rows[:half] == rows[half:]
+
+    def test_each_block_is_the_estimate_table_on_its_subset(self):
+        """The rows for sample count n are the estimate table built on
+        the first n rows of the seeded permutation, measured at the
+        first measuring eps, with n in place of measure_eps."""
+        cfg = ExperimentConfig(
+            measure_eps_list=(0.25, 0.5), target_grid=(0.3, 0.6, 0.9),
+            sample_grid=(80, 200), **SMALL
+        )
+        rows = experiment_sample_sweep(cfg)
+        d, _, _ = resolve(cfg)
+        perm = np.random.default_rng(cfg.base_seed + SUBSAMPLE_SEED_OFFSET).permutation(d.n)
+        one = replace(cfg, measure_eps_list=(0.25,))
+        expected = []
+        for n_sub in cfg.sample_grid:
+            for r in experiment_estimate_vs_actual(one, d.subset(perm[:n_sub])):
+                expected.append({"n": n_sub, **{k: v for k, v in r.items() if k != "measure_eps"}})
+        assert rows == expected
+        assert list(rows[0]) == ["n", "target_eps", "estimated_loss", "actual_loss", "abs_error"]
 
     def test_subsets_are_nested_prefixes(self):
         cfg = ExperimentConfig(sample_grid=(50, 120), **SMALL)
@@ -219,6 +257,41 @@ class TestOracleCompare:
         for r in rows:
             assert r["dtheta_rel_err"] <= 1e-3
             assert r["slope_rel_err"] <= 1e-3
+
+    def test_one_measuring_call_and_one_retraining_call(self, monkeypatch):
+        """Every (eps, seed) run is measured by one measure_many call and
+        every eps +/- h retraining trained by one train_many call, each
+        pair on its measuring run's own draw."""
+        from eps_planner import experiments
+
+        calls = {"measure_many": [], "train_many": []}
+
+        def spy(name):
+            real = getattr(experiments, name)
+
+            def wrapper(*args):
+                calls[name].append(args[-1])
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, spy(name))
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(n=150, p=3, separation=1.5),
+            bounds_mode="tight", delta=1e-3, repeats=2, base_seed=4,
+            measure_eps_list=(0.25, 1.0),
+        )
+        rows = oracle_compare(cfg)
+        assert len(rows) == 4
+        (measured,), (retrained,) = calls["measure_many"], calls["train_many"]
+        assert measured == [(0.25, 4), (0.25, 5), (1.0, 4), (1.0, 5)]
+        assert len(retrained) == 8
+        for i, ((me, seed), row) in enumerate(zip(measured, rows)):
+            (lo, lo_noise), (hi, hi_noise) = retrained[2 * i : 2 * i + 2]
+            h = row["fd_step"]
+            assert (lo.epsilon, hi.epsilon) == (me - h, me + h)
+            assert lo_noise is hi_noise and lo_noise.seed == seed
 
     def test_halving_step_is_consistent(self):
         """The finite difference moves less than its own distance to the

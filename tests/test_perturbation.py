@@ -115,6 +115,24 @@ class TestExtremeEps:
         assert noise_sigma_prime(1.0, 0.1, eps) == expected
 
 
+class TestNumpyScalarEps:
+    """A numpy scalar's eps**2 warns and gives inf or 0 where a Python
+    float's raises, so both derivatives take eps as a Python float."""
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e300])
+    def test_out_of_range_is_numerical_error(self, eps):
+        pattern = re.escape(f"eps={eps!r} is too extreme")
+        with pytest.raises(NumericalError, match=pattern):
+            delta_coeff_prime(1.0, np.float64(eps))
+        with pytest.raises(NumericalError, match=pattern):
+            noise_sigma_prime(1.0, 0.1, np.float64(eps))
+
+    @pytest.mark.parametrize("eps", [1e-160, 1e150])
+    def test_in_range_gives_the_python_float_bits(self, eps):
+        assert delta_coeff_prime(1.0, np.float64(eps)) == delta_coeff_prime(1.0, eps)
+        assert noise_sigma_prime(1.0, 0.1, np.float64(eps)) == noise_sigma_prime(1.0, 0.1, eps)
+
+
 class TestMaterialize:
     def test_zero_base_vector(self):
         nd = NoiseDraw(base_u=np.zeros(4), seed=0)
