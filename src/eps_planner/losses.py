@@ -14,6 +14,14 @@ Hessian at one point computes its margins once and passes them to each.
 the one Hessian path, called only by an accepted Newton iterate and by
 the sensitivity solve.
 
+`margin_slopes` writes l'(m) into `out`, which may be the margins array
+itself, as the sgd loop's buffer is. It takes at most five in-place
+ufunc passes with no select or mask, so no pass allocates and a NaN
+margin gives a NaN slope: logistic is -1/(1 + e^m) (exp, +1, a divide),
+smooth_hinge the same form at u = (m - 1)/t, huber_svm
+clip((m - (1+h))/(2h), -1, 0) and quadratic m - 1. The curvatures come
+from sigmoid' on e^{-|x|}, which never overflows.
+
 Where every row has the same curvature c > 0, the Hessian is
 c * G with G = X^T X / n, which depends on the data alone: the quadratic
 loss at every point, and logistic and smooth_hinge at theta = 0, the
@@ -52,17 +60,14 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _sigmoid(x, derivative: bool = False):
-    """sigmoid(x), or its derivative sigmoid(x) * sigmoid(-x), for any x.
+def _sigmoid_prime(x):
+    """sigmoid(x) * sigmoid(-x), for any x.
 
     Built on e = e^{-|x|} <= 1, so nothing overflows, and a tail value is
-    e itself, not 1 minus a rounded 1: the slope at a margin of 40 is
-    -4.2e-18, not 0.
+    about e, not 0: the logistic curvature at a margin of 40 is 4.2e-18.
     """
     e = np.exp(-np.abs(x))
-    if derivative:
-        return e / (1.0 + e) ** 2
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return e / (1.0 + e) ** 2
 
 
 def margin_values(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
@@ -84,35 +89,41 @@ def margin_values(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
     return out
 
 
-def margin_slopes(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
-    """Vector of first derivatives l'(m)."""
+def margin_slopes(
+    spec: LossSpec, margins: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Vector of first derivatives l'(m), written into `out` (which may be
+    the margins array itself) in at most five in-place passes."""
     m = np.asarray(margins, dtype=np.float64)
-    if spec.kind == "logistic":
-        # -sigmoid(-m) bit for bit, without negating m or the quotient
-        e = np.exp(-np.abs(m))
-        return np.where(m <= 0, 1.0, e) / (-1.0 - e)
+    s = np.empty_like(m) if out is None else out
     if spec.kind == "quadratic":
-        return m - 1.0
+        return np.subtract(m, 1.0, out=s)
+    if spec.kind == "huber_svm":
+        h = spec.huber_h
+        np.subtract(m, 1.0 + h, out=s)
+        s /= 2.0 * h
+        return np.clip(s, -1.0, 0.0, out=s)
     if spec.kind == "smooth_hinge":
-        return -_sigmoid((1.0 - m) / spec.smooth_t)
-    h = spec.huber_h
-    d1 = np.zeros_like(m)
-    band = np.abs(1.0 - m) <= h
-    low = m < 1.0 - h
-    d1[band] = -(1.0 + h - m[band]) / (2.0 * h)
-    d1[low] = -1.0
-    return d1
+        # l'(m) = -sigmoid(-u) at u = (m - 1)/t, the logistic form below
+        np.subtract(m, 1.0, out=s)
+        m = np.divide(s, spec.smooth_t, out=s)
+    # -sigmoid(-m) = -1/(1 + e^m): past m = 709.78 e^m is inf and the
+    # slope is -0, where the true slope's magnitude is below 2.3e-308
+    with np.errstate(over="ignore"):
+        np.exp(m, out=s)
+    s += 1.0
+    return np.divide(-1.0, s, out=s)
 
 
 def margin_curvatures(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
     """Vector of second derivatives l''(m)."""
     m = np.asarray(margins, dtype=np.float64)
     if spec.kind == "logistic":
-        return _sigmoid(m, derivative=True)
+        return _sigmoid_prime(m)
     if spec.kind == "quadratic":
         return np.ones_like(m)
     if spec.kind == "smooth_hinge":
-        return _sigmoid((1.0 - m) / spec.smooth_t, derivative=True) / spec.smooth_t
+        return _sigmoid_prime((1.0 - m) / spec.smooth_t) / spec.smooth_t
     d2 = np.zeros_like(m)
     d2[np.abs(1.0 - m) <= spec.huber_h] = 1.0 / (2.0 * spec.huber_h)
     return d2

@@ -27,9 +27,17 @@ def _check_domain(zeta: float | None, delta: float | None, eps: float) -> None:
         raise ValueError(f"eps must be positive, got {eps}")
 
 
-def _extreme_eps(eps: float) -> NumericalError:
-    # eps**2 overflows above about 1.3e154 and rounds to 0 below about 1e-162
-    return NumericalError(f"eps={eps!r} is too extreme: eps**2 is not a positive finite float")
+def _finite(derivative, eps: float) -> float:
+    """derivative(), or NumericalError naming eps where it leaves the float
+    range: eps**2 overflows above about 1.3e154 and rounds to 0 below
+    about 1e-162, and the quotients by it overflow below about 1e-154."""
+    try:
+        value = derivative()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"eps={eps!r} is too extreme: its derivatives leave the float range")
+    return value
 
 
 def delta_coeff(lambda_hess: float, eps: float) -> float:
@@ -47,10 +55,7 @@ def delta_coeff_prime(lambda_hess: float, eps: float) -> float:
     _check_domain(None, None, eps)
     # a Python float raises where a numpy scalar's eps**2 would warn
     eps = float(eps)
-    try:
-        return -2.0 * lambda_hess / eps**2
-    except (OverflowError, ZeroDivisionError):
-        raise _extreme_eps(eps) from None
+    return _finite(lambda: -2.0 * lambda_hess / eps**2, eps)
 
 
 def noise_sigma(zeta: float, delta: float, eps: float) -> float:
@@ -68,10 +73,9 @@ def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
     """
     _check_domain(zeta, delta, eps)
     a, eps = math.log(2.0 / delta), float(eps)
-    try:
-        return -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps))
-    except (OverflowError, ZeroDivisionError):
-        raise _extreme_eps(eps) from None
+    return _finite(
+        lambda: -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps)), eps
+    )
 
 
 @dataclass(frozen=True, eq=False)

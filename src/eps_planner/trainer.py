@@ -35,12 +35,9 @@ train one at a time.
 
 Each call allocates one n x K margins buffer, for its widest block, and
 each block one p x K gradient buffer. Every gradient writes z theta into
-the first, overwrites it in place with the slopes l', a row chunk at a
-time, and writes z^T l' into the second, so no step of a wide block
-allocates an n x K array. A block of one chunk, and so a one-column
-block, reads its slopes where `margin_slopes` put them, as `aggregate`
-does, instead of copying them back. SGD_BLOCK_BYTES bounds the buffer,
-and so sets K.
+the first, overwrites it in place with the slopes l' (`margin_slopes`
+with `out=`), and writes z^T l' into the second, so no step allocates an
+n x K array. SGD_BLOCK_BYTES bounds the buffer, and so sets K.
 
 Training is deterministic given (dataset, spec, config, budget, seed)
 and, for `train_many`'s sgd_repro runs, the block a run is stepped in.
@@ -193,12 +190,6 @@ def _model(theta, iters, grad_norm, spec, cfg, budget, noise) -> PrivateModel:
 # and 0.49 s at 1, 2 and 4 MiB (one BLAS thread, 2-vCPU Xeon)
 SGD_BLOCK_BYTES = 4 * 1024 * 1024
 
-# bytes of one row chunk's slope temporaries. Kept below glibc's default
-# 128 KiB mmap and trim thresholds, header included, they reuse freed
-# heap memory; unchunked, a 20-target table on 5000 x 10 (K = 20)
-# faulted about 112,000 pages
-_SLOPE_CHUNK_BYTES = 120 * 1024
-
 
 def _run_sgd(theta, d, spec, cfg, perts):
     """Step the columns of the p x K start `theta`, one per perturbation,
@@ -227,21 +218,12 @@ def _sgd_block(theta, z, spec, cfg, perts, first, buf):
     b = np.stack([pert.b for pert in perts], axis=1)
     m = buf[: n * k].reshape(n, k)
     grad = np.empty_like(theta)
-    # a one-column block is one chunk: its slopes are n-vectors, as in
-    # `aggregate`, and copying them back made `train` about 2% slower
-    rows = n if k == 1 else max(1, _SLOPE_CHUNK_BYTES // (8 * k))
 
     def gradient(theta):
         # perturbed_objective's gradient, in its order of operations; with
         # one column, numpy's products are the 1-D ones and keep their bits
         np.matmul(z, theta, out=m)
-        if rows >= n:
-            s = margin_slopes(spec, m)
-        else:
-            s = m
-            for r in range(0, n, rows):
-                s[r : r + rows] = margin_slopes(spec, m[r : r + rows])
-        g = np.matmul(z.T, s, out=grad)
+        g = np.matmul(z.T, margin_slopes(spec, m, out=m), out=grad)
         g /= n
         g += (ridge * theta + b) / n
         return g

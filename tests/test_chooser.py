@@ -174,9 +174,9 @@ class TestPlan:
     ):
         slopes_calls = []
 
-        def counting_slopes(spec, m):
+        def counting_slopes(spec, m, out=None):
             slopes_calls.append("trainer")
-            return losses.margin_slopes(spec, m)
+            return losses.margin_slopes(spec, m, out=out)
 
         monkeypatch.setattr(trainer, "margin_slopes", counting_slopes)
         d = gen_synthetic(500, 4, 1.5, 2)

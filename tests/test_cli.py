@@ -275,15 +275,18 @@ class TestNumericalErrors:
         ("sgd", "non-finite iterate at sgd step 2 of run 0"),
     ])
     @pytest.mark.parametrize("argv", [
-        ["train", "--eps", "1e-160"],
-        ["choose-eps", "--measure-eps", "1e-160", "--target-utility", "0.5"],
+        ["train", "--eps", "1.5e-153"],
+        ["choose-eps", "--measure-eps", "1.5e-153", "--target-utility", "0.5"],
     ])
     def test_overflowing_training_is_one_line(self, argv, solver, message, capsys):
-        """A noise scale near 1e160 overflows the first steps. The
+        """A noise scale near 1.7e155, about the largest whose derivatives
+        stay finite, overflows the gradient norm on three rows at the
+        start point, and with a ridge of 1e300 the second sgd iterate. The
         solver's finiteness check reports it as the only stderr line,
         with no numpy RuntimeWarning before it (under pytest's warning
         filter such a warning is an error)."""
-        code = run_cli(argv + ["--synthetic", "300,3,2.0", "--solver", solver])
+        code = run_cli(argv + ["--synthetic", "3,3,2.0", "--delta", "1e-300",
+                               "--reg-lambda", "1e300", "--solver", solver])
         assert code == 3
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
 

@@ -207,8 +207,8 @@ class TestSigmoidKernels:
 
 
 class TestLogisticSlopeBits:
-    """The logistic slope equals -sigmoid(-m), formed as the sigmoid
-    kernel forms it, bit for bit."""
+    """The logistic slope is -sigmoid(-m) formed as -1/(1 + e^m), bit for
+    bit, with e^m's overflow to inf giving -0 quietly."""
 
     MARGINS = np.concatenate(
         [
@@ -221,13 +221,59 @@ class TestLogisticSlopeBits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = margin_slopes(spec_of("logistic"), self.MARGINS)
-            want = -losses._sigmoid(-self.MARGINS)
+            with np.errstate(over="ignore"):
+                want = -1 / (1 + np.exp(self.MARGINS))
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_nan_margin_gives_nan(self):
         got = margin_slopes(spec_of("logistic"), np.array([np.nan, 0.0]))
         assert np.isnan(got[0]) and got[1] == -0.5
+
+
+class TestSlopeKernels:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("shape", [(1000,), (200, 5)])
+    def test_out_may_be_the_margins(self, kind, shape):
+        """Slopes written over their own margins, as the sgd step writes
+        them, have the bits of slopes into a new array, and the margins
+        passed without `out` are left as they were."""
+        spec = spec_of(kind)
+        m = 3.0 * np.random.default_rng(4).standard_normal(shape)
+        m.flat[:4] = (1.0 - spec.huber_h, 1.0 + spec.huber_h, -800.0, 800.0)
+        kept = m.copy()
+        want = margin_slopes(spec, m)
+        buf = m.copy()
+        got = margin_slopes(spec, buf, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+        assert m.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("kind", ("logistic", "smooth_hinge"))
+    def test_random_margins_within_three_ulp_of_long_double(self, kind):
+        """600k margins whose exponent u, as the kernel forms it, lies in
+        |u| <= 709.7, where e^u is finite."""
+        spec = spec_of(kind)
+        rng = np.random.default_rng(11)
+        u = np.concatenate(
+            [10.0 * rng.standard_normal(300_000), rng.uniform(-709.7, 709.7, 300_000)]
+        )
+        if kind == "logistic":
+            m = z = u
+        else:  # the same float64 argument the kernel forms
+            m = 1.0 + spec.smooth_t * u
+            z = (m - 1.0) / spec.smooth_t
+        keep = np.abs(z) <= 709.7
+        m, z = m[keep], z[keep]
+        assert m.size > 590_000
+        want = -_sigmoid_ld(-z)
+        got = margin_slopes(spec, m)
+        ulp = np.spacing(np.abs(want.astype(np.float64)))
+        assert np.all(np.abs(got - want) <= 3 * ulp)
+
+    def test_huber_nan_margin_gives_nan(self):
+        got = margin_slopes(spec_of("huber_svm"), np.array([np.nan, 0.0, 2.0]))
+        assert np.isnan(got[0]) and got[1] == -1.0 and got[2] == 0.0
 
 
 def single_product_hessian(spec, theta, d):

@@ -94,10 +94,11 @@ class TestNoiseSigmaPrime:
 
 class TestExtremeEps:
     """eps**2 overflows above about 1.3e154 and rounds to 0 below about
-    1e-162: both derivatives raise NumericalError naming eps there, and
-    keep their formulas' values just inside."""
+    1e-162, and 1/eps**2 overflows below about 1.05e-154: both derivatives
+    raise NumericalError naming eps there, and keep their formulas' values
+    just inside."""
 
-    @pytest.mark.parametrize("eps", [1e-300, 1e-163, 1e155, 1e300])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-163, 1e-160, 1e-155, 1e155, 1e300])
     def test_out_of_range_is_numerical_error(self, eps):
         pattern = re.escape(f"eps={eps!r} is too extreme")
         with pytest.raises(NumericalError, match=pattern):
@@ -107,7 +108,7 @@ class TestExtremeEps:
         with pytest.raises(NumericalError, match=pattern):
             materialize(NoiseDraw.generate(3, 0), 1.0, 0.1, eps, 1.0)
 
-    @pytest.mark.parametrize("eps", [1e-160, 1e150])
+    @pytest.mark.parametrize("eps", [1e-150, 1e150])
     def test_in_range_keeps_the_formulas(self, eps):
         a = math.log(2.0 / 0.1)
         assert delta_coeff_prime(1.0, eps) == -2.0 / eps**2
@@ -119,7 +120,7 @@ class TestNumpyScalarEps:
     """A numpy scalar's eps**2 warns and gives inf or 0 where a Python
     float's raises, so both derivatives take eps as a Python float."""
 
-    @pytest.mark.parametrize("eps", [1e-300, 1e300])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-155, 1e300])
     def test_out_of_range_is_numerical_error(self, eps):
         pattern = re.escape(f"eps={eps!r} is too extreme")
         with pytest.raises(NumericalError, match=pattern):
@@ -127,7 +128,7 @@ class TestNumpyScalarEps:
         with pytest.raises(NumericalError, match=pattern):
             noise_sigma_prime(1.0, 0.1, np.float64(eps))
 
-    @pytest.mark.parametrize("eps", [1e-160, 1e150])
+    @pytest.mark.parametrize("eps", [1e-150, 1e150])
     def test_in_range_gives_the_python_float_bits(self, eps):
         assert delta_coeff_prime(1.0, np.float64(eps)) == delta_coeff_prime(1.0, eps)
         assert noise_sigma_prime(1.0, 0.1, np.float64(eps)) == noise_sigma_prime(1.0, 0.1, eps)

@@ -397,10 +397,9 @@ class TestTrainMany:
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
     def test_steps_reuse_one_margins_buffer(self, kind):
         """20 runs on 5000 x 10 step as one block and hold the rows z, one
-        n x 20 margins buffer and a few 120 KiB slope chunks: n x 20
-        temporaries at every step would exceed this. Each column, whose
-        slopes are taken a row chunk at a time, is its one-run model,
-        whose slopes are taken at once."""
+        n x 20 margins buffer that the slopes overwrite, and p x 20
+        iterates: one n x 20 temporary at any step would exceed this.
+        Each column is its one-run model."""
         d = gen_synthetic(5000, 10, 2.0, 1)
         spec = make_loss_spec(kind, d.p, "tight")
         cfg = TrainConfig(solver_mode="sgd_repro")
@@ -411,7 +410,7 @@ class TestTrainMany:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= d.features.nbytes + 8 * d.n * len(runs) + 6 * 120 * 1024
+        assert peak <= d.features.nbytes + 8 * d.n * len(runs) + 64 * 1024
         for run, m in zip(runs, many):
             one = train(d, spec, cfg, *run)
             assert np.linalg.norm(m.theta - one.theta) <= 1e-14 * np.linalg.norm(one.theta)
