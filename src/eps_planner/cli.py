@@ -293,10 +293,8 @@ def _inputs(args) -> tuple[experiments.ExperimentConfig, Dataset | None]:
     config is built first, so its errors come before the file is read."""
     default = experiments.ExperimentConfig()
     budgets = getattr(args, "measure_eps", default.measure_eps_list)
-    # with no dataset named, sweep-samples generates enough rows for its largest sample
-    largest = max((experiments.SyntheticSpec.n, *getattr(args, "samples", ())))
     cfg = experiments.ExperimentConfig(
-        synthetic=args.synthetic or experiments.SyntheticSpec(n=largest),
+        synthetic=args.synthetic,
         loss_kind=args.loss,
         bounds_mode=args.bounds,
         reg_lambda=args.reg_lambda,

@@ -23,7 +23,7 @@ one `train_many` call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -59,9 +59,10 @@ class SyntheticSpec:
 class ExperimentConfig:
     """Everything a harness run needs besides a dataset; defaults follow
     the reference protocol (10 repeats, reg 1e-2, sgd training) with tight
-    bound mode. An experiment given no dataset generates `synthetic`."""
+    bound mode. An experiment given no dataset generates `synthetic`, or
+    for None `SyntheticSpec()`, which the sample sweep enlarges to fit."""
 
-    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
+    synthetic: SyntheticSpec | None = None
     loss_kind: str = "logistic"
     bounds_mode: str = "tight"
     reg_lambda: float = 0.01
@@ -97,11 +98,11 @@ def resolve(
 ) -> tuple[Dataset, LossSpec, TrainConfig]:
     """(dataset, loss spec, solver settings) a config refers to.
 
-    The dataset is `d` if given, else generated from `cfg.synthetic` with
-    the base seed.
+    The dataset is `d` if given, else generated from `cfg.synthetic` (or
+    `SyntheticSpec()` for None) with the base seed.
     """
     if d is None:
-        s = cfg.synthetic
+        s = cfg.synthetic or SyntheticSpec()
         d = gen_synthetic(s.n, s.p, s.separation, cfg.base_seed)
     spec = make_loss_spec(
         cfg.loss_kind, d.p, cfg.bounds_mode, huber_h=cfg.huber_h, smooth_t=cfg.smooth_t
@@ -185,8 +186,11 @@ def experiment_sample_sweep(cfg: ExperimentConfig, d: Dataset | None = None) -> 
     The estimate table on each subset, measured at the first entry of
     cfg.measure_eps_list, with `n` in place of `measure_eps`. Subsets are
     prefixes of one seeded permutation, so smaller samples are nested
-    inside larger ones.
+    inside larger ones. With no dataset and no `cfg.synthetic`, the
+    default generator makes rows enough for the largest sample.
     """
+    if d is None and cfg.synthetic is None:
+        cfg = replace(cfg, synthetic=SyntheticSpec(n=max(SyntheticSpec.n, *cfg.sample_grid)))
     d = resolve(cfg, d)[0]
     if max(cfg.sample_grid) > d.n:
         raise ValueError(

@@ -239,22 +239,13 @@ class PrivateModel(_FieldwiseEq):
 
 @dataclass(frozen=True, eq=False)
 class SensitivityReport(_FieldwiseEq):
-    """Result of the implicit-differentiation solve at one budget.
-
-    dtheta_deps is d(theta-hat)/d(eps); w_min_eigen_lower is the certified
-    lower bound on the solved system's spectrum.
-    """
+    """Result of the implicit-differentiation solve at one budget:
+    dtheta_deps is d(theta-hat)/d(eps)."""
 
     dtheta_deps: np.ndarray
-    w_min_eigen_lower: float
-    damping_added: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "dtheta_deps", np.atleast_1d(_readonly(self.dtheta_deps)))
-        if not self.w_min_eigen_lower > 0:
-            raise ValueError("w_min_eigen_lower must be positive")
-        if self.damping_added < 0:
-            raise ValueError("damping_added must be nonnegative")
 
 
 @dataclass(frozen=True)

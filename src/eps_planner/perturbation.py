@@ -111,17 +111,25 @@ def materialize(
     """Scale a noise draw into the perturbation terms at a given eps.
 
     Reusing the same NoiseDraw across eps values keeps b(eps) on one
-    smooth path: every materialization shares base_u exactly.
+    smooth path: every materialization shares base_u exactly. A finite
+    draw scaled out of the float range is NumericalError naming eps; a
+    draw that is itself not finite is left for the trainer to report.
     """
     s = noise_sigma(zeta, delta, eps)
     sp = noise_sigma_prime(zeta, delta, eps)
+    with np.errstate(over="ignore"):
+        b, b_prime = s * noise.base_u, sp * noise.base_u
+    if np.isfinite(noise.base_u).all() and not np.isfinite([b, b_prime]).all():
+        raise NumericalError(
+            f"eps={float(eps)!r} is too extreme: its noise terms leave the float range"
+        )
     return PerturbationAtEps(
         eps=eps,
         sigma=s,
         sigma_prime=sp,
         delta_eps_coeff=delta_coeff(lambda_hess, eps),
         delta_eps_prime=delta_coeff_prime(lambda_hess, eps),
-        b=s * noise.base_u,
-        b_prime=sp * noise.base_u,
+        b=b,
+        b_prime=b_prime,
         base_u=noise.base_u,
     )

@@ -12,15 +12,16 @@ first-order Taylor step extrapolates the utility to any other budget.
 
 `_dtheta_deps` owns that system. It forms the ridge (Lam + Delta_eps)/n
 from the model's Lam and the Delta_eps of the perturbation it
-materializes from the model, in `trainer`'s order of operations, and,
-for a non-stationary sgd_repro iterate, derives its own damping from
-the same ridge and solves against W + damping I instead: the damping is
-added to the finished W, not folded into the ridge, which would round
-differently. The public `dtheta_deps` refuses sgd_repro models, whose
-iterate is not a minimizer; `chooser.measure` is the one route to their
-damped slope. The loss Hessian is built once, for W, and the matrix
-solved is factored once: the Cholesky factor that solves it is also its
-positive-definiteness check. The slope needs only the loss gradient.
+materializes from the model, in `trainer`'s order of operations. For a
+non-stationary sgd_repro iterate it solves against W + damping I, the
+damping being that ridge once more; it is added to the finished W, not
+folded into the ridge, which would round differently. The report
+carries only dtheta/deps. The public `dtheta_deps` refuses sgd_repro
+models, whose iterate is not a minimizer; `chooser.measure` is the one
+route to their damped slope. The loss Hessian is built once, for W, and
+the matrix solved is factored once: the Cholesky factor that solves it
+is also its positive-definiteness check. The slope needs only the loss
+gradient.
 
 W, the loss gradient and the utility all read the margins at theta_hat.
 The public functions here, `dtheta_deps` and `utility_slope`, compute
@@ -94,11 +95,11 @@ def _dtheta_deps(model, m, d):
     spec, budget = model.loss, model.budget
     pert = materialize(model.noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
     # Hessian of the quadratic terms: the regularizer and Delta_eps
-    ridge = (model.reg_lambda + pert.delta_eps_coeff) / d.n
-    damping = ridge if model.solver_mode == "sgd_repro" else 0.0
-    W = hessian(model.loss, m, d) + ridge * np.eye(d.p)
-    if damping > 0:
-        W = W + damping * np.eye(d.p)
+    ridge = (model.reg_lambda + pert.delta_eps_coeff) / d.n * np.eye(d.p)
+    W = hessian(model.loss, m, d) + ridge
+    if model.solver_mode == "sgd_repro":
+        # the damping: the ridge once more, kept apart so that W keeps its bits
+        W += ridge
     try:
         factor = cho_factor(W, lower=True)
     except np.linalg.LinAlgError:
@@ -107,11 +108,7 @@ def _dtheta_deps(model, m, d):
             f"system matrix is not positive definite (min eigenvalue {min_eig:.3e})"
         ) from None
     rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
-    return SensitivityReport(
-        dtheta_deps=cho_solve(factor, rhs),
-        w_min_eigen_lower=ridge + damping,
-        damping_added=damping,
-    )
+    return SensitivityReport(cho_solve(factor, rhs))
 
 
 def utility_slope(

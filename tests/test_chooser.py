@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from eps_planner import losses, sensitivity, trainer
 from eps_planner.chooser import choose_epsilon, measure, measure_many, plan
@@ -12,6 +13,16 @@ from eps_planner.model import ExtrapolationLine, NoiseDraw, PrivacyBudget
 from eps_planner.perturbation import delta_coeff, materialize
 from eps_planner.sensitivity import dtheta_deps, error_scale, extrapolate, utility_slope
 from eps_planner.trainer import TrainConfig, train, utility
+
+
+def solved(model, d, pert, damping):
+    """cho_solve of W + damping I, W = hess(L) + ((Lam + Delta_eps)/n) I at
+    theta_hat, for the solve's right-hand side."""
+    eps = model.budget.epsilon
+    ridge = (model.reg_lambda + delta_coeff(model.loss.lambda_hess, eps)) / d.n
+    W = losses.hessian(model.loss, losses.margins(model.theta, d), d) + ridge * np.eye(d.p)
+    rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
+    return cho_solve(cho_factor(W + damping * np.eye(d.p), lower=True), rhs)
 
 
 class TestChooseEpsilon:
@@ -52,7 +63,8 @@ class TestMeasure:
         m = measure(d, spec, cfg, 0.3, 1e-3, seed=5)
 
         sgd = solver_mode == "sgd_repro"
-        damping = (0.01 + delta_coeff(spec.lambda_hess, 0.3)) / d.n if sgd else 0.0
+        ridge = (0.01 + delta_coeff(spec.lambda_hess, 0.3)) / d.n
+        damping = ridge if sgd else 0.0
         noise = NoiseDraw.generate(4, 5)
         model = train(d, spec, cfg, PrivacyBudget(0.3, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
@@ -66,10 +78,9 @@ class TestMeasure:
 
         assert m.model == model
         assert np.array_equal(m.report.dtheta_deps, report.dtheta_deps)
-        assert report.damping_added == damping
-        assert m.report.damping_added == damping
-        assert (damping > 0) == sgd
-        assert m.report.w_min_eigen_lower == report.w_min_eigen_lower
+        assert np.array_equal(report.dtheta_deps, solved(model, d, pert, damping))
+        # the damping shows in the bits: the other system solves to others
+        assert not np.array_equal(report.dtheta_deps, solved(model, d, pert, ridge - damping))
         assert m.line == ExtrapolationLine(0.3, utility(model.theta, d, spec), slope)
 
 
@@ -206,8 +217,10 @@ class TestPlan:
         spec = make_loss_spec("logistic", 4, "tight")
         cfg = TrainConfig(solver_mode="sgd_repro")
         m = measure(d, spec, cfg, 0.3, 1e-3, seed=5)
-        assert m.report.damping_added > 0
         assert cho_factor_calls == ["sensitivity"]
+        pert = materialize(m.model.noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
+        damping = (cfg.reg_lambda + delta_coeff(spec.lambda_hess, 0.3)) / d.n
+        assert np.array_equal(m.report.dtheta_deps, solved(m.model, d, pert, damping))
 
     def test_deterministic(self):
         d = gen_synthetic(100, 3, 1.0, 6)

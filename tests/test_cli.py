@@ -290,6 +290,18 @@ class TestNumericalErrors:
         assert code == 3
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
+    @pytest.mark.parametrize("solver", ["exact", "sgd"])
+    def test_noise_terms_out_of_float_range_is_one_line(self, solver, capsys):
+        """At eps 7e-154 the derivatives are finite but sigma' * u is not:
+        one numerical failure line, with no numpy RuntimeWarning before it."""
+        code = run_cli(["choose-eps", "--measure-eps", "7e-154", "--delta", "1e-300",
+                        "--target-utility", "0.5", "--synthetic", "300,3,2.0",
+                        "--seed", "0", "--solver", solver])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: eps=7e-154 is too extreme: its noise terms leave the float range\n"
+        )
+
     def test_indefinite_newton_matrix_is_exit_3(self, data_csv, monkeypatch, capsys):
         from eps_planner import trainer
 
@@ -536,6 +548,31 @@ class TestConfigFile:
         code = run_cli(["--config", str(cfgfile), "choose-eps"])
         assert code == 0
         assert "chosen_eps:" in capsys.readouterr().out
+
+    def test_equals_form_reads_the_same_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("eps=0.5\nsolver=exact\nseed=3\n")
+        runs = []
+        for head in (["--config", str(cfgfile)], [f"--config={cfgfile}"]):
+            assert run_cli(head + ["train", "--synthetic", "200,3,2.0"]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]
+        assert runs[0].out.startswith("trained at eps=0.5 ")
+
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("solver exact\n")
+        assert run_cli(["--config", str(cfgfile), "train", "--eps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfgfile}:1: expected key=value, got 'solver exact'\n"
+        )
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(["--config", str(tmp_path / "missing.cfg"), "train", "--eps", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {tmp_path / 'missing.cfg'}: ")
+        assert err.count("\n") == 1
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

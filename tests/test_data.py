@@ -73,6 +73,15 @@ class TestCsvLoader:
         with pytest.raises(DataError, match=r"^line 6: could not convert string to float: 'xyz'$"):
             load_dataset(str(f), "csv")
 
+    def test_rows_one_field_short_of_the_header(self, tmp_path):
+        """Every row short by one: numpy's C reader takes the block as a
+        2-column matrix, its width check declines it, and the csv reader
+        names the first short line."""
+        f = tmp_path / "d.csv"
+        f.write_text("f1,f2,label\n0.1,1\n0.2,-1\n")
+        with pytest.raises(DataError, match="^line 2: expected 3 fields, got 2$"):
+            load_dataset(str(f), "csv")
+
     def test_missing_label_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b\n1,2\n")
@@ -392,17 +401,24 @@ def write_dense_svmlight(d, path):
             fh.write(" ".join([str(int(y))] + [f"{j + 1}:{v!r}" for j, v in enumerate(x)]) + "\n")
 
 
-def test_regular_files_make_no_per_field_call(tmp_path, monkeypatch):
-    """Every block of a 3-block csv file and of a dense svmlight file goes
-    to numpy's C reader: a numpy upgrade or an over-strict check that
-    sends them to the per-field route fails here, not only as a slower
-    load."""
+@pytest.fixture
+def per_field_calls(monkeypatch):
+    """List with one entry per call of the per-field parsers, the route a
+    block takes when numpy's C reader declines it."""
     calls = []
     for name in ("_floats", "_pairs"):
         def counting(*args, _original=getattr(data, name), _name=name):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(data, name, counting)
+    return calls
+
+
+def test_regular_files_make_no_per_field_call(tmp_path, per_field_calls):
+    """Every block of a 3-block csv file and of a dense svmlight file goes
+    to numpy's C reader: a numpy upgrade or an over-strict check that
+    sends them to the per-field route fails here, not only as a slower
+    load."""
     d = gen_synthetic(2 * BLOCK_ROWS + 3, 4, 1.5, 8)
     write_csv_dataset(d, str(tmp_path / "d.csv"))
     write_dense_svmlight(d, str(tmp_path / "d.svm"))
@@ -410,7 +426,20 @@ def test_regular_files_make_no_per_field_call(tmp_path, monkeypatch):
         back = load_dataset(str(tmp_path / name), fmt)
         assert back.features.tobytes() == d.features.tobytes()
         assert back.labels.tobytes() == d.labels.tobytes()
-    assert calls == []
+    assert per_field_calls == []
+
+
+def test_regular_sparse_text_without_final_newline(tmp_path, per_field_calls):
+    """A regular sparse_text file whose last line has no newline loads,
+    through numpy's C reader, bit for bit as the same file with one."""
+    text = "1 1:0.5 3:0.25\n-1 2:0.3 3:0.125\n1 1:0.2 2:0.4"
+    (tmp_path / "a.sp").write_text(text)
+    (tmp_path / "b.sp").write_text(text + "\n")
+    a, b = (load_dataset(str(tmp_path / name), "sparse_text") for name in ("a.sp", "b.sp"))
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.features.shape == (3, 3)
+    assert per_field_calls == []
 
 
 def _decline(*args):

@@ -229,6 +229,26 @@ class TestSampleSweep:
         with pytest.raises(ValueError, match="sample grid"):
             experiment_sample_sweep(cfg)
 
+    def test_default_generator_grows_to_the_largest_sample(self):
+        """With no dataset and no synthetic spec, the default generator
+        makes max(SyntheticSpec.n, largest sample) rows; an explicit spec
+        that is too small is still refused."""
+        cfg = ExperimentConfig(repeats=1, target_grid=(0.5,), sample_grid=(100, 6000))
+        assert cfg.synthetic is None
+        rows = experiment_sample_sweep(cfg)
+        assert [r["n"] for r in rows] == [100, 6000]
+        assert rows == experiment_sample_sweep(replace(cfg, synthetic=SyntheticSpec(n=6000)))
+        small = replace(cfg, synthetic=SyntheticSpec())
+        with pytest.raises(ValueError, match="goes up to 6000 but the dataset has n=5000"):
+            experiment_sample_sweep(small)
+
+    def test_default_generator_keeps_its_size_for_small_grids(self):
+        cfg = ExperimentConfig(sample_grid=(50,), **{**SMALL, "synthetic": None})
+        assert resolve(cfg)[0].n == SyntheticSpec.n
+        assert experiment_sample_sweep(cfg) == experiment_sample_sweep(
+            replace(cfg, synthetic=SyntheticSpec())
+        )
+
 
 class TestOracleCompare:
     def test_quadratic_one_example_closed_form_accuracy(self):

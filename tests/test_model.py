@@ -181,15 +181,14 @@ class TestEquality:
         assert Dataset([[0.1]], [1]) != Dataset([[0.1]], [-1])
 
     def test_other_types_not_equal(self):
-        report = SensitivityReport(dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0)
+        report = SensitivityReport(dtheta_deps=[0.5, -1.25])
         assert report != self.model()
-        assert report == SensitivityReport(dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0)
-        assert report != SensitivityReport(
-            dtheta_deps=[0.5, -1.25], w_min_eigen_lower=1.0, damping_added=0.1
-        )
+        assert report == SensitivityReport(dtheta_deps=np.array([0.5, -1.25]))
+        assert report != SensitivityReport(dtheta_deps=[0.5, -1.5])
+        assert report != SensitivityReport(dtheta_deps=[0.5])
 
     def test_unhashable(self):
         for obj in (self.model(), self.model().noise, Dataset([[0.1]], [1]),
-                    SensitivityReport(dtheta_deps=[0.5], w_min_eigen_lower=1.0)):
+                    SensitivityReport(dtheta_deps=[0.5])):
             with pytest.raises(TypeError):
                 hash(obj)

@@ -168,6 +168,17 @@ class TestMaterialize:
         assert np.array_equal(p1.b, p1.sigma * p2.base_u)
         assert np.array_equal(p2.b, p2.sigma * p1.base_u)
 
+    def test_finite_draw_scaled_past_the_float_range_is_numerical_error(self):
+        """At eps = 7e-154 sigma' is finite but sigma' * u_0 is not: that is
+        NumericalError naming eps, with no numpy warning before it (under
+        this suite's warning filter a warning is an error). A draw that is
+        itself infinite is materialized and left for the trainer."""
+        assert math.isfinite(noise_sigma_prime(1.0, 1e-300, 7e-154))
+        with pytest.raises(NumericalError, match=re.escape("eps=7e-154 is too extreme: its noise")):
+            materialize(NoiseDraw.generate(3, 0), 1.0, 1e-300, 7e-154, 0.25)
+        pert = materialize(NoiseDraw(np.full(3, np.inf), 0), 1.0, 1e-300, 7e-154, 0.25)
+        assert np.all(pert.b_prime == -np.inf)
+
     def test_coefficients_negative(self):
         nd = NoiseDraw.generate(3, 1)
         for eps in (0.05, 0.5, 5.0):

@@ -65,12 +65,11 @@ def trained_logistic():
 
 class TestDthetaDeps:
     def test_quadratic_hand_computation(self, quad_instance):
-        # W=3, Delta'=-2, theta=1/3, zero noise: v = -(1/3)(-2/3) = 2/9
+        # W=3, Delta'=-2, theta=1/3, zero noise: v = -(1/3)(-2/3) = 2/9,
+        # undamped: the damped W + 2 = 5 would give 2/15
         d, spec, model, pert = trained_quad(quad_instance)
         report = dtheta_deps(model, d, spec, pert)
         assert report.dtheta_deps[0] == pytest.approx(2.0 / 9.0, rel=1e-12)
-        assert report.w_min_eigen_lower > 0
-        assert report.damping_added == 0.0
 
     def test_zero_rhs_gives_zero(self):
         """Symmetric labels put the minimizer at zero; with a zero base
@@ -136,10 +135,13 @@ class TestDthetaDeps:
         sgd = solver_mode == "sgd_repro"
         report = sensitivity_report(model, d, spec, pert)
         assert len(calls) == 1
-        assert (report.damping_added > 0) == sgd
-        W = system_matrix(model, d) + report.damping_added * np.eye(4)
+        W = system_matrix(model, d)
+        damping = (cfg.reg_lambda + delta_coeff(spec.lambda_hess, 0.4)) / d.n
         rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
-        assert np.array_equal(report.dtheta_deps, cho_solve(cho_factor(W, lower=True), rhs))
+        undamped = cho_solve(cho_factor(W, lower=True), rhs)
+        damped = cho_solve(cho_factor(W + damping * np.eye(4), lower=True), rhs)
+        assert np.array_equal(report.dtheta_deps, damped if sgd else undamped)
+        assert not np.array_equal(report.dtheta_deps, undamped if sgd else damped)
 
     def test_flat_loss_region_solves_against_pure_ridge(self, monkeypatch):
         """Huber margins beyond 1+h everywhere: the loss Hessian vanishes,
@@ -221,16 +223,21 @@ class TestDthetaDeps:
             dtheta_deps(model, d, spec, pert)
         m = measure(d, spec, cfg, 0.5, 1e-3, seed=2)
         assert m.model == model
-        assert m.report.damping_added == (0.01 + delta_coeff(spec.lambda_hess, 0.5)) / d.n
+        # the damping is the ridge (Lam + Delta_eps)/n, added to the finished W
+        damping = (0.01 + delta_coeff(spec.lambda_hess, 0.5)) / d.n
+        W = system_matrix(model, d) + damping * np.eye(d.p)
+        rhs = -(pert.b_prime + pert.delta_eps_prime * model.theta) / d.n
+        assert np.array_equal(m.report.dtheta_deps, cho_solve(cho_factor(W, lower=True), rhs))
 
     def test_damping_raises_certified_floor(self, quad_instance):
         d, spec, model, pert = trained_quad(quad_instance)
         plain = dtheta_deps(model, d, spec, pert)
         sgd_model = replace(model, solver_mode="sgd_repro")
         damped = sensitivity_report(sgd_model, d, spec, pert)
-        # the damping is the ridge (Lam + Delta_eps)/n = (0 + 2)/1
-        assert damped.damping_added == 2.0
-        assert damped.w_min_eigen_lower == pytest.approx(plain.w_min_eigen_lower + 2.0)
+        # the damping is the ridge (Lam + Delta_eps)/n = (0 + 2)/1, so the
+        # solved matrix's spectrum moves from W = 3 to 5: v = (2/3)/5 = 2/15
+        assert plain.dtheta_deps[0] == pytest.approx(2.0 / 9.0, rel=1e-12)
+        assert damped.dtheta_deps[0] == pytest.approx(2.0 / 15.0, rel=1e-12)
         # (W + damping I) v = rhs: v shrinks as damping grows
         assert abs(damped.dtheta_deps[0]) < abs(plain.dtheta_deps[0])
 
@@ -417,4 +424,14 @@ class TestErrorScale:
 
     def test_symmetric_direction_uses_min(self):
         assert error_scale(0.1, 1.0, 5).scale == error_scale(1.0, 0.1, 5).scale
+
+    @pytest.mark.parametrize("measure_eps, target_eps", [(0.0, 1.0), (1.0, -0.5), (-1.0, 0.0)])
+    def test_nonpositive_budget_is_value_error(self, measure_eps, target_eps):
+        with pytest.raises(ValueError, match="both budgets must be positive"):
+            error_scale(measure_eps, target_eps, 10)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_is_value_error(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            error_scale(0.1, 1.0, n)
 

@@ -1,11 +1,16 @@
-"""Every module-level name of the package has a caller.
+"""Every module-level name and every dataclass field of the package has
+a reader.
 
 Each top-level function, class and assigned name of a module of
 `src/eps_planner/` (not `__init__.py`) must be referenced again: in its
 own module, in another module of the package, in the benchmark's
 `perfbench/*.py`, in `pyproject.toml` (whose entry point names
-`cli:main`), or be exported in `eps_planner.__all__`. Tests do not count
-as callers: a name only tests reach is one nothing else needs.
+`cli:main`), or be exported in `eps_planner.__all__`. Each field of a
+`@dataclass` there must be read as an attribute somewhere in the package
+outside its own class body, or be named in `perfbench/*.py` or in
+`tests/test_acceptance.py`, which pins fields such as `LossSpec.s_third`.
+Other tests do not count as readers: a name or field only they reach is
+one nothing else needs.
 """
 import ast
 import re
@@ -58,8 +63,48 @@ def unreached(module: Path, package: list[Path], outside: list[str], exported) -
     reached |= referenced_names(own)
     return [
         name for name in defined_names(own)
-        if name not in reached and not any(re.search(rf"\b{name}\b", text) for text in outside)
+        if name not in reached and not named_outside(name, outside)
     ]
+
+
+def named_outside(name: str, outside: list[str]) -> bool:
+    return any(re.search(rf"\b{name}\b", text) for text in outside)
+
+
+def attributes_read(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Attribute names `tree` loads, outside the subtree `skip`."""
+    reads, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def is_dataclass(node: ast.stmt) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(dec, ast.Name) and dec.id == "dataclass"
+        or isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
+def unread_fields(module: Path, package: list[Path], outside: list[str]) -> list[str]:
+    """`Class.field` for each field of a dataclass in `module` that no
+    reader reaches."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package}
+    unread = []
+    for cls in filter(is_dataclass, trees[module].body):
+        reads = set().union(*(attributes_read(tree, cls) for tree in trees.values()))
+        unread += [
+            f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in reads and not named_outside(stmt.target.id, outside)
+        ]
+    return unread
 
 
 def test_guard_sees_an_unreached_name(tmp_path):
@@ -79,3 +124,24 @@ def test_every_module_level_name_has_a_caller(module):
     outside = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
     outside.append((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert unreached(module, sorted(PACKAGE.glob("*.py")), outside, eps_planner.__all__) == []
+
+
+def test_field_guard_sees_an_unread_field(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n    z: int = 0\n\n"
+        "    def total(self):\n        return self.y + self.z\n\n"
+        "@dataclass\nclass B:\n    w: int\n\nclass C:\n    v: int\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("def f(a, b):\n    b.w = a.x\n")
+    assert unread_fields(mod, [mod, other], []) == ["A.y", "A.z", "B.w"]
+    assert unread_fields(mod, [mod, other], ["A(1, y=2)", "print(b.w, a.z)"]) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_field_has_a_reader(module):
+    outside = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    outside.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert unread_fields(module, sorted(PACKAGE.glob("*.py")), outside) == []
