@@ -5,12 +5,14 @@ eps, and read the budget expected to reach a requested utility off the
 resulting affine predictor. `measure_many` is that train-and-measure
 step for a list of runs, and `measure` its one-run case; `plan`, the
 experiment harnesses and the CLI all go through them. `measure_many`
-trains its runs with one `train_many` call, so a table's sgd_repro
+trains its runs as one `train_many` call does, so a table's sgd_repro
 measuring runs step together, then measures each model alone. The
 sensitivity solve it calls reads the loss, the damping and the
-perturbation off the trained model, so it is passed only the
-margins at theta_hat, computed once: W, the utility and its gradient all
-read that one vector.
+perturbation off the trained model, so it is passed only the margins at
+theta_hat: W, the utility and its gradient all read one vector. An exact
+run takes those margins, the utility and its gradient from the Newton
+solver's last accepted evaluation, so its measurement makes no margins
+or aggregate call; an sgd_repro iterate gets one of each.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .model import (
     SensitivityReport,
 )
 from .sensitivity import ErrorScale, _dtheta_deps, error_scale
-from .trainer import TrainConfig, train_many
+from .trainer import TrainConfig, _train_runs
 
 SLOPE_TOL = 1e-12
 
@@ -77,8 +79,9 @@ def measure(
     damped by (Lam + Delta_eps)/n, a convex quadratic approximation of the
     loss around the iterate (dtheta_deps refuses such models). Exact
     models are solved undamped, and their results equal those of
-    dtheta_deps, utility and utility_slope bit for bit, from one margins
-    pass at theta_hat. This is the one-run case of `measure_many`.
+    dtheta_deps, utility and utility_slope bit for bit, from the margins,
+    loss value and loss gradient of the solver's last evaluation. This is
+    the one-run case of `measure_many`.
     """
     return measure_many(d, spec, cfg, delta, [(eps, seed)])[0]
 
@@ -90,18 +93,22 @@ def measure_many(
     delta: float,
     runs: Iterable[tuple[float, int]],
 ) -> list[Measurement]:
-    """`measure` for each (eps, seed) run, in order, from one `train_many`
-    call: sgd_repro runs train together, and each is then measured alone."""
+    """`measure` for each (eps, seed) run, in order, trained as one
+    `train_many` call trains them: sgd_repro runs train together, and each
+    is then measured alone."""
     draws = [
         (PrivacyBudget(epsilon=eps, delta=delta), NoiseDraw.generate(d.p, seed))
         for eps, seed in runs
     ]
     out = []
-    for model in train_many(d, spec, cfg, draws):
-        m = margins(model.theta, d)
+    for model, last in _train_runs(d, spec, cfg, draws):
+        if last is None:
+            # an sgd_repro iterate: the utility F is the mean loss, so
+            # aggregate gives F and its gradient
+            m = margins(model.theta, d)
+            last = (m, *aggregate(spec, m, d))
+        m, base_utility, gradF = last
         report = _dtheta_deps(model, m, d)
-        # the utility F is the mean loss, so aggregate gives F and its gradient
-        base_utility, gradF = aggregate(spec, m, d)
         line = ExtrapolationLine(
             measure_eps=model.budget.epsilon,
             base_utility=base_utility,

@@ -29,6 +29,7 @@ largest absolute entry, so it too loads at unit max norm.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 from itertools import chain, islice
 from operator import itemgetter, methodcaller
@@ -82,7 +83,9 @@ def _stack(blocks: list, width: int) -> np.ndarray:
     return X
 
 
-def _normalize(X: np.ndarray) -> np.ndarray:
+def _max_row_norm(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """(X, its largest row norm), with X first divided by its largest
+    absolute entry if it is finite and its norm overflows."""
     # squaring an entry above about 1.3e154 overflows; the inf it gives is
     # handled below, so numpy's overflow warning is not raised
     with np.errstate(over="ignore"):
@@ -90,9 +93,14 @@ def _normalize(X: np.ndarray) -> np.ndarray:
     max_norm = norms.max() if norms.size else 0.0
     if max_norm == np.inf and np.isfinite(X).all():
         # every entry is finite: rows divided by max |x| have norms in
-        # [0, sqrt(p)], and the division below brings the largest to 1
+        # [0, sqrt(p)], so a division by the largest brings it to 1
         X = X / np.abs(X).max()
         max_norm = np.linalg.norm(X, axis=1).max()
+    return X, max_norm
+
+
+def _normalize(X: np.ndarray) -> np.ndarray:
+    X, max_norm = _max_row_norm(X)
     # an inf or NaN row is left as it is for validate_dataset to report
     if 1.0 < max_norm < np.inf:
         X = X / max_norm
@@ -232,9 +240,26 @@ def _parse_sparse(fh) -> tuple[np.ndarray, np.ndarray]:
         labels.append(y)
         if idx.size:
             max_idx = max(max_idx, int(idx.max()))
-        blocks.append(_scatter(len(y), rows, idx - 1, vals))
+        with _allocating(max_idx):
+            blocks.append(_scatter(len(y), rows, idx - 1, vals))
         line += len(lines)
-    return _stack(blocks, max_idx), np.concatenate(labels or [np.empty(0)])
+    with _allocating(max_idx):
+        X = _stack(blocks, max_idx)
+    return X, np.concatenate(labels or [np.empty(0)])
+
+
+@contextlib.contextmanager
+def _allocating(max_idx: int):
+    """Report a dense matrix that memory cannot hold, as wide as the
+    largest sparse_text index `max_idx`, as one DataError naming it."""
+    try:
+        yield
+    # numpy raises ValueError for a size past the address range
+    except (MemoryError, ValueError):
+        raise DataError(
+            f"feature index {max_idx} is too large: its dense feature matrix "
+            "does not fit in memory"
+        ) from None
 
 
 def _sparse_block(lines: list):
@@ -360,10 +385,11 @@ def _locate_sparse_error(lines: list, line: int):
 def gen_synthetic(n: int, p: int, separation: float, seed: int) -> Dataset:
     """Two Gaussian clusters at +/- separation along a seeded direction.
 
-    Rows are rescaled so the largest norm is exactly 1 and the class
-    labels follow the generating cluster. separation=0 gives label-free
-    noise; large separation gives nearly separable classes. Deterministic
-    per seed.
+    Rows are rescaled so the largest norm is exactly 1 (first divided by
+    the largest entry where its square overflows, from a separation of
+    about 1.3e154) and the class labels follow the generating cluster.
+    separation=0 gives label-free noise; large separation gives nearly
+    separable classes. Deterministic per seed.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -379,7 +405,8 @@ def gen_synthetic(n: int, p: int, separation: float, seed: int) -> Dataset:
     X = rng.standard_normal((n, p)) + np.outer(y, separation * w)
     order = rng.permutation(n)
     X, y = X[order], y[order]
-    X = X / np.linalg.norm(X, axis=1).max()
+    X, max_norm = _max_row_norm(X)
+    X = X / max_norm
     return validate_dataset(_adopt(X, y))
 
 

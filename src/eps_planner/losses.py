@@ -84,7 +84,10 @@ def margin_values(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
     out = np.zeros_like(m)
     band = np.abs(1.0 - m) <= h
     low = m < 1.0 - h
-    out[band] = (1.0 + h - m[band]) ** 2 / (4.0 * h)
+    r = 1.0 + h - m[band]
+    # r lies in [0, 2h], so r**2 can overflow only from h = 6.7e153 on,
+    # where the value (at most h) does not; there it is r * (r / 4h)
+    out[band] = r**2 / (4.0 * h) if h < 1e150 else r * (r / (4.0 * h))
     out[low] = 1.0 - m[low]
     return out
 
@@ -227,7 +230,9 @@ def make_loss_spec(
     reference experiments. "tight" mode uses analytic bounds valid
     under ||x|| <= 1; for quadratic the gradient bound is data dependent,
     and tight mode takes 2, valid whenever ||theta|| <= 1 (a caller who
-    needs another bound builds the LossSpec directly).
+    needs another bound builds the LossSpec directly). A finite smooth_t
+    or huber_h whose constants leave the float range is a ValueError
+    naming it.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -243,7 +248,11 @@ def make_loss_spec(
     elif kind in ("huber_svm", "quadratic"):
         s = 0.0  # piecewise-constant curvature: third derivative vanishes a.e.
     elif kind == "smooth_hinge":
-        s = _LOGISTIC_THIRD / smooth_t**2
+        # smooth_t**2 overflows above about 1.3e154 and is 0 below about 1e-162
+        try:
+            s = _LOGISTIC_THIRD / smooth_t**2
+        except (OverflowError, ZeroDivisionError):
+            s = math.inf
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
 
@@ -257,6 +266,11 @@ def make_loss_spec(
         zeta, lam = 2.0, 1.0
     else:  # smooth_hinge
         zeta, lam = 1.0, 1.0 / (4.0 * smooth_t)
+    if not (s < math.inf and 0 < lam < math.inf):
+        name, value = ("huber_h", huber_h) if kind == "huber_svm" else ("smooth_t", smooth_t)
+        raise ValueError(
+            f"{name}={value!r} is too extreme: the loss's bound constants leave the float range"
+        )
     return LossSpec(
         kind=kind, zeta=zeta, lambda_hess=lam, s_third=s, huber_h=huber_h, smooth_t=smooth_t
     )

@@ -153,12 +153,12 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive")
-        if not self.lambda_hess > 0:
-            raise ValueError("lambda_hess must be positive")
-        if self.s_third < 0:
-            raise ValueError("s_third must be nonnegative")
+        if not 0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
+        if not 0 < self.lambda_hess < math.inf:
+            raise ValueError(f"lambda_hess must be positive and finite, got {self.lambda_hess}")
+        if not 0 <= self.s_third < math.inf:
+            raise ValueError(f"s_third must be nonnegative and finite, got {self.s_third}")
         if self.kind == "huber_svm" and not self.huber_h > 0:
             raise ValueError("huber_h must be positive for huber_svm")
         if self.kind == "smooth_hinge" and not self.smooth_t > 0:

@@ -40,6 +40,15 @@ def _finite(derivative, eps: float) -> float:
     return value
 
 
+def _log_two_over(delta: float) -> float:
+    """ln(2/delta), or ValueError naming delta where 2/delta overflows
+    (delta below about 1.1e-308)."""
+    ratio = 2.0 / float(delta)
+    if ratio == math.inf:
+        raise ValueError(f"delta={delta!r} is too small: 2/delta leaves the float range")
+    return math.log(ratio)
+
+
 def delta_coeff(lambda_hess: float, eps: float) -> float:
     """Ridge coefficient Delta_eps = 2 * lambda / eps."""
     if not lambda_hess > 0:
@@ -61,7 +70,7 @@ def delta_coeff_prime(lambda_hess: float, eps: float) -> float:
 def noise_sigma(zeta: float, delta: float, eps: float) -> float:
     """Noise standard deviation zeta * sqrt(8 ln(2/delta) + 4 eps) / eps."""
     _check_domain(zeta, delta, eps)
-    return zeta * math.sqrt(8.0 * math.log(2.0 / delta) + 4.0 * eps) / eps
+    return zeta * math.sqrt(8.0 * _log_two_over(delta) + 4.0 * eps) / eps
 
 
 def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
@@ -72,7 +81,7 @@ def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
     finite differences of noise_sigma confirm the negative one.)
     """
     _check_domain(zeta, delta, eps)
-    a, eps = math.log(2.0 / delta), float(eps)
+    a, eps = _log_two_over(delta), float(eps)
     return _finite(
         lambda: -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps)), eps
     )

@@ -25,8 +25,11 @@ gradient.
 
 W, the loss gradient and the utility all read the margins at theta_hat.
 The public functions here, `dtheta_deps` and `utility_slope`, compute
-them from the model; `chooser.measure` computes them once and passes
-them to `_dtheta_deps` and `aggregate`. `_dtheta_deps` takes everything
+them from the model. `chooser.measure` passes them to `_dtheta_deps`:
+for an exact model, the margins of the Newton solver's last evaluation,
+whose loss value and gradient are the utility and its gradient; for an
+sgd_repro iterate, one margins pass, with one `aggregate` call for the
+utility. `_dtheta_deps` takes everything
 else from the model: its loss, its solver mode (for the damping) and the
 perturbation derivatives, from one `materialize` of its own noise draw,
 budget and bound constants. The public functions check the loss spec and

@@ -13,12 +13,18 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
 
 Each point the solver visits gets one margins pass, X theta, and
 everything evaluated there reads that one vector: `perturbed_objective`
-takes those margins, as `aggregate` and `hessian` do. A Newton
-line-search candidate evaluates value and gradient, and the accepted
-candidate's gradient is the one reported at the solution. The loss
-Hessian is built only at the start point and at each accepted iterate
-that has not yet converged, once per Newton step, from the margins that
-point's line search already computed.
+takes those margins, as `aggregate` and `hessian` do. The exact solver's
+start theta = 0 takes zeros instead of the product X 0, whose +-0 give
+every loss the same value, slope and curvature; a given `theta0` is
+multiplied out. A Newton line-search candidate evaluates value and
+gradient, and the accepted candidate's gradient is the one reported at
+the solution. The loss Hessian is built only at the start point and at
+each accepted iterate that has not yet converged, once per Newton step,
+from the margins that point's line search already computed. The last
+accepted evaluation, its margins and its loss value and gradient, goes
+on to `chooser.measure_many` through `_train_runs`, so the measurement
+at theta_hat recomputes none of them; `train` and `train_many` return
+the models alone.
 
 `train_many` trains a list of (budget, noise draw) runs. Its sgd_repro
 runs step together as the columns of a p x K iterate, in blocks of K
@@ -97,6 +103,13 @@ def perturbed_objective(
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the perturbed training objective at theta,
     from its margins `m = margins(theta, d)`."""
+    value, grad, _ = _objective(theta, m, d, spec, cfg, pert)
+    return value, grad
+
+
+def _objective(theta, m, d, spec, cfg, pert):
+    # perturbed_objective, and the loss value and gradient it adds the
+    # regularizer and perturbation terms to
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != d.p or pert.b.shape[0] != d.p:
         raise ValueError("dimension mismatch between theta, dataset and perturbation")
@@ -105,7 +118,7 @@ def perturbed_objective(
     ridge = cfg.reg_lambda + pert.delta_eps_coeff
     grad = gradL + (ridge * theta + pert.b) / n
     value = L + ridge / (2.0 * n) * float(theta @ theta) + float(pert.b @ theta) / n
-    return value, grad
+    return value, grad, (L, gradL)
 
 
 def train(
@@ -117,19 +130,7 @@ def train(
     theta0: np.ndarray | None = None,
 ) -> PrivateModel:
     """Minimize the perturbed objective and return the trained model."""
-    global TRAIN_CALL_COUNT
-    pert = _perturbation(d, spec, budget, noise)
-    TRAIN_CALL_COUNT += 1
-    theta = np.zeros(d.p) if theta0 is None else np.array(theta0, dtype=np.float64)
-    # the solvers' finiteness checks report an overflow or NaN as one
-    # NumericalError, so numpy does not also warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.solver_mode == "sgd_repro":
-            (theta,), (grad_norm,) = _run_sgd(theta[:, None], d, spec, cfg, [pert])
-            iters = cfg.sgd_iterations
-        else:
-            theta, iters, grad_norm = _run_newton(theta, d, spec, cfg, pert)
-    return _model(theta, iters, grad_norm, spec, cfg, budget, noise)
+    return _train_runs(d, spec, cfg, [(budget, noise)], theta0)[0][0]
 
 
 def train_many(
@@ -145,21 +146,39 @@ def train_many(
     blocks of columns whose n x K margins buffer stays within
     SGD_BLOCK_BYTES; a column's bits may differ from its one-run `train`
     by the reassociation of the BLAS products (within 1e-14 relative).
-    Exact runs train one at a time, through `train`.
+    Exact runs train one at a time.
     """
+    return [model for model, _ in _train_runs(d, spec, cfg, runs)]
+
+
+def _train_runs(d, spec, cfg, runs, theta0=None):
+    """(model, last) for each (budget, noise draw) run, in order, from
+    `theta0` (zero if None). `last` is the exact solver's final
+    evaluation, (margins, loss value, loss gradient) at the returned
+    theta: the bits `margins` and `aggregate` give there, but for zeros
+    in place of X 0's +-0 at a zero start. It is None for sgd_repro runs,
+    whose loop forms neither."""
     global TRAIN_CALL_COUNT
     runs = list(runs)
     # every run is checked before any trains
     perts = [_perturbation(d, spec, budget, noise) for budget, noise in runs]
-    if cfg.solver_mode != "sgd_repro":
-        return [train(d, spec, cfg, budget, noise) for budget, noise in runs]
     TRAIN_CALL_COUNT += len(runs)
+    start = None if theta0 is None else np.array(theta0, dtype=np.float64)
+    # the solvers' finiteness checks report an overflow or NaN as one
+    # NumericalError, so numpy does not also warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        thetas, grad_norms = _run_sgd(np.zeros((d.p, len(runs))), d, spec, cfg, perts)
-    return [
-        _model(theta, cfg.sgd_iterations, grad_norm, spec, cfg, budget, noise)
-        for theta, grad_norm, (budget, noise) in zip(thetas, grad_norms, runs)
-    ]
+        if cfg.solver_mode == "sgd_repro":
+            columns = np.zeros((d.p, len(runs))) if start is None else start[:, None]
+            thetas, grad_norms = _run_sgd(columns, d, spec, cfg, perts)
+            return [
+                (_model(theta, cfg.sgd_iterations, grad_norm, spec, cfg, budget, noise), None)
+                for theta, grad_norm, (budget, noise) in zip(thetas, grad_norms, runs)
+            ]
+        out = []
+        for (budget, noise), pert in zip(runs, perts):
+            theta, iters, grad_norm, last = _run_newton(start, d, spec, cfg, pert)
+            out.append((_model(theta, iters, grad_norm, spec, cfg, budget, noise), last))
+        return out
 
 
 def _perturbation(d, spec, budget, noise) -> PerturbationAtEps:
@@ -239,8 +258,16 @@ def _sgd_block(theta, z, spec, cfg, perts, first, buf):
 
 
 def _run_newton(theta, d, spec, cfg, pert):
-    m = margins(theta, d)
-    value, grad = perturbed_objective(theta, m, d, spec, cfg, pert)
+    """Newton's theta from `theta` (zero if None), its step count and
+    gradient norm, and its last evaluation (margins, loss value, loss
+    gradient)."""
+    if theta is None:
+        # X 0 is +-0 in every row, and every loss gives +-0 margins the
+        # same value, slope and curvature, so zeros stand in for the product
+        theta, m = np.zeros(d.p), np.zeros(d.n)
+    else:
+        m = margins(theta, d)
+    value, grad, loss = _objective(theta, m, d, spec, cfg, pert)
     gnorm = float(np.linalg.norm(grad))
     ridge_eye = ((cfg.reg_lambda + pert.delta_eps_coeff) / d.n) * np.eye(d.p)
     # `it` is the number of steps accepted so far
@@ -248,7 +275,7 @@ def _run_newton(theta, d, spec, cfg, pert):
         if not np.isfinite(value) or not np.isfinite(gnorm):
             raise NumericalError(f"non-finite objective at exact-solver step {it}")
         if gnorm <= cfg.stationarity_tol:
-            return theta, it, gnorm
+            return theta, it, gnorm, (m, *loss)
         if it == cfg.max_exact_iterations:
             break
         hess = hessian(spec, m, d) + ridge_eye
@@ -262,7 +289,7 @@ def _run_newton(theta, d, spec, cfg, pert):
         while t >= 1e-14:
             cand = theta + t * step
             cand_m = margins(cand, d)
-            cand_value, cand_grad = perturbed_objective(cand, cand_m, d, spec, cfg, pert)
+            cand_value, cand_grad, cand_loss = _objective(cand, cand_m, d, spec, cfg, pert)
             cand_gnorm = float(np.linalg.norm(cand_grad))
             armijo_ok = (
                 cand_value <= value + 1e-4 * t * slope
@@ -271,6 +298,7 @@ def _run_newton(theta, d, spec, cfg, pert):
             flat_ok = cand_value <= value + slack and cand_gnorm < 0.9 * gnorm
             if np.isfinite(cand_value) and (armijo_ok or flat_ok):
                 theta, m, value, grad, gnorm = cand, cand_m, cand_value, cand_grad, cand_gnorm
+                loss = cand_loss
                 break
             t *= 0.5
         else:

@@ -159,10 +159,12 @@ class TestPlan:
     def test_exact_plan_computes_margins_once_per_point(
         self, kind, margins_calls, aggregate_calls, hessian_builds
     ):
-        """One margins pass per training evaluation (the start point and
-        each line-search candidate, whose margins the next Newton step's
-        Hessian reuses) and one at theta_hat, which W, the utility and its
-        gradient share."""
+        """One margins pass per line-search candidate, whose margins the
+        next Newton step's Hessian reuses, and none for the theta = 0
+        start. The measurement takes the margins, the loss value and its
+        gradient at theta_hat from the solver's last evaluation, so W, the
+        utility and its gradient need no margins or aggregate call of
+        their own."""
         d = gen_synthetic(2000, 10, 2.0, 0)
         spec = make_loss_spec(kind, 10, "tight")
         cfg = TrainConfig()
@@ -173,11 +175,11 @@ class TestPlan:
         result = plan(d, spec, cfg, 0.25, 1e-3, target, seed=0)
         evaluations = aggregate_calls.count("trainer")
         assert evaluations >= result.model.iterations_used + 1
-        assert margins_calls.count("trainer") == evaluations
-        assert margins_calls.count("chooser") == 1
-        assert len(margins_calls) == evaluations + 1
-        assert aggregate_calls.count("chooser") == 1
-        assert len(aggregate_calls) == evaluations + 1
+        assert margins_calls.count("trainer") == evaluations - 1
+        assert margins_calls.count("chooser") == 0
+        assert len(margins_calls) == evaluations - 1
+        assert aggregate_calls.count("chooser") == 0
+        assert len(aggregate_calls) == evaluations
         assert len(hessian_builds) == result.model.iterations_used + 1
 
     def test_sgd_measure_computes_margins_once_per_step_and_once_at_theta_hat(
@@ -301,6 +303,26 @@ class TestMeasureMany:
         runs = self.RUNS[:4]
         many = measure_many(d, spec, cfg, 1e-3, runs)
         assert many == [measure(d, spec, cfg, eps, 1e-3, seed) for eps, seed in runs]
+
+    @pytest.mark.parametrize("tol", [1e-8, 10.0])
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_exact_runs_equal_a_recomputation_at_theta_hat(self, three_column_blocks, kind, tol):
+        """The margins, loss value and gradient an exact measurement takes
+        from the solver's last evaluation are those that margins and
+        aggregate recompute from model.theta, bit for bit. A tolerance of
+        10 stops the solver at its zero start, whose margins are zeros
+        where X 0 gives +-0."""
+        d = three_column_blocks
+        spec = make_loss_spec(kind, d.p, "tight")
+        for m in measure_many(d, spec, TrainConfig(stationarity_tol=tol), 1e-3, self.RUNS[:3]):
+            assert (m.model.iterations_used == 0) == (tol == 10.0)
+            at = losses.margins(m.model.theta, d)
+            report = sensitivity._dtheta_deps(m.model, at, d)
+            base_utility, gradF = losses.aggregate(spec, at, d)
+            assert np.array_equal(m.report.dtheta_deps, report.dtheta_deps)
+            assert m.line == ExtrapolationLine(
+                m.model.budget.epsilon, base_utility, float(gradF @ report.dtheta_deps)
+            )
 
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
     def test_sgd_runs_match_measure(self, three_column_blocks, kind):

@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eps_planner import trainer
 from eps_planner.cli import (
@@ -905,3 +910,103 @@ class TestNegativeSeed:
             "error: EPS_PLANNER_SEED='-3' is not a nonnegative integer\n"
         )
         assert trainer.TRAIN_CALL_COUNT == before
+
+
+class TestExtremeInputs:
+    """Inputs at the edges of the float range end in one line naming the
+    input at fault, not a traceback or a numpy warning."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--loss", "smooth_hinge", "--smooth-t", "1e-170"],
+         "error: smooth_t=1e-170 is too extreme: "),
+        (["--loss", "huber_svm", "--huber-h", "1e-320"],
+         "error: huber_h=1e-320 is too extreme: "),
+        (["--delta", "1e-320"], "error: delta=1e-320 is too small: "),
+    ])
+    def test_constant_out_of_float_range_is_exit_1(self, flags, message, capsys):
+        code = run_cli(["train", "--synthetic", "50,3,2.0", "--eps", "0.5"] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_sparse_index_past_memory_is_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "d.svm"
+        f.write_text("1 1000000000000000:0.25\n-1 1:0.5\n")
+        code = run_cli(["train", "--data", str(f), "--format", "sparse_text", "--eps", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: feature index 1000000000000000 is too large: "
+            "its dense feature matrix does not fit in memory\n"
+        )
+
+    def test_gen_data_at_huge_separation_writes_unit_rows(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = run_cli(["gen-data", "--n", "5", "--p", "2", "--separation", "1e300",
+                        "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        X = np.loadtxt(out, delimiter=",", skiprows=1)[:, :2]
+        assert np.linalg.norm(X, axis=1) == pytest.approx(np.ones(5), abs=1e-12)
+
+
+def _magnitudes(default):
+    """A flag's default, or a power of ten from the subnormal range to
+    near the largest float."""
+    return st.one_of(st.just(default), st.integers(-323, 308).map(lambda e: f"1e{e}"))
+
+
+# a sparse_text index of 10**14 or more on two rows asks for more than the
+# address space, so no allocation of the file's matrix can succeed or
+# touch memory; the indices between would allocate for real
+_SPARSE_INDICES = st.one_of(st.integers(1, 50), st.integers(10**14, 10**20))
+
+
+@example(source=("synthetic", "20,3,1e300"), loss="logistic", bounds="tight", solver="exact",
+         smooth_t="0.1", huber_h="0.1", delta="1e-3", reg_lambda="0.01", eps="0.5")
+@example(source=("sparse_text", 10**15), loss="logistic", bounds="tight", solver="exact",
+         smooth_t="0.1", huber_h="0.1", delta="1e-3", reg_lambda="0.01", eps="0.5")
+@example(source=("synthetic", "20,3,2.0"), loss="smooth_hinge", bounds="tight", solver="exact",
+         smooth_t="1e-170", huber_h="0.1", delta="1e-3", reg_lambda="0.01", eps="0.5")
+@settings(max_examples=30, deadline=5000, derandomize=True, database=None)
+@given(
+    source=st.one_of(
+        st.tuples(st.just("synthetic"), st.builds(
+            "{},{},{}".format, st.integers(2, 50), st.integers(1, 4), _magnitudes("2.0"),
+        )),
+        st.tuples(st.just("sparse_text"), _SPARSE_INDICES),
+    ),
+    loss=st.sampled_from(["logistic", "huber_svm", "quadratic", "smooth_hinge"]),
+    bounds=st.sampled_from(["tight", "paper"]),
+    solver=st.sampled_from(["exact", "sgd"]),
+    smooth_t=_magnitudes("0.1"),
+    huber_h=_magnitudes("0.1"),
+    delta=_magnitudes("1e-3"),
+    reg_lambda=_magnitudes("0.01"),
+    eps=_magnitudes("0.5"),
+)
+def test_train_at_extreme_magnitudes_exits_with_at_most_one_line(
+    source, loss, bounds, solver, smooth_t, huber_h, delta, reg_lambda, eps
+):
+    """Whatever the magnitudes, train exits 0-3 with at most one stderr
+    line: no exception escapes run_cli (a traceback on the command line)
+    and numpy warns of nothing."""
+    argv = ["train", "--loss", loss, "--bounds", bounds, "--solver", solver,
+            "--smooth-t", smooth_t, "--huber-h", huber_h, "--delta", delta,
+            "--reg-lambda", reg_lambda, "--eps", eps, "--seed", "1"]
+    with tempfile.TemporaryDirectory() as tmp:
+        kind, value = source
+        if kind == "synthetic":
+            argv += ["--synthetic", value]
+        else:
+            path = os.path.join(tmp, "d.svm")
+            with open(path, "w") as fh:
+                fh.write(f"1 {value}:0.25\n-1 1:0.5\n")
+            argv += ["--data", path, "--format", "sparse_text"]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_cli(argv)
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import tracemalloc
@@ -177,6 +178,21 @@ class TestSparseLoader:
         with pytest.raises(DataError, match="^line 2: feature index 99999999999999999999 is too large$"):
             load_dataset(str(f), "sparse_text")
 
+    @pytest.mark.parametrize("rows, index", [
+        ("1 1000000000000000:0.25\n-1 1:0.5\n", 10**15),
+        ("1 1:0.25 1000000000000000:0.5\n-1 2:0.5\n", 10**15),
+        ("1 1000000000000000000:0.25\n-1 1:0.5\n", 10**18),
+    ])
+    def test_index_past_memory_is_data_error(self, tmp_path, rows, index):
+        """Two rows as wide as index 10**15 ask numpy for 16 PB, more than
+        the address space holds, so the allocation is refused under any
+        overcommit policy and touches no page (MemoryError); at 10**18
+        numpy refuses the size itself (ValueError). Both are one DataError."""
+        f = tmp_path / "d.svm"
+        f.write_text(rows)
+        with pytest.raises(DataError, match=f"^feature index {index} is too large: "):
+            load_dataset(str(f), "sparse_text")
+
     def test_zero_based_index_rejected(self, tmp_path):
         f = tmp_path / "d.sp"
         f.write_text("+1 0:0.5\n")
@@ -220,6 +236,50 @@ class TestGenSynthetic:
         cfg = TrainConfig(reg_lambda=0.01)
         m = train(d, spec, cfg, PrivacyBudget(1e9, 0.5), NoiseDraw(np.zeros(5), 0))
         assert utility(m.theta, d, spec) < 0.1
+
+    @staticmethod
+    def digest(datasets):
+        h = hashlib.sha256()
+        for d in datasets:
+            h.update(d.features.tobytes())
+            h.update(d.labels.tobytes())
+        return h.hexdigest()
+
+    def test_benchmark_datasets_keep_their_bits(self):
+        """The plan-wide and tables-sgd inputs, whose reference tables
+        were made from these bits."""
+        assert self.digest([gen_synthetic(20000, 100, 2.0, 1)]) == (
+            "11eab90918bfe66163292dd96de9c8f127050fcb6ccc34cf9419bbdb0f2738e8"
+        )
+        assert self.digest([gen_synthetic(5000, 10, 2.0, k) for k in range(32)]) == (
+            "633a54d5267c30ae7e4c8f27bcac15935e2fc82a8a786d70415888fe5991c13a"
+        )
+
+    @pytest.mark.parametrize("separation", [1e150, 1e154])
+    def test_separation_below_overflow_keeps_the_one_division(self, separation):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(4)
+        w /= np.linalg.norm(w)
+        y = np.ones(40)
+        y[20:] = -1.0
+        X = rng.standard_normal((40, 4)) + np.outer(y, separation * w)
+        order = rng.permutation(40)
+        X = X[order]
+        d = gen_synthetic(40, 4, separation, 3)
+        assert np.array_equal(d.features, X / np.linalg.norm(X, axis=1).max())
+        assert np.array_equal(d.labels, y[order])
+
+    @pytest.mark.parametrize("separation", [2e154, 1e200, 1e300, 1.7e308])
+    def test_separation_whose_squares_overflow_is_scaled(self, separation):
+        """The rows are nearly +-w; they are scaled down first and keep a
+        largest norm of 1, with no overflow warning (an error under the
+        warning filter)."""
+        d = gen_synthetic(6, 3, separation, 2)
+        norms = np.linalg.norm(d.features, axis=1)
+        assert norms.max() == pytest.approx(1.0, abs=1e-12)
+        assert (norms > 0.99).all()
+        # each row points along its label's cluster
+        assert (d.features @ d.features[0] * d.labels * d.labels[0] > 0).all()
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

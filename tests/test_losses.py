@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -60,6 +61,15 @@ class TestLossValue:
         # (1 + 0.1 - 1.0)^2 / (4 * 0.1)
         d, theta = row_with_margin(1.0)
         assert value(spec_of("huber_svm"), theta, d) == pytest.approx(0.025, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1e150, 1e155, 1e300])
+    def test_huber_band_at_huge_h_does_not_overflow(self, h):
+        """Inside the band the value is at most h, though its square
+        (1 + h - m)^2 would overflow: no warning, and the value is finite."""
+        spec = LossSpec(kind="huber_svm", zeta=1.0, lambda_hess=1.0, s_third=0.0, huber_h=h)
+        m = np.array([1.0 - h, 0.0, 1.0, 1.0 + h])
+        values = margin_values(spec, m)
+        assert values == pytest.approx([h, h / 4.0, h / 4.0, 0.0], rel=1e-12)
 
     def test_huber_linear_branch(self):
         d, theta = row_with_margin(0.5)
@@ -490,6 +500,37 @@ class TestDefaultBounds:
     def test_nonpositive_shape_is_value_error(self, mode, kind, shape, value):
         with pytest.raises(ValueError, match=f"{shape} must be positive"):
             make_loss_spec(kind, 4, mode, **{shape: value})
+
+
+    @pytest.mark.parametrize("mode", ["paper", "tight"])
+    @pytest.mark.parametrize("t", [1e-170, 5e-324, 1e155, 1e300])
+    def test_smooth_t_out_of_float_range_is_value_error(self, mode, t):
+        """smooth_t**2 rounds to 0 below about 1e-162 and overflows above
+        about 1.3e154; either way s_third leaves the float range, and the
+        error names smooth_t."""
+        with pytest.raises(ValueError, match="^" + re.escape(f"smooth_t={t!r} is too extreme: ")):
+            make_loss_spec("smooth_hinge", 4, mode, smooth_t=t)
+
+    @pytest.mark.parametrize("h", [1e-320, 5e-324, 1e308])
+    def test_huber_h_out_of_float_range_is_value_error(self, h):
+        """In tight mode lambda_hess = 1/(2h) is inf or 0 at these h."""
+        with pytest.raises(ValueError, match="^" + re.escape(f"huber_h={h!r} is too extreme: ")):
+            make_loss_spec("huber_svm", 4, "tight", huber_h=h)
+
+    @pytest.mark.parametrize("kind, shape, value", [
+        ("smooth_hinge", "smooth_t", 1e-150),
+        ("smooth_hinge", "smooth_t", 1e150),
+        ("huber_svm", "huber_h", 1e-300),
+        ("huber_svm", "huber_h", 1e300),
+    ])
+    def test_extreme_finite_constants_keep_their_formulas(self, kind, shape, value):
+        spec = make_loss_spec(kind, 4, "tight", **{shape: value})
+        if kind == "smooth_hinge":
+            assert (spec.s_third, spec.lambda_hess) == (
+                losses._LOGISTIC_THIRD / value**2, 1.0 / (4.0 * value)
+            )
+        else:
+            assert spec.lambda_hess == 1.0 / (2.0 * value)
 
 
 def smooth_hinge_value(t, margin):

@@ -90,6 +90,13 @@ class TestDomainValidation:
         with pytest.raises(ValueError, match="huber_h"):
             LossSpec(kind="huber_svm", zeta=1, lambda_hess=1, s_third=0, huber_h=0.0)
 
+    @pytest.mark.parametrize("field", ["zeta", "lambda_hess", "s_third"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_loss_spec_rejects_non_finite_constants(self, field, value):
+        constants = {"zeta": 1.0, "lambda_hess": 1.0, "s_third": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be .*finite, got {value}$"):
+            LossSpec(kind="logistic", **constants)
+
     def test_line_rejects_nonpositive_measure(self):
         with pytest.raises(ValueError):
             ExtrapolationLine(measure_eps=0.0, base_utility=0.5, slope=-0.1)

@@ -74,6 +74,19 @@ class TestNoiseSigma:
                 noise_sigma(*bad)
 
 
+    @pytest.mark.parametrize("delta", [1e-320, 5e-324, np.float64(1e-320)])
+    def test_delta_whose_reciprocal_overflows_is_value_error(self, delta):
+        """2/delta overflows below about 1.1e-308: a ValueError naming
+        delta, from sigma and sigma' alike, with no numpy warning."""
+        for f in (noise_sigma, noise_sigma_prime):
+            with pytest.raises(ValueError, match=r"^delta=.* is too small: "):
+                f(1.0, delta, 0.5)
+
+    def test_smallest_delta_keeps_the_formula(self):
+        delta = 1.2e-308
+        assert noise_sigma(1.0, delta, 0.5) == math.sqrt(8.0 * math.log(2.0 / delta) + 2.0) / 0.5
+
+
 class TestNoiseSigmaPrime:
     def test_negative_on_grid(self):
         for delta in (1e-6, 1e-4, 1e-2, 0.1, 0.5):

@@ -177,6 +177,28 @@ class TestTrainExact:
         _, grad = perturbed_objective(m.theta, margins(m.theta, d), d, spec, cfg, pert)
         assert m.grad_norm_at_solution == float(np.linalg.norm(grad))
 
+    @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
+    def test_zero_start_equals_the_multiplied_out_zero_start(self, kind):
+        """The theta = 0 start takes zeros for its margins, X 0 takes +-0;
+        every loss gives both the same bits, and so the same model."""
+        d = gen_synthetic(150, 5, 1.5, 31)
+        spec = make_loss_spec(kind, 5, "tight")
+        args = (d, spec, TrainConfig(), PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(5, 4))
+        assert train(*args) == train(*args, theta0=np.zeros(5))
+
+    def test_given_start_takes_its_margins_product(self, margins_calls, aggregate_calls):
+        """Only the zero start skips X theta: from a given theta0 every
+        evaluation, the start's included, has its own margins pass."""
+        d = gen_synthetic(150, 5, 1.5, 31)
+        spec = make_loss_spec("logistic", 5, "tight")
+        args = (d, spec, TrainConfig(), PrivacyBudget(0.25, 1e-3), NoiseDraw.generate(5, 4))
+        m = train(*args, theta0=np.full(5, 0.5))
+        assert m.iterations_used > 0
+        assert margins_calls == aggregate_calls == ["trainer"] * len(aggregate_calls)
+        del margins_calls[:], aggregate_calls[:]
+        train(*args)
+        assert len(margins_calls) == len(aggregate_calls) - 1
+
     def test_indefinite_newton_matrix_raises(self, monkeypatch):
         """A Newton matrix that does not factor is an error, not a gradient step."""
         from eps_planner import trainer
