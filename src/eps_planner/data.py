@@ -417,11 +417,11 @@ def write_csv_dataset(d: Dataset, path: str) -> None:
         # quoting, and its rows end in \r\n
         fh.write(",".join([f"f{j + 1}" for j in range(d.p)] + ["label"]) + "\r\n")
         # Python floats, not numpy scalars: repr gives the same shortest
-        # digits; converted one block of rows at a time, so the extra
-        # memory is one block's lists, not a list copy of all n rows
+        # digits; unfolded and converted one block of rows at a time, so the
+        # extra memory is one block's lists, not a list copy of all n rows
         for start in range(0, d.n, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
+            block = d.subset(range(start, min(start + BLOCK_ROWS, d.n)))
             fh.writelines(
                 f"{','.join(map(repr, row))},{int(label)}\r\n"
-                for row, label in zip(d.features[block].tolist(), d.labels[block].tolist())
+                for row, label in zip(block.features.tolist(), block.labels.tolist())
             )

@@ -5,14 +5,15 @@ per-example Hessian is always kappa * x x^T for a scalar curvature
 kappa = l''(m) >= 0. The vectorized `margin_*` helpers operate on whole
 margin arrays and give l, l' and l'' separately.
 
-`margins(theta, d)` computes X theta for every caller but the sgd_repro
-loop, which folds the labels into its rows once per training and calls
-`margin_slopes` itself (see trainer). `aggregate` and `hessian` take that
-margins vector, not theta, so a caller that needs value, gradient and
-Hessian at one point computes its margins once and passes them to each.
-`aggregate` returns the mean value and the mean gradient. `hessian` is
-the one Hessian path, called only by an accepted Newton iterate and by
-the sensitivity solve.
+A `Dataset` holds the label-folded rows z_i = y_i x_i, so, as y_i^2 = 1,
+the margins are z theta, the loss gradient z^T l' / n and the Hessian
+z^T diag(l'') z / n. `margins(theta, d)` computes z theta for every
+caller but the sgd_repro loop, which calls `margin_slopes` itself (see
+trainer). `aggregate` and `hessian` take that margins vector, not theta,
+so a caller that needs value, gradient and Hessian at one point computes
+its margins once and passes them to each. `aggregate` returns the mean
+value and the mean gradient. `hessian` is the one Hessian path, called
+only by an accepted Newton iterate and by the sensitivity solve.
 
 `margin_slopes` writes l'(m) into `out`, which may be the margins array
 itself, as the sgd loop's buffer is. It takes at most five in-place
@@ -33,7 +34,7 @@ bits; other values of c (smooth_hinge at 0) move the last bit. Zero and
 NaN curvatures always take the blocked build.
 
 The Hessian is streamed over row blocks of about HESSIAN_BLOCK_BYTES
-(512 KB) of features, so the extra memory is one block, not a scaled
+(512 KB) of rows, so the extra memory is one block, not a scaled
 copy of all n rows. The square roots of all curvatures are taken once.
 Each block scales its rows by sqrt(kappa) into one buffer allocated per
 build and adds them to the upper triangle of one p x p sum with a single
@@ -133,21 +134,21 @@ def margin_curvatures(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
 
 
 def margins(theta: np.ndarray, d: Dataset) -> np.ndarray:
-    """Vector of margins y_i * <theta, x_i>; theta must have length p."""
+    """Vector of margins <theta, z_i> = y_i <theta, x_i>; theta must have length p."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != d.p:
         raise ValueError(f"theta has length {theta.shape[0]}, dataset has p={d.p}")
-    return d.labels * (d.features @ theta)
+    return d.rows @ theta
 
 
-# bytes of features per Hessian row block: a block and its scaled copy
+# bytes of rows per Hessian row block: a block and its scaled copy
 # stay in cache, and the build's extra memory does not grow with n
 HESSIAN_BLOCK_BYTES = 512 * 1024
 
 
 def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
     rows = max(1, HESSIAN_BLOCK_BYTES // (8 * d.p))
-    # kappa >= 0 for every loss, so kappa x x^T = (sqrt(kappa) x)(sqrt(kappa) x)^T
+    # kappa >= 0 for every loss, so kappa z z^T = (sqrt(kappa) z)(sqrt(kappa) z)^T
     roots = np.sqrt(curvatures)
     # each block's scaled rows go to the leading rows of one buffer
     buf = np.empty((min(rows, d.n), d.p))
@@ -155,13 +156,13 @@ def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
     # a.T of a C-ordered block is Fortran-ordered, so BLAS gets it uncopied
     upper = np.zeros((d.p, d.p), order="F")
     for start in range(0, d.n, rows):
-        xb = d.features[start : start + rows]
+        zb = d.rows[start : start + rows]
         sb = roots[start : start + rows]
         # a row of zero curvature adds nothing; NaN rows are kept
         curved = sb != 0.0
         if not curved.all():
-            xb, sb = xb[curved], sb[curved]
-        a = np.multiply(xb, sb[:, None], out=buf[: len(xb)])
+            zb, sb = zb[curved], sb[curved]
+        a = np.multiply(zb, sb[:, None], out=buf[: len(zb)])
         upper = dsyrk(1.0, a.T, beta=1.0, c=upper, trans=0, lower=0, overwrite_c=1)
     upper /= d.n
     # exact zeros lie below the diagonal, so upper + upper.T is the exactly
@@ -183,7 +184,7 @@ def aggregate(spec: LossSpec, m: np.ndarray, d: Dataset) -> tuple[float, np.ndar
     margins `m = margins(theta, d)` are given."""
     m = _check_margins(m, d)
     L = float(margin_values(spec, m).mean())
-    return L, d.features.T @ (margin_slopes(spec, m) * d.labels) / d.n
+    return L, d.rows.T @ margin_slopes(spec, m) / d.n
 
 
 def _gram(d: Dataset) -> np.ndarray:

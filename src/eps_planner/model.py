@@ -1,14 +1,15 @@
 """Shared domain types and their invariants.
 
-Everything here is immutable after construction and safe to share
-across threads. Array fields are read-only float64 arrays; a writable
-array passed in is copied, since the caller may still write to it or to
-a view of it (`load_dataset`, `gen_synthetic` and `Dataset.subset` pass
-theirs read-only, so they take no copy). The one later write is
-`losses`' cache of X^T X / n on a `Dataset`, a read-only array set once
-outside the dataclass fields (equality, repr and `subset` ignore it);
-two threads racing to set it compute the same bits, so the race is
-harmless. No numerics beyond validation live in this module.
+Everything here is immutable after construction and safe to share across
+threads. Array fields are read-only float64 arrays; a writable array
+passed in is copied, since the caller may still write to it or to a view
+of it. A `Dataset` folds its labels into its features, z_i = y_i x_i, in
+place in an array nothing else holds (its own float64 conversion, or one
+from `load_dataset` or `gen_synthetic`), else into a new array. The one
+later write is `losses`' cache of X^T X / n on a `Dataset`, a read-only
+array set once outside the dataclass fields (equality, repr and `subset`
+ignore it); two threads racing to set it compute the same bits, so the
+race is harmless. No numerics beyond validation live in this module.
 """
 from __future__ import annotations
 
@@ -35,10 +36,17 @@ def _readonly(a) -> np.ndarray:
 
 
 def _adopt(features: np.ndarray, labels: np.ndarray) -> "Dataset":
-    """A Dataset over fresh arrays that nothing else holds, taken uncopied."""
-    features.setflags(write=False)
-    labels.setflags(write=False)
-    return Dataset(features, labels)
+    """A Dataset over fresh arrays nothing else holds, folded in place."""
+    features *= labels[:, None]
+    return _hold(object.__new__(Dataset), features, labels)
+
+
+def _hold(d: "Dataset", rows: np.ndarray, labels: np.ndarray) -> "Dataset":
+    """`d` holding `rows` and `labels`, both made read-only."""
+    for name, a in (("rows", rows), ("labels", labels)):
+        a.setflags(write=False)
+        object.__setattr__(d, name, a)
+    return d
 
 
 class _FieldwiseEq:
@@ -54,64 +62,72 @@ class _FieldwiseEq:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset(_FieldwiseEq):
     """Ordered collection of examples, stored as dense arrays.
 
-    `features` is the n x p matrix of stacked feature rows and `labels`
-    the matching +/-1 vector. Construction does not validate the content
-    invariants; call validate_dataset for that.
+    Built from the n x p matrix `features` and the matching +/-1 vector
+    `labels`, it stores the label-folded rows z_i = y_i x_i and the labels.
+    `features` unfolds the rows on each read, exact for labels +/-1, which
+    validate_dataset enforces with the other content invariants.
     """
 
-    features: np.ndarray
+    rows: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self):
-        X = np.atleast_2d(_readonly(self.features))
-        y = np.atleast_1d(_readonly(self.labels))
+    def __init__(self, features, labels):
+        y = np.atleast_1d(_readonly(labels))
+        X = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
+        if X.ndim != 2 or y.ndim != 1:
+            raise DataError("features must be a 2-d matrix and labels a vector")
         if X.shape[0] != y.shape[0]:
-            raise DataError(
-                f"feature rows ({X.shape[0]}) and labels ({y.shape[0]}) disagree"
-            )
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y)
+            raise DataError(f"feature rows ({X.shape[0]}) and labels ({y.shape[0]}) disagree")
+        # an ndarray's float64 copy, which nothing else holds, is folded in place
+        fresh = isinstance(features, np.ndarray) and X is not features and X.base is None
+        # a label outside +-1, which validate_dataset names, may overflow or give 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            _hold(self, np.multiply(X, y[:, None], out=X if fresh else None), y)
+
+    @property
+    def features(self) -> np.ndarray:
+        X = self.rows * self.labels[:, None]
+        X.setflags(write=False)
+        return X
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
 
     @property
     def p(self) -> int:
-        return self.features.shape[1]
+        return self.rows.shape[1]
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return _adopt(self.features[idx], self.labels[idx])
+        return _hold(object.__new__(Dataset), self.rows[idx], self.labels[idx])
 
 
 def validate_dataset(d: Dataset) -> Dataset:
     """Check all dataset invariants; return `d` unchanged if they hold.
 
-    Raises DataError on: empty data, no feature columns, mixed
-    dimensionality, labels outside {-1, +1}, a non-finite feature value,
-    or a feature row with L2 norm above 1 + 1e-9. Finiteness is checked
-    first, so an inf or NaN row is reported as such and not as a norm
-    violation.
+    Raises DataError on: empty data, no feature columns, labels outside
+    {-1, +1}, a non-finite feature value, or a feature row with L2 norm
+    above 1 + 1e-9. Finiteness is checked first, so an inf or NaN row is
+    reported as such and not as a norm violation.
     """
     if d.n < 1:
         raise DataError("empty dataset")
-    if d.features.ndim != 2:
-        raise DataError("features must be a 2-d matrix")
     if d.p < 1:
         raise DataError("no feature columns")
     bad = np.flatnonzero(~np.isin(d.labels, (-1.0, 1.0)))
     if bad.size:
         raise DataError(f"invalid label {d.labels[bad[0]]!r} at row {bad[0]}")
-    finite = np.isfinite(d.features)
+    # z_i = +-x_i, with x_i's finiteness and norm
+    finite = np.isfinite(d.rows)
     if not finite.all():
         row = np.flatnonzero(~finite.all(axis=1))[0]
         raise DataError(f"non-finite feature value at row {row}")
-    norms = np.linalg.norm(d.features, axis=1)
+    norms = np.linalg.norm(d.rows, axis=1)
     over = np.flatnonzero(norms > 1.0 + NORM_SLACK)
     if over.size:
         raise DataError(

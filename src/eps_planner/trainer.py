@@ -31,13 +31,11 @@ runs step together as the columns of a p x K iterate, in blocks of K
 columns, with one ridge and one noise vector per column, the per-step
 finiteness check and a final gradient norm per column. `train` is the
 one-column case of that loop. An sgd step and the final gradient check
-evaluate the gradient alone, on rows z_i = y_i x_i built once per call
-(one transient n x p copy): z theta and z^T l' carry the bits of
-`margins` and `aggregate`, since y = +-1 only flips signs, and with one
-column numpy's products are the 1-D ones, so `train` keeps those bits.
-With more columns a column can differ from its one-run `train` by the
-reassociation of the BLAS products, within 1e-14 relative. Exact runs
-train one at a time.
+evaluate the gradient alone, on the dataset's label-folded rows z, and
+with one column numpy's products are the 1-D ones of `margins` and
+`aggregate`, so `train` keeps their bits. With more columns a column can
+differ from its one-run `train` by the reassociation of the BLAS
+products, within 1e-14 relative. Exact runs train one at a time.
 
 Each call allocates one n x K margins buffer, for its widest block, and
 each block one p x K gradient buffer. Every gradient writes z theta into
@@ -213,9 +211,6 @@ SGD_BLOCK_BYTES = 4 * 1024 * 1024
 def _run_sgd(theta, d, spec, cfg, perts):
     """Step the columns of the p x K start `theta`, one per perturbation,
     in blocks; the final thetas and gradient norms, one per column."""
-    # label-folded rows: z @ theta is margins(theta, d), and z.T @ l' is
-    # aggregate's X^T (l' * y), bit for bit
-    z = d.features * d.labels[:, None]
     width = max(1, SGD_BLOCK_BYTES // (8 * d.n))
     # a block of k columns reads the first n * k entries as its n x k
     # margins, so each block's view is C-ordered
@@ -224,7 +219,7 @@ def _run_sgd(theta, d, spec, cfg, perts):
     for first in range(0, len(perts), width):
         cols = slice(first, first + width)
         start = np.ascontiguousarray(theta[:, cols])
-        block, norms = _sgd_block(start, z, spec, cfg, perts[cols], first, buf)
+        block, norms = _sgd_block(start, d.rows, spec, cfg, perts[cols], first, buf)
         thetas += list(block.T)
         grad_norms += norms
     return thetas, grad_norms

@@ -363,6 +363,27 @@ class TestBlockedHessian:
         assert peak < d.features.nbytes / 4
 
 
+class TestFoldedRows:
+    """The dataset's label-folded rows give the bits of the formulas on
+    features X and labels y: y * (X theta), X^T (l' * y) / n, and the
+    Hessians of a dataset whose rows are X."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_equal_the_formulas_on_features_and_labels(self, kind):
+        X = gen_synthetic(300, 6, 1.0, 3).features.copy()
+        X[:2] = [[0.0, -0.0, 5e-324, -2.5e-310, 0.5, -0.5], [-0.0, 0.0, 0.0, -0.0, 1e-310, 0.0]]
+        y = np.where(np.random.default_rng(5).random(300) < 0.5, 1.0, -1.0)
+        d, unfolded = Dataset(X, y), Dataset(X, np.ones(300))
+        spec = make_loss_spec(kind, d.p, mode="tight")
+        for theta in (np.zeros(d.p), spread_theta(d.p)):
+            m = margins(theta, d)
+            np.testing.assert_array_equal(m, y * (X @ theta))
+            L, grad = aggregate(spec, m, d)
+            assert L == float(margin_values(spec, m).mean())
+            np.testing.assert_array_equal(grad, X.T @ (margin_slopes(spec, m) * y) / d.n)
+            np.testing.assert_array_equal(hessian(spec, m, d), hessian(spec, m, unfolded))
+
+
 def gram_data():
     """3000 x 60: three Hessian row blocks of 1092 rows at the default size."""
     d = gen_synthetic(3000, 60, 2.0, 1)
@@ -455,7 +476,7 @@ class TestGramPath:
         twin = Dataset(d.features.copy(), d.labels.copy())
         before = repr(d)
         losses._gram(d)
-        assert [f.name for f in dataclasses.fields(d)] == ["features", "labels"]
+        assert [f.name for f in dataclasses.fields(d)] == ["rows", "labels"]
         assert repr(d) == before
         assert d == twin and twin == d
         sub = d.subset(range(100))

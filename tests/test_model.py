@@ -24,6 +24,13 @@ class TestValidateDataset:
         with pytest.raises(DataError, match="label"):
             validate_dataset(d)
 
+    @pytest.mark.parametrize("feature, label", [(0.0, np.inf), (1e300, 1e10)])
+    def test_invalid_label_that_breaks_the_fold(self, feature, label):
+        """0 * inf and an overflow in the fold warn of nothing: the label is the error."""
+        d = Dataset(features=[[feature]], labels=[label])
+        with pytest.raises(DataError, match="^invalid label"):
+            validate_dataset(d)
+
     def test_norm_above_one(self):
         d = Dataset(features=[[1.0, 1.0]], labels=[1])
         with pytest.raises(DataError, match="norm"):
@@ -42,6 +49,13 @@ class TestValidateDataset:
     def test_empty(self):
         with pytest.raises(DataError, match="empty"):
             validate_dataset(Dataset(features=np.zeros((0, 3)), labels=[]))
+
+    @pytest.mark.parametrize(
+        "shape, labels", [((2, 3, 1), [1, -1]), ((2, 2, 2), [1, -1]), ((2, 3), [[1], [-1]])]
+    )
+    def test_shapes_are_checked_before_the_fold(self, shape, labels):
+        with pytest.raises(DataError, match="^features must be a 2-d matrix and labels a vector$"):
+            Dataset(np.full(shape, 0.1), labels)
 
 
 class TestNoiseDraw:
@@ -141,9 +155,41 @@ class TestDatasetStorage:
         X.setflags(write=False)
         y.setflags(write=False)
         d = Dataset(X, y)
-        assert d.features is X and d.labels is y
+        # the rows are X folded with y, a new array
+        assert d.labels is y and not d.rows.flags.writeable
         s = d.subset([1])
-        assert not s.features.flags.writeable and not s.labels.flags.writeable
+        assert not s.rows.flags.writeable and not s.labels.flags.writeable
+
+    def test_features_unfold_bit_for_bit(self, tmp_path):
+        """Signed zeros, subnormals and NaN of either sign come back as
+        they went in: on the dataset, on a subset, and through a csv
+        round trip of the finite rows."""
+        from eps_planner.data import load_dataset, write_csv_dataset
+
+        X = np.array(
+            [
+                [0.0, -0.0, 0.5],
+                [-0.0, 5e-324, -2.5e-310],
+                [np.nan, -0.25, 0.0],
+                [-np.nan, 1e-310, -0.0],
+                [0.6, -0.0, -0.8],
+            ]
+        )
+        y = np.array([1.0, -1.0, -1.0, 1.0, -1.0])
+
+        def bits(a):
+            return a.view(np.uint64)
+
+        d = Dataset(X, y)
+        assert np.array_equal(bits(d.features), bits(X))
+        s = d.subset([4, 2, 1])
+        assert np.array_equal(bits(s.features), bits(X[[4, 2, 1]]))
+        finite = [0, 1, 4]
+        path = str(tmp_path / "d.csv")
+        write_csv_dataset(d.subset(finite), path)
+        back = load_dataset(path)
+        assert np.array_equal(bits(back.features), bits(X[finite]))
+        assert np.array_equal(back.labels, y[finite])
 
     def test_converted_input_is_copied_once(self):
         """A float32 array is converted to a fresh float64 array, which

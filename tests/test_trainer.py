@@ -312,8 +312,9 @@ class TestTrainSgdRepro:
         _, grad = perturbed_objective(m.theta, margins(m.theta, d), d, spec, cfg, pert)
         assert m.grad_norm_at_solution == np.linalg.norm(grad)
 
-    def test_label_folded_rows_are_one_transient_copy(self):
-        """Training holds one label-folded n x p copy and O(n) vectors."""
+    def test_holds_no_copy_of_the_rows(self):
+        """Training reads the dataset's label-folded rows and holds O(n)
+        vectors: 169 KB at 20000 x 50, where the rows are 8 MB."""
         d = gen_synthetic(20000, 50, 2.0, 1)
         spec = make_loss_spec("logistic", d.p, "tight")
         cfg = TrainConfig(solver_mode="sgd_repro")
@@ -324,7 +325,7 @@ class TestTrainSgdRepro:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= d.features.nbytes + 8 * d.labels.nbytes
+        assert peak <= 8 * d.n + 64 * 1024
 
     def test_builds_no_hessian(self, hessian_builds):
         d = gen_synthetic(100, 3, 1.0, 2)
@@ -418,10 +419,10 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
     def test_steps_reuse_one_margins_buffer(self, kind):
-        """20 runs on 5000 x 10 step as one block and hold the rows z, one
-        n x 20 margins buffer that the slopes overwrite, and p x 20
-        iterates: one n x 20 temporary at any step would exceed this.
-        Each column is its one-run model."""
+        """20 runs on 5000 x 10 step as one block and hold one n x 20
+        margins buffer that the slopes overwrite, and p x 20 iterates:
+        one n x 20 temporary at any step would exceed this. Each column
+        is its one-run model."""
         d = gen_synthetic(5000, 10, 2.0, 1)
         spec = make_loss_spec(kind, d.p, "tight")
         cfg = TrainConfig(solver_mode="sgd_repro")
@@ -432,7 +433,7 @@ class TestTrainMany:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= d.features.nbytes + 8 * d.n * len(runs) + 64 * 1024
+        assert peak <= 8 * d.n * len(runs) + 64 * 1024
         for run, m in zip(runs, many):
             one = train(d, spec, cfg, *run)
             assert np.linalg.norm(m.theta - one.theta) <= 1e-14 * np.linalg.norm(one.theta)
