@@ -45,7 +45,7 @@ def choose_epsilon(line: ExtrapolationLine, expected_utility: float) -> float:
 
     Raises FlatSlopeError when the slope is numerically zero and
     UnreachableUtilityError when the inversion lands at a nonpositive
-    budget.
+    budget or past the float range.
     """
     if abs(line.slope) <= SLOPE_TOL:
         raise FlatSlopeError(
@@ -56,6 +56,10 @@ def choose_epsilon(line: ExtrapolationLine, expected_utility: float) -> float:
         raise UnreachableUtilityError(
             f"expected utility {expected_utility} unreachable: "
             f"inversion gives eps {eps_hat:.6g} <= 0"
+        )
+    if eps_hat == float("inf"):
+        raise UnreachableUtilityError(
+            f"expected utility {expected_utility} unreachable: inversion leaves the float range"
         )
     return eps_hat
 

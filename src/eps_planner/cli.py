@@ -8,7 +8,6 @@ resolved inputs, the seed scheme and library versions, so any emitted row
 can be regenerated.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-`EPS_PLANNER_SEED` provides the default base seed.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ from .losses import BOUNDS_MODES
 from .model import LOSS_KINDS, Dataset, NoiseDraw, PrivacyBudget
 from .trainer import classification_error_rate, train, utility
 
-SEED_ENV_VAR = "EPS_PLANNER_SEED"
 SUMMARY_OUT_HELP = "path of the JSON run summary"
 
 
@@ -109,6 +107,8 @@ def targets_spec(text: str) -> tuple:
         start, stop, step = (finite_float(v) for v in parts)
         if step <= 0 or start <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
+        if round(start, 10) != start or round(step, 10) != step:
+            raise argparse.ArgumentTypeError(f"range {text!r} is finer than 10 decimals")
         out = []
         k = 0
         while True:
@@ -144,16 +144,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return nonnegative_int(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{SEED_ENV_VAR}={exc}") from None
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="eps-planner", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
@@ -174,7 +164,7 @@ def build_parser() -> _Parser:
         p.add_argument("--bounds", choices=BOUNDS_MODES, default="tight")
         p.add_argument("--reg-lambda", type=nonnegative_float, default=0.01)
         p.add_argument("--delta", type=positive_float, default=1e-3)
-        p.add_argument("--seed", type=nonnegative_int, default=_default_seed())
+        p.add_argument("--seed", type=nonnegative_int, default=0)
         if solver is not None:
             p.add_argument("--solver", choices=("exact", "sgd"), default=solver)
         p.add_argument("--huber-h", type=positive_float, default=0.1)
@@ -218,7 +208,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--n", type=positive_int, required=True)
     p_gen.add_argument("--p", type=positive_int, required=True)
     p_gen.add_argument("--separation", type=finite_float, default=2.0)
-    p_gen.add_argument("--seed", type=nonnegative_int, default=_default_seed())
+    p_gen.add_argument("--seed", type=nonnegative_int, default=0)
     p_gen.add_argument("--out", required=True)
 
     return parser

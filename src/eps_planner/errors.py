@@ -30,4 +30,4 @@ class FlatSlopeError(NumericalError):
 
 
 class UnreachableUtilityError(NumericalError):
-    """The requested utility maps to a nonpositive privacy budget."""
+    """The requested utility maps to a nonpositive or infinite privacy budget."""

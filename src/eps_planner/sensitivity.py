@@ -148,11 +148,18 @@ def error_scale(measure_eps: float, target_eps: float, n: int) -> ErrorScale:
     The intermediate budget in the remainder lies somewhere between the
     two endpoints; the scale takes the conservative endpoint min(.,.).
     """
-    if not measure_eps > 0 or not target_eps > 0:
-        raise ValueError("both budgets must be positive")
+    if not (0 < measure_eps < np.inf and 0 < target_eps < np.inf):
+        raise ValueError("both budgets must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     tilde = min(measure_eps, target_eps)
-    scale = (measure_eps - target_eps) ** 2 / (n * tilde**3)
+    try:
+        scale = (measure_eps - target_eps) ** 2 / (n * tilde**3)
+    except (OverflowError, ZeroDivisionError):
+        scale = np.inf
+    if not np.isfinite(scale):
+        raise NumericalError(
+            f"budgets {measure_eps!r}, {target_eps!r} put the remainder scale past the float range"
+        )
     return ErrorScale(scale)
 

@@ -7,9 +7,9 @@ The objective is L(theta, D) + (Lam/2n)||theta||^2 + (1/n) <b_eps, theta>
                norm tolerance. The objective is (Lam+Delta_eps)/n strongly
                convex, so the minimizer is unique and the downstream
                implicit-differentiation step is valid.
-  sgd_repro -- exactly `sgd_iterations` full-gradient steps of fixed size
-               from zero, mirroring the experimental protocol of the
-               original evaluations. No convergence guarantee.
+  sgd_repro -- the original evaluations' fixed protocol: exactly 100
+               full-gradient steps of size 0.01 from zero (class constants
+               of TrainConfig). No convergence guarantee.
 
 Each point the solver visits gets one margins pass, X theta, and
 everything evaluated there reads that one vector: `perturbed_objective`
@@ -52,6 +52,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -67,28 +68,25 @@ TRAIN_CALL_COUNT = 0
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Solver settings; the sgd defaults reproduce the reference protocol."""
+    """Solver settings; the sgd_repro schedule is the reference protocol's, fixed."""
 
     reg_lambda: float = 0.01
     solver_mode: str = "exact"
     stationarity_tol: float = 1e-8
-    sgd_iterations: int = 100
-    sgd_learning_rate: float = 0.01
     max_exact_iterations: int = 200
+    sgd_iterations: ClassVar[int] = 100
+    sgd_learning_rate: ClassVar[float] = 0.01
 
     def __post_init__(self):
         if not 0 <= self.reg_lambda < math.inf:
             raise ValueError(f"reg_lambda must be nonnegative and finite, got {self.reg_lambda}")
         if self.solver_mode not in SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.solver_mode!r}")
-        for name in ("sgd_iterations", "max_exact_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        for name in ("stationarity_tol", "sgd_learning_rate"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        steps, tol = self.max_exact_iterations, self.stationarity_tol
+        if not isinstance(steps, Integral) or steps < 0:
+            raise ValueError(f"max_exact_iterations must be an integer >= 0, got {steps!r}")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"stationarity_tol must be positive and finite, got {tol}")
 
 
 def perturbed_objective(

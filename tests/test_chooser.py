@@ -48,6 +48,11 @@ class TestChooseEpsilon:
         with pytest.raises(UnreachableUtilityError, match="unreachable"):
             choose_epsilon(self.LINE, 1.5)  # would need eps <= 0
 
+    def test_infinite_budget_rejected(self):
+        """A finite quotient past the float range was returned as eps inf."""
+        with pytest.raises(UnreachableUtilityError, match="leaves the float range"):
+            choose_epsilon(self.LINE, -1e308)
+
 
 class TestMeasure:
     @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])

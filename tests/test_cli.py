@@ -35,7 +35,9 @@ class TestTargetsSpec:
 
     def test_rejects_malformed(self):
         for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2",
-                    "0.1,inf", "nan", "0.1:inf:0.1", "nan:1:0.1", "0.1:1.0:nan"):
+                    "0.1,inf", "nan", "0.1:inf:0.1", "nan:1:0.1", "0.1:1.0:nan",
+                    # rounding the points to 10 decimals would move them
+                    "1.5e-10:4.5e-10:1.5e-10", "1e-11:1e-10:1e-11"):
             with pytest.raises(argparse.ArgumentTypeError):
                 targets_spec(bad)
 
@@ -706,7 +708,6 @@ class TestReadme:
         ]
         example = [argv for argv in commands if argv[0] in ("gen-data", "train", "choose-eps")]
         assert [argv[0] for argv in example] == ["gen-data", "train", "choose-eps"]
-        monkeypatch.delenv("EPS_PLANNER_SEED", raising=False)
         monkeypatch.chdir(tmp_path)
         for argv in example:
             assert run_cli(argv) == 0, (argv, capsys.readouterr().err)
@@ -722,18 +723,18 @@ class TestReadme:
         assert all(float(v) >= 0 for v in predicted), predicted
 
 
-class TestSeedEnvVar:
-    def test_env_var_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("EPS_PLANNER_SEED", "123")
-        code = run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0",
-                        "--solver", "exact"])
-        assert code == 0
-
-    def test_env_var_must_be_integer(self, monkeypatch, capsys):
-        monkeypatch.setenv("EPS_PLANNER_SEED", "abc")
-        code = run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: EPS_PLANNER_SEED='abc' is not an integer\n"
+class TestSeedDefault:
+    def test_environment_is_ignored(self, tmp_path, monkeypatch, capsys):
+        """The default seed is 0 whatever the environment holds: the CLI
+        reads its argv and its --config file alone."""
+        monkeypatch.chdir(tmp_path)
+        for raw in ("-3", "abc"):
+            monkeypatch.setenv("EPS_PLANNER_SEED", raw)
+            code = run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0", "--out", "s.json"])
+            assert code == 0, capsys.readouterr().err
+            with open("s.json", encoding="utf-8") as fh:
+                summary = json.load(fh)
+            assert summary["inputs"]["seed"] == summary["result"]["seed"] == 0
 
 
 class TestCrossProcessDeterminism:
@@ -880,8 +881,8 @@ class TestDataSource:
 
 
 class TestNegativeSeed:
-    """A negative seed is refused at parse time, naming its flag or
-    variable: before, numpy refused it after the trainings had run."""
+    """A negative seed is refused at parse time, naming its flag: before,
+    numpy refused it after the trainings had run."""
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--synthetic", "200,3,2.0", "--repeats", "2", "--targets", "0.1:1.0:0.1",
@@ -902,15 +903,6 @@ class TestNegativeSeed:
                         "--eps", "1.0"]) == 1
         assert "argument --seed: '-2' is not a nonnegative integer" in capsys.readouterr().err
 
-    def test_env_var(self, monkeypatch, capsys):
-        monkeypatch.setenv("EPS_PLANNER_SEED", "-3")
-        before = trainer.TRAIN_CALL_COUNT
-        assert run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0"]) == 1
-        assert capsys.readouterr().err == (
-            "error: EPS_PLANNER_SEED='-3' is not a nonnegative integer\n"
-        )
-        assert trainer.TRAIN_CALL_COUNT == before
-
 
 class TestExtremeInputs:
     """Inputs at the edges of the float range end in one line naming the
@@ -928,6 +920,19 @@ class TestExtremeInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target, message", [
+        ("-1e158", "budgets 1.0, 6.894165086620545e+158 put the remainder scale past "),
+        ("-1e308", "expected utility -1e+308 unreachable: "),
+    ])
+    def test_chosen_budget_out_of_float_range_is_exit_3(self, target, message, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code = run_cli(["choose-eps", "--synthetic", "300,3,2.0", "--measure-eps", "1",
+                        f"--target-utility={target}", "--seed", "0", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: " + message) and err.count("\n") == 1
+        assert err.endswith("the float range\n") and not out.exists()
 
     def test_sparse_index_past_memory_is_exit_2(self, tmp_path, capsys):
         f = tmp_path / "d.svm"

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -425,10 +427,23 @@ class TestErrorScale:
     def test_symmetric_direction_uses_min(self):
         assert error_scale(0.1, 1.0, 5).scale == error_scale(1.0, 0.1, 5).scale
 
-    @pytest.mark.parametrize("measure_eps, target_eps", [(0.0, 1.0), (1.0, -0.5), (-1.0, 0.0)])
+    @pytest.mark.parametrize("measure_eps, target_eps", [
+        (0.0, 1.0), (1.0, -0.5), (-1.0, 0.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+    ])
     def test_nonpositive_budget_is_value_error(self, measure_eps, target_eps):
         with pytest.raises(ValueError, match="both budgets must be positive"):
             error_scale(measure_eps, target_eps, 10)
+
+    @pytest.mark.parametrize("measure_eps, target_eps, n", [
+        (1.0, 6.9e158, 300),  # the squared gap overflows
+        (1e-110, 1e-110, 5000),  # 0 / 0: the cubed budget underflows to 0
+        (1e100, 1e-103, 1),  # the quotient overflows to inf
+    ])
+    def test_scale_past_the_float_range_is_numerical_error(self, measure_eps, target_eps, n):
+        """These raised OverflowError or ZeroDivisionError, or returned inf."""
+        message = f"budgets {measure_eps!r}, {target_eps!r} put the remainder scale past"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            error_scale(measure_eps, target_eps, n)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_n_below_one_is_value_error(self, n):

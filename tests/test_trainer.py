@@ -39,7 +39,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="reg_lambda must be nonnegative and finite"):
             TrainConfig(reg_lambda=reg)
 
-    @pytest.mark.parametrize("field", ["sgd_iterations", "max_exact_iterations"])
+    @pytest.mark.parametrize("field", ["max_exact_iterations"])
     @pytest.mark.parametrize("value", [-3, 2.5, float("nan")])
     def test_rejects_bad_step_counts(self, field, value):
         """A negative count trained nothing and reported it as steps; a
@@ -47,15 +47,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["sgd_iterations", "max_exact_iterations"])
+    @pytest.mark.parametrize("field", ["max_exact_iterations"])
     def test_zero_steps_allowed(self, field):
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
-    @pytest.mark.parametrize("field", ["stationarity_tol", "sgd_learning_rate"])
+    @pytest.mark.parametrize("field", ["stationarity_tol"])
     @pytest.mark.parametrize("value", [0.0, -1e-8, float("inf"), float("nan")])
     def test_rejects_bad_tolerance_and_rate(self, field, value):
         """An infinite tolerance returned theta = 0 as an exact model."""
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("sgd_iterations", 7), ("sgd_learning_rate", 0.05)])
+    def test_sgd_schedule_is_not_an_argument(self, field, value):
+        """The sgd_repro schedule is the reference protocol's, fixed on the class."""
+        with pytest.raises(TypeError):
             TrainConfig(**{field: value})
 
 
@@ -274,14 +280,14 @@ class TestTrainSgdRepro:
     def test_matches_manual_gradient_steps(self):
         d = gen_synthetic(50, 3, 1.0, 14)
         spec = make_loss_spec("logistic", 3, "tight")
-        cfg = TrainConfig(solver_mode="sgd_repro", sgd_iterations=7, sgd_learning_rate=0.05)
+        cfg = TrainConfig(solver_mode="sgd_repro")
         noise = NoiseDraw.generate(3, 6)
         m = train(d, spec, cfg, PrivacyBudget(0.5, 1e-3), noise)
         pert = materialize(noise, spec.zeta, 1e-3, 0.5, spec.lambda_hess)
         theta = np.zeros(3)
-        for _ in range(7):
+        for _ in range(cfg.sgd_iterations):
             _, g = perturbed_objective(theta, margins(theta, d), d, spec, cfg, pert)
-            theta = theta - 0.05 * g
+            theta = theta - cfg.sgd_learning_rate * g
         assert np.array_equal(m.theta, theta)
 
     @pytest.mark.parametrize("kind", ["logistic", "huber_svm", "quadratic", "smooth_hinge"])
@@ -493,10 +499,10 @@ class TestUtilityTrend:
             hi.append(utility(m_hi.theta, d, spec))
         assert np.mean(hi) < np.mean(lo)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_detection(self):
         d = gen_synthetic(20, 2, 1.0, 3)
         spec = make_loss_spec("logistic", 2, "tight")
-        cfg = TrainConfig(solver_mode="sgd_repro", sgd_learning_rate=1e12, sgd_iterations=100)
+        cfg = TrainConfig(solver_mode="sgd_repro")
+        noise = NoiseDraw(np.array([np.inf, 0.0]), 0)
         with pytest.raises(NumericalError):
-            train(d, spec, cfg, PrivacyBudget(0.05, 1e-3), NoiseDraw.generate(2, 0))
+            train(d, spec, cfg, PrivacyBudget(0.05, 1e-3), noise)
