@@ -723,18 +723,29 @@ class TestReadme:
         assert all(float(v) >= 0 for v in predicted), predicted
 
 
-class TestSeedDefault:
-    def test_environment_is_ignored(self, tmp_path, monkeypatch, capsys):
-        """The default seed is 0 whatever the environment holds: the CLI
-        reads its argv and its --config file alone."""
-        monkeypatch.chdir(tmp_path)
-        for raw in ("-3", "abc"):
-            monkeypatch.setenv("EPS_PLANNER_SEED", raw)
-            code = run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0", "--out", "s.json"])
-            assert code == 0, capsys.readouterr().err
-            with open("s.json", encoding="utf-8") as fh:
-                summary = json.load(fh)
-            assert summary["inputs"]["seed"] == summary["result"]["seed"] == 0
+def _seed_with_env(raw, tmp_path, monkeypatch, capsys):
+    """Run one synthetic train with EPS_PLANNER_SEED set to raw and return
+    the seed its summary records."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EPS_PLANNER_SEED", raw)
+    code = run_cli(["train", "--synthetic", "100,3,1.0", "--eps", "1.0", "--out", "s.json"])
+    assert code == 0, capsys.readouterr().err
+    with open("s.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["inputs"]["seed"] == summary["result"]["seed"]
+    return summary["inputs"]["seed"]
+
+
+class TestSeedEnvVar:
+    """The CLI reads its argv and its --config file alone: EPS_PLANNER_SEED,
+    once a third route to the default seed, is never read."""
+
+    def test_env_var_default(self, tmp_path, monkeypatch, capsys):
+        assert _seed_with_env("123", tmp_path, monkeypatch, capsys) == 0
+
+    def test_env_var_must_be_integer(self, tmp_path, monkeypatch, capsys):
+        """A non-integer value was a usage error; now it is not looked at."""
+        assert _seed_with_env("abc", tmp_path, monkeypatch, capsys) == 0
 
 
 class TestCrossProcessDeterminism:
@@ -902,6 +913,10 @@ class TestNegativeSeed:
         assert run_cli(["--config", str(cfg), "train", "--synthetic", "100,3,1.0",
                         "--eps", "1.0"]) == 1
         assert "argument --seed: '-2' is not a nonnegative integer" in capsys.readouterr().err
+
+    def test_env_var(self, tmp_path, monkeypatch, capsys):
+        """A negative EPS_PLANNER_SEED was refused; the variable is no longer read."""
+        assert _seed_with_env("-3", tmp_path, monkeypatch, capsys) == 0
 
 
 class TestExtremeInputs:

@@ -39,24 +39,35 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="reg_lambda must be nonnegative and finite"):
             TrainConfig(reg_lambda=reg)
 
-    @pytest.mark.parametrize("field", ["max_exact_iterations"])
+    @pytest.mark.parametrize("field", ["max_exact_iterations", "sgd_iterations"])
     @pytest.mark.parametrize("value", [-3, 2.5, float("nan")])
     def test_rejects_bad_step_counts(self, field, value):
         """A negative count trained nothing and reported it as steps; a
-        fractional one failed with a TypeError inside training."""
-        with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
-            TrainConfig(**{field: value})
+        fractional one failed with a TypeError inside training. The sgd_repro
+        count is fixed on the class, so the constructor takes no value for it."""
+        if field == "sgd_iterations":
+            with pytest.raises(TypeError):
+                TrainConfig(**{field: value})
+        else:
+            with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+                TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["max_exact_iterations"])
     def test_zero_steps_allowed(self, field):
         assert getattr(TrainConfig(**{field: 0}), field) == 0
 
-    @pytest.mark.parametrize("field", ["stationarity_tol"])
+    @pytest.mark.parametrize("field", ["stationarity_tol", "sgd_learning_rate"])
     @pytest.mark.parametrize("value", [0.0, -1e-8, float("inf"), float("nan")])
     def test_rejects_bad_tolerance_and_rate(self, field, value):
-        """An infinite tolerance returned theta = 0 as an exact model."""
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            TrainConfig(**{field: value})
+        """An infinite tolerance returned theta = 0 as an exact model. The
+        sgd_repro rate is fixed on the class, so the constructor takes no
+        value for it."""
+        if field == "sgd_learning_rate":
+            with pytest.raises(TypeError):
+                TrainConfig(**{field: value})
+        else:
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [("sgd_iterations", 7), ("sgd_learning_rate", 0.05)])
     def test_sgd_schedule_is_not_an_argument(self, field, value):
