@@ -7,8 +7,8 @@ step for a list of runs, and `measure` its one-run case; `plan`, the
 experiment harnesses and the CLI all go through them. `measure_many`
 trains its runs as one `train_many` call does, so a table's sgd_repro
 measuring runs step together, then measures each model alone. The
-sensitivity solve it calls reads the loss, the damping and the
-perturbation off the trained model, so it is passed only the margins at
+sensitivity solve it calls reads the loss and the damping off the
+trained model and is passed the run's perturbation and the margins at
 theta_hat: W, the utility and its gradient all read one vector. An exact
 run takes those margins, the utility and its gradient from the Newton
 solver's last accepted evaluation, so its measurement makes no margins
@@ -16,6 +16,7 @@ or aggregate call; an sgd_repro iterate gets one of each.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -43,10 +44,12 @@ def choose_epsilon(line: ExtrapolationLine, expected_utility: float) -> float:
     """Invert the affine predictor: the budget whose predicted utility is
     `expected_utility`.
 
-    Raises FlatSlopeError when the slope is numerically zero and
-    UnreachableUtilityError when the inversion lands at a nonpositive
-    budget or past the float range.
+    Raises ValueError for a non-finite `expected_utility`, FlatSlopeError
+    when the slope is numerically zero and UnreachableUtilityError when
+    the inversion lands at a nonpositive budget or past the float range.
     """
+    if not math.isfinite(expected_utility):
+        raise ValueError(f"expected utility {expected_utility} is not finite")
     if abs(line.slope) <= SLOPE_TOL:
         raise FlatSlopeError(
             f"utility locally insensitive to eps (slope {line.slope:.3e})"
@@ -105,14 +108,14 @@ def measure_many(
         for eps, seed in runs
     ]
     out = []
-    for model, last in _train_runs(d, spec, cfg, draws):
+    for model, pert, last in _train_runs(d, spec, cfg, draws):
         if last is None:
             # an sgd_repro iterate: the utility F is the mean loss, so
             # aggregate gives F and its gradient
             m = margins(model.theta, d)
             last = (m, *aggregate(spec, m, d))
         m, base_utility, gradF = last
-        report = _dtheta_deps(model, m, d)
+        report = _dtheta_deps(model, pert, m, d)
         line = ExtrapolationLine(
             measure_eps=model.budget.epsilon,
             base_utility=base_utility,

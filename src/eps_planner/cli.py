@@ -47,20 +47,6 @@ def finite_float(text: str) -> float:
     return value
 
 
-def positive_float(text: str) -> float:
-    value = finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return value
-
-
-def nonnegative_float(text: str) -> float:
-    value = finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative number")
-    return value
-
-
 def _integer(text: str) -> int:
     try:
         return int(text)
@@ -68,34 +54,37 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
 
 
-def positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _bounded(parse, ok, what):
+    """Converter: parse, then "'TEXT' is not WHAT" if `ok` rejects the value."""
+    def convert(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return convert
 
 
-def nonnegative_int(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
-    return value
+positive_float = _bounded(finite_float, lambda v: v > 0, "a positive number")
+nonnegative_float = _bounded(finite_float, lambda v: v >= 0, "a nonnegative number")
+positive_int = _bounded(_integer, lambda v: v >= 1, "a positive integer")
+nonnegative_int = _bounded(_integer, lambda v: v >= 0, "a nonnegative integer")
+# a generated dataset's n: the generator's two classes need two rows
+_sample_size = _bounded(_integer, lambda v: v >= 2, "an integer >= 2")
 
 
-def eps_list(text: str) -> tuple:
-    """Comma list of positive finite budgets: "0.1,0.25,0.75"."""
-    values = tuple(positive_float(v) for v in text.split(",") if v.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"{text!r} must list positive numbers")
-    return values
+def _comma_list(item, what):
+    """Converter of a comma list of `item`s, blanks skipped: "'TEXT' must list WHAT" if none."""
+    def convert(text):
+        values = tuple(item(v) for v in text.split(",") if v.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} must list {what}")
+        return values
+    return convert
 
 
-def sample_counts(text: str) -> tuple:
-    """Comma list of positive integer sample counts: "1000,4000,16000"."""
-    values = tuple(positive_int(v) for v in text.split(",") if v.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"{text!r} must list positive integers")
-    return values
+# positive finite budgets, "0.1,0.25,0.75", and sample counts, "1000,4000"
+eps_list = _comma_list(positive_float, "positive numbers")
+sample_counts = _comma_list(positive_int, "positive integers")
 
 
 def targets_spec(text: str) -> tuple:
@@ -126,10 +115,8 @@ def synthetic_spec(text: str) -> experiments.SyntheticSpec:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"{text!r} is not n,p,separation")
-    try:
-        return experiments.SyntheticSpec(int(parts[0]), int(parts[1]), finite_float(parts[2]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    n, p, sep = parts
+    return experiments.SyntheticSpec(_sample_size(n), positive_int(p), nonnegative_float(sep))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,9 +192,9 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--measure-eps", type=eps_list, default=(0.25, 1.0))
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
-    p_gen.add_argument("--n", type=positive_int, required=True)
+    p_gen.add_argument("--n", type=_sample_size, required=True)
     p_gen.add_argument("--p", type=positive_int, required=True)
-    p_gen.add_argument("--separation", type=finite_float, default=2.0)
+    p_gen.add_argument("--separation", type=nonnegative_float, default=2.0)
     p_gen.add_argument("--seed", type=nonnegative_int, default=0)
     p_gen.add_argument("--out", required=True)
 

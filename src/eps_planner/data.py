@@ -112,11 +112,11 @@ def load_dataset(
     format: str = "csv",
     label_col: str = "label",
 ) -> Dataset:
-    """Parse, canonicalize and normalize a dataset file."""
+    """Parse, canonicalize and normalize a dataset file; a leading UTF-8 BOM is skipped."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if format == "csv":
                 X, y = _parse_csv(fh, label_col)
             else:

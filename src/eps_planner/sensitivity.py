@@ -11,17 +11,16 @@ budget change, the chain rule turns it into a utility slope, and a
 first-order Taylor step extrapolates the utility to any other budget.
 
 `_dtheta_deps` owns that system. It forms the ridge (Lam + Delta_eps)/n
-from the model's Lam and the Delta_eps of the perturbation it
-materializes from the model, in `trainer`'s order of operations. For a
-non-stationary sgd_repro iterate it solves against W + damping I, the
-damping being that ridge once more; it is added to the finished W, not
-folded into the ridge, which would round differently. The report
-carries only dtheta/deps. The public `dtheta_deps` refuses sgd_repro
-models, whose iterate is not a minimizer; `chooser.measure` is the one
-route to their damped slope. The loss Hessian is built once, for W, and
-the matrix solved is factored once: the Cholesky factor that solves it
-is also its positive-definiteness check. The slope needs only the loss
-gradient.
+from the model's Lam and the Delta_eps of the perturbation it is given,
+in `trainer`'s order of operations. For a non-stationary sgd_repro
+iterate it solves against W + damping I, the damping being that ridge
+once more; it is added to the finished W, not folded into the ridge,
+which would round differently. The report carries only dtheta/deps. The
+public `dtheta_deps` refuses sgd_repro models, whose iterate is not a
+minimizer; `chooser.measure` is the one route to their damped slope. The
+loss Hessian is built once, for W, and the matrix solved is factored
+once: the Cholesky factor that solves it is also its
+positive-definiteness check. The slope needs only the loss gradient.
 
 W, the loss gradient and the utility all read the margins at theta_hat.
 The public functions here, `dtheta_deps` and `utility_slope`, compute
@@ -29,11 +28,12 @@ them from the model. `chooser.measure` passes them to `_dtheta_deps`:
 for an exact model, the margins of the Newton solver's last evaluation,
 whose loss value and gradient are the utility and its gradient; for an
 sgd_repro iterate, one margins pass, with one `aggregate` call for the
-utility. `_dtheta_deps` takes everything
-else from the model: its loss, its solver mode (for the damping) and the
-perturbation derivatives, from one `materialize` of its own noise draw,
-budget and bound constants. The public functions check the loss spec and
-perturbation they are given against the model before they solve.
+utility. It also passes the perturbation the run trained with, which
+`trainer._train_runs` hands on with the model, so a measurement
+materializes it once; the loss and the solver mode (for the damping)
+come from the model. The public functions check the loss spec they are
+given against the model, and `dtheta_deps` checks every field of the
+given perturbation against the model's own, which it materializes once.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NoiseMismatchError, NumericalError
 from .losses import aggregate, hessian, margins
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
-from .perturbation import PerturbationAtEps, delta_coeff, materialize, noise_sigma
+from .perturbation import PerturbationAtEps, materialize
 
 
 def _check_spec(model: PrivateModel, spec: LossSpec) -> None:
@@ -58,10 +58,11 @@ def dtheta_deps(
 ) -> SensitivityReport:
     """Solve for d(theta_hat)/d(eps) at the model's own budget.
 
-    `spec` must be the model's own loss, and the perturbation must have
-    been materialized from the model's noise draw, budget and bound
-    constants: its eps, base vector, sigma and Delta_eps are checked bit
-    for bit (NoiseMismatchError otherwise). The model must be exact:
+    `spec` must be the model's own loss, and the perturbation must be the
+    one materialized from the model's noise draw, budget and bound
+    constants: every field is compared bit for bit with that one, which
+    the solve then uses (NoiseMismatchError naming the fields that
+    differ otherwise). The model must be exact:
     an sgd_repro iterate is not stationary, so the implicit-differentiation
     identity does not hold for it, and NumericalError says so;
     `chooser.measure` gives its damped slope. The solved matrix is
@@ -74,29 +75,17 @@ def dtheta_deps(
             "measure gives its damped slope"
         )
     _check_spec(model, spec)
-    eps = model.budget.epsilon
-    if pert.eps != eps:
-        raise NoiseMismatchError(f"perturbation eps {pert.eps} differs from model eps {eps}")
-    if not np.array_equal(pert.base_u, model.noise.base_u):
-        raise NoiseMismatchError(
-            "perturbation was materialized from a different noise draw than the model's"
-        )
-    if pert.sigma != noise_sigma(spec.zeta, model.budget.delta, eps):
-        raise NoiseMismatchError(
-            "perturbation sigma differs from the model's budget delta and loss zeta"
-        )
-    if pert.delta_eps_coeff != delta_coeff(spec.lambda_hess, eps):
-        raise NoiseMismatchError(
-            "perturbation Delta_eps differs from the model's loss lambda_hess"
-        )
-    return _dtheta_deps(model, margins(model.theta, d), d)
+    budget = model.budget
+    own = materialize(model.noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
+    differ = ", ".join(k for k, v in vars(own).items() if not np.array_equal(getattr(pert, k), v))
+    if differ:
+        raise NoiseMismatchError(f"perturbation differs from the model's own in {differ}")
+    return _dtheta_deps(model, own, margins(model.theta, d), d)
 
 
-def _dtheta_deps(model, m, d):
-    # the solve from the margins m at theta_hat; the loss, the damping and
-    # the perturbation derivatives all come from the model itself
-    spec, budget = model.loss, model.budget
-    pert = materialize(model.noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
+def _dtheta_deps(model, pert, m, d):
+    # the solve from the margins m at theta_hat and the perturbation the
+    # model trained with; the loss and the damping come from the model
     # Hessian of the quadratic terms: the regularizer and Delta_eps
     ridge = (model.reg_lambda + pert.delta_eps_coeff) / d.n * np.eye(d.p)
     W = hessian(model.loss, m, d) + ridge
@@ -125,8 +114,8 @@ def utility_slope(
 
 def extrapolate(line: ExtrapolationLine, target_eps: float) -> float:
     """First-order utility prediction at target_eps; exactly affine."""
-    if not target_eps > 0:
-        raise ValueError(f"target_eps must be positive, got {target_eps}")
+    if not 0 < target_eps < np.inf:
+        raise ValueError(f"target_eps must be positive and finite, got {target_eps}")
     return line.base_utility + line.slope * (target_eps - line.measure_eps)
 
 

@@ -22,9 +22,9 @@ the solution. The loss Hessian is built only at the start point and at
 each accepted iterate that has not yet converged, once per Newton step,
 from the margins that point's line search already computed. The last
 accepted evaluation, its margins and its loss value and gradient, goes
-on to `chooser.measure_many` through `_train_runs`, so the measurement
-at theta_hat recomputes none of them; `train` and `train_many` return
-the models alone.
+on to `chooser.measure_many` through `_train_runs` with the run's
+perturbation, so the measurement at theta_hat recomputes none of them;
+`train` and `train_many` return the models alone.
 
 `train_many` trains a list of (budget, noise draw) runs. Its sgd_repro
 runs step together as the columns of a p x K iterate, in blocks of K
@@ -144,12 +144,13 @@ def train_many(
     by the reassociation of the BLAS products (within 1e-14 relative).
     Exact runs train one at a time.
     """
-    return [model for model, _ in _train_runs(d, spec, cfg, runs)]
+    return [model for model, _, _ in _train_runs(d, spec, cfg, runs)]
 
 
 def _train_runs(d, spec, cfg, runs, theta0=None):
-    """(model, last) for each (budget, noise draw) run, in order, from
-    `theta0` (zero if None). `last` is the exact solver's final
+    """(model, pert, last) for each (budget, noise draw) run, in order,
+    from `theta0` (zero if None). `pert` is the PerturbationAtEps the run
+    trained with. `last` is the exact solver's final
     evaluation, (margins, loss value, loss gradient) at the returned
     theta: the bits `margins` and `aggregate` give there, but for zeros
     in place of X 0's +-0 at a zero start. It is None for sgd_repro runs,
@@ -167,13 +168,13 @@ def _train_runs(d, spec, cfg, runs, theta0=None):
             columns = np.zeros((d.p, len(runs))) if start is None else start[:, None]
             thetas, grad_norms = _run_sgd(columns, d, spec, cfg, perts)
             return [
-                (_model(theta, cfg.sgd_iterations, grad_norm, spec, cfg, budget, noise), None)
-                for theta, grad_norm, (budget, noise) in zip(thetas, grad_norms, runs)
+                (_model(theta, cfg.sgd_iterations, norm, spec, cfg, budget, noise), pert, None)
+                for theta, norm, (budget, noise), pert in zip(thetas, grad_norms, runs, perts)
             ]
         out = []
         for (budget, noise), pert in zip(runs, perts):
             theta, iters, grad_norm, last = _run_newton(start, d, spec, cfg, pert)
-            out.append((_model(theta, iters, grad_norm, spec, cfg, budget, noise), last))
+            out.append((_model(theta, iters, grad_norm, spec, cfg, budget, noise), pert, last))
         return out
 
 

@@ -48,6 +48,12 @@ class TestChooseEpsilon:
         with pytest.raises(UnreachableUtilityError, match="unreachable"):
             choose_epsilon(self.LINE, 1.5)  # would need eps <= 0
 
+    @pytest.mark.parametrize("u", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_utility_rejected(self, u):
+        """nan was an UnreachableUtilityError reporting an inversion to eps nan."""
+        with pytest.raises(ValueError, match=f"^expected utility {u} is not finite$"):
+            choose_epsilon(self.LINE, u)
+
     def test_infinite_budget_rejected(self):
         """A finite quotient past the float range was returned as eps inf."""
         with pytest.raises(UnreachableUtilityError, match="leaves the float range"):
@@ -76,7 +82,7 @@ class TestMeasure:
         if sgd:
             with pytest.raises(NumericalError, match="not stationary; measure gives"):
                 dtheta_deps(model, d, spec, pert)
-            report = sensitivity._dtheta_deps(model, losses.margins(model.theta, d), d)
+            report = sensitivity._dtheta_deps(model, pert, losses.margins(model.theta, d), d)
         else:
             report = dtheta_deps(model, d, spec, pert)
         slope = utility_slope(model, d, spec, report)
@@ -87,6 +93,23 @@ class TestMeasure:
         # the damping shows in the bits: the other system solves to others
         assert not np.array_equal(report.dtheta_deps, solved(model, d, pert, ridge - damping))
         assert m.line == ExtrapolationLine(0.3, utility(model.theta, d, spec), slope)
+
+    @pytest.mark.parametrize("solver_mode", ["exact", "sgd_repro"])
+    def test_materializes_the_perturbation_once(self, solver_mode, monkeypatch):
+        """The trainer hands the perturbation its run trained with on to the
+        sensitivity solve, which no longer materializes it a second time."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return materialize(*args)
+
+        for module in (trainer, sensitivity):
+            monkeypatch.setattr(module, "materialize", counted)
+        d = gen_synthetic(200, 3, 1.5, 2)
+        spec = make_loss_spec("logistic", 3, "tight")
+        m = measure(d, spec, TrainConfig(solver_mode=solver_mode), 0.3, 1e-3, seed=5)
+        assert calls == [(m.model.noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)]
 
 
 def quad_setup():
@@ -322,7 +345,9 @@ class TestMeasureMany:
         for m in measure_many(d, spec, TrainConfig(stationarity_tol=tol), 1e-3, self.RUNS[:3]):
             assert (m.model.iterations_used == 0) == (tol == 10.0)
             at = losses.margins(m.model.theta, d)
-            report = sensitivity._dtheta_deps(m.model, at, d)
+            eps = m.line.measure_eps
+            pert = materialize(m.model.noise, spec.zeta, 1e-3, eps, spec.lambda_hess)
+            report = sensitivity._dtheta_deps(m.model, pert, at, d)
             base_utility, gradF = losses.aggregate(spec, at, d)
             assert np.array_equal(m.report.dtheta_deps, report.dtheta_deps)
             assert m.line == ExtrapolationLine(

@@ -34,7 +34,7 @@ class TestTargetsSpec:
         assert targets_spec("1.0:10.0:0.5") == tuple(1.0 + 0.5 * i for i in range(19))
 
     def test_rejects_malformed(self):
-        for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2",
+        for bad in ("0.5:0.1:0.05", "1:2", "a,b", "-1,2", ",",
                     "0.1,inf", "nan", "0.1:inf:0.1", "nan:1:0.1", "0.1:1.0:nan",
                     # rounding the points to 10 decimals would move them
                     "1.5e-10:4.5e-10:1.5e-10", "1e-11:1e-10:1e-11"):
@@ -697,20 +697,32 @@ class TestFullFlagNames:
 README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
+def _readme_commands():
+    """The argv of each `eps-planner` line of the README, in order."""
+    with open(README_PATH, encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("eps-planner ")]
+
+
 class TestReadme:
     def test_cli_example_runs(self, tmp_path, monkeypatch, capsys):
         """The README's gen-data, train and choose-eps lines, run in order
         in an empty directory, each exit 0."""
-        with open(README_PATH, encoding="utf-8") as fh:
-            text = fh.read().replace("\\\n", " ")
-        commands = [
-            shlex.split(line)[1:] for line in text.splitlines() if line.startswith("eps-planner ")
-        ]
+        commands = _readme_commands()
         example = [argv for argv in commands if argv[0] in ("gen-data", "train", "choose-eps")]
         assert [argv[0] for argv in example] == ["gen-data", "train", "choose-eps"]
         monkeypatch.chdir(tmp_path)
         for argv in example:
             assert run_cli(argv) == 0, (argv, capsys.readouterr().err)
+
+    def test_every_cli_line_parses(self):
+        """Every eps-planner line of the README parses, those the example
+        above does not run included, and together they use every command."""
+        parser = build_parser()
+        commands = _readme_commands()
+        assert sorted({argv[0] for argv in commands}) == sorted(_subparsers(parser))
+        for argv in commands:
+            parser.parse_args(_with_config(parser, argv))
 
     def test_library_example_runs(self, capsys):
         """The README's python block runs as written, and the losses it
@@ -917,6 +929,44 @@ class TestNegativeSeed:
     def test_env_var(self, tmp_path, monkeypatch, capsys):
         """A negative EPS_PLANNER_SEED was refused; the variable is no longer read."""
         assert _seed_with_env("-3", tmp_path, monkeypatch, capsys) == 0
+
+
+# a generated dataset's n, p or separation outside the generator's bounds,
+# and the message naming the flag it came from
+GENERATOR_BOUNDS = [
+    (["train", "--synthetic", "1.5,3,2.0"], "argument --synthetic: '1.5' is not an integer"),
+    (["train", "--synthetic", "0,3,2.0"], "argument --synthetic: '0' is not an integer >= 2"),
+    (["train", "--synthetic", "100,0,2.0"], "argument --synthetic: '0' is not a positive integer"),
+    (["train", "--synthetic", "100,3,-1"],
+     "argument --synthetic: '-1' is not a nonnegative number"),
+    (["gen-data", "--n", "1", "--p", "3"], "argument --n: '1' is not an integer >= 2"),
+    (["gen-data", "--n", "100", "--p", "3", "--separation", "-1"],
+     "argument --separation: '-1' is not a nonnegative number"),
+]
+
+
+class TestGeneratorBounds:
+    """n, p and the separation of generated data are checked when they are
+    parsed, by the generator's own bounds, in one line naming the flag:
+    before, the generator refused them later without naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, message", GENERATOR_BOUNDS, ids=[" ".join(argv) for argv, _ in GENERATOR_BOUNDS]
+    )
+    def test_flag(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        extra = ["--eps", "1"] if argv[0] == "train" else ["--out", "x.csv"]
+        assert run_cli(argv + extra) == 1
+        assert capsys.readouterr().err == f"error: eps-planner {argv[0]}: {message}\n"
+        assert not os.listdir(tmp_path)
+
+    def test_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synthetic=0,3,2.0\n")
+        assert run_cli(["--config", str(cfg), "train", "--eps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:1: argument --synthetic: '0' is not an integer >= 2\n"
+        )
 
 
 class TestExtremeInputs:

@@ -83,6 +83,22 @@ class TestCsvLoader:
         with pytest.raises(DataError, match="^line 2: expected 3 fields, got 2$"):
             load_dataset(str(f), "csv")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A header read as '\\ufefflabel' had no column named 'label'."""
+        text = "label,f1,f2\n-1,0.1,0.2\n1,0.3,0.4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        d, back = load_dataset(str(plain), "csv"), load_dataset(str(marked), "csv")
+        assert np.array_equal(back.features, d.features) and np.array_equal(back.labels, d.labels)
+
+    def test_unknown_format(self, tmp_path):
+        f = tmp_path / "d.json"
+        f.write_text("{}")
+        with pytest.raises(ValueError, match="^unknown format 'json'"):
+            load_dataset(str(f), "json")
+
     def test_missing_label_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b\n1,2\n")
@@ -193,6 +209,16 @@ class TestSparseLoader:
         with pytest.raises(DataError, match=f"^feature index {index} is too large: "):
             load_dataset(str(f), "sparse_text")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """The first label was read as the unknown symbol '\\ufeff1'."""
+        text = "1 1:0.5 3:0.25\n-1 2:0.5\n"
+        plain, marked = tmp_path / "plain.svm", tmp_path / "marked.svm"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        d = load_dataset(str(plain), "sparse_text")
+        back = load_dataset(str(marked), "sparse_text")
+        assert np.array_equal(back.features, d.features) and np.array_equal(back.labels, d.labels)
+
     def test_zero_based_index_rejected(self, tmp_path):
         f = tmp_path / "d.sp"
         f.write_text("+1 0:0.5\n")
@@ -286,6 +312,8 @@ class TestGenSynthetic:
             gen_synthetic(1, 2, 1.0, 0)
         with pytest.raises(ValueError):
             gen_synthetic(4, 0, 1.0, 0)
+        with pytest.raises(ValueError, match="separation must be nonnegative"):
+            gen_synthetic(100, 3, -1.0, 0)
 
 
 class TestCsvRoundTrip:

@@ -511,6 +511,10 @@ class TestDefaultBounds:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             make_loss_spec("hinge", 4, "tight")
+        with pytest.raises(ValueError, match="^unknown bounds mode 'loose'$"):
+            make_loss_spec("logistic", 4, "loose")
+        with pytest.raises(ValueError, match="^p must be >= 1$"):
+            make_loss_spec("logistic", 0)
 
     @pytest.mark.parametrize("mode", ["paper", "tight"])
     @pytest.mark.parametrize("kind,shape,value", [

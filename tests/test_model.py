@@ -57,6 +57,10 @@ class TestValidateDataset:
         with pytest.raises(DataError, match="^features must be a 2-d matrix and labels a vector$"):
             Dataset(np.full(shape, 0.1), labels)
 
+    def test_rows_and_labels_must_agree(self):
+        with pytest.raises(DataError, match=r"^feature rows \(3\) and labels \(2\) disagree$"):
+            Dataset(np.zeros((3, 2)), np.ones(2))
+
 
 class TestNoiseDraw:
     def test_same_seed_bit_identical(self):
@@ -74,6 +78,10 @@ class TestNoiseDraw:
         u = NoiseDraw.generate(200_000, 99).base_u
         assert abs(u.mean()) < 0.01
         assert abs(u.std() - 1.0) < 0.01
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            NoiseDraw.generate(0, 1)
 
     def test_immutable(self):
         a = NoiseDraw.generate(4, 0)
@@ -110,6 +118,22 @@ class TestDomainValidation:
         constants = {"zeta": 1.0, "lambda_hess": 1.0, "s_third": 0.0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be .*finite, got {value}$"):
             LossSpec(kind="logistic", **constants)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("solver_mode", "adam", "unknown solver mode 'adam'"),
+        ("reg_lambda", -0.1, "reg_lambda must be nonnegative"),
+        ("theta", np.zeros(3), "theta and noise draw dimensionality disagree"),
+    ])
+    def test_model_rejects_bad_fields(self, field, value, match):
+        fields = dict(
+            theta=np.zeros(2), budget=PrivacyBudget(1.0, 0.1), reg_lambda=0.0,
+            noise=NoiseDraw.generate(2, 0),
+            loss=LossSpec(kind="logistic", zeta=1.0, lambda_hess=0.25, s_third=0.1),
+            grad_norm_at_solution=0.0, solver_mode="exact", iterations_used=0,
+        )
+        PrivateModel(**fields)
+        with pytest.raises(ValueError, match=match):
+            PrivateModel(**{**fields, field: value})
 
     def test_line_rejects_nonpositive_measure(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,12 @@ class TestDeltaCoeffPrime:
         fd = (delta_coeff(3.0, 0.7 + h) - delta_coeff(3.0, 0.7 - h)) / (2 * h)
         assert delta_coeff_prime(3.0, 0.7) == pytest.approx(fd, rel=1e-8)
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="lambda_hess must be positive"):
+            delta_coeff_prime(0.0, 1.0)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            delta_coeff_prime(1.0, 0.0)
+
 
 class TestNoiseSigma:
     def test_frozen_value_eps1(self):

@@ -54,7 +54,7 @@ def sensitivity_report(model, d, spec, pert):
         return dtheta_deps(model, d, spec, pert)
     with pytest.raises(NumericalError, match="sgd_repro mode and is not stationary"):
         dtheta_deps(model, d, spec, pert)
-    return sensitivity._dtheta_deps(model, losses.margins(model.theta, d), d)
+    return sensitivity._dtheta_deps(model, pert, losses.margins(model.theta, d), d)
 
 
 def trained_logistic():
@@ -189,7 +189,7 @@ class TestDthetaDeps:
         [
             (1.0, 1e-9, 0.25, "sigma"),  # another delta
             (5.0, 1e-3, 0.25, "sigma"),  # another gradient bound
-            (1.0, 1e-3, 3.0, "Delta_eps"),  # another Hessian bound
+            (1.0, 1e-3, 3.0, "delta_eps_coeff"),  # another Hessian bound
         ],
     )
     def test_rejects_perturbation_of_another_budget_or_bound(
@@ -202,6 +202,17 @@ class TestDthetaDeps:
         pert = materialize(model.noise, zeta, delta, 0.3, lambda_hess)
         with pytest.raises(NoiseMismatchError, match=match):
             dtheta_deps(model, d, spec, pert)
+
+    @pytest.mark.parametrize("field", ["sigma_prime", "b_prime"])
+    def test_rejects_perturbation_differing_only_in_a_derivative(self, field):
+        """Every field is compared: a copy whose sigma_prime or b_prime alone
+        differed was accepted, and the solve then used its own instead."""
+        d, spec, model = trained_logistic()
+        pert = materialize(model.noise, spec.zeta, 1e-3, 0.3, spec.lambda_hess)
+        dtheta_deps(model, d, spec, pert)  # the model's own is accepted
+        other = replace(pert, **{field: 2.0 * getattr(pert, field)})
+        with pytest.raises(NoiseMismatchError, match=f"^perturbation differs from .* in {field}$"):
+            dtheta_deps(model, d, spec, other)
 
     def test_rejects_another_loss_spec(self):
         d, spec, model = trained_logistic()
@@ -400,8 +411,10 @@ class TestExtrapolate:
         assert abs((vals[2] - vals[1]) - (vals[1] - vals[0])) < 1e-15
 
     def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            extrapolate(self.LINE, 0.0)
+        """And a non-finite one: inf gave -inf, where error_scale refuses it."""
+        for target in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="target_eps must be positive and finite"):
+                extrapolate(self.LINE, target)
 
 
 class TestErrorScale:

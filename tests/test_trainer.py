@@ -87,6 +87,8 @@ class TestPerturbedObjective:
         L, gradL = aggregate(spec, m, d)
         assert value == pytest.approx(L, rel=1e-12)
         np.testing.assert_allclose(grad, gradL, rtol=1e-12)
+        with pytest.raises(ValueError, match="dimension mismatch between theta, dataset"):
+            perturbed_objective(np.zeros(4), m, d, spec, cfg, pert)
 
     def test_quadratic_one_example_minimum(self, quad_instance):
         d, spec, cfg, zero_noise = quad_instance
