@@ -85,10 +85,11 @@ def _comma_list(item, what):
 # positive finite budgets, "0.1,0.25,0.75", and sample counts, "1000,4000"
 eps_list = _comma_list(positive_float, "positive numbers")
 sample_counts = _comma_list(positive_int, "positive integers")
+_ascending = _bounded(eps_list, lambda v: list(v) == sorted(v), "in ascending order")
 
 
 def targets_spec(text: str) -> tuple:
-    """Comma list "0.05,0.1,..." or inclusive range "start:stop:step"."""
+    """Ascending comma list "0.05,0.1,..." or inclusive range "start:stop:step"."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -107,7 +108,7 @@ def targets_spec(text: str) -> tuple:
             out.append(v)
             k += 1
         return tuple(out)
-    return eps_list(text)
+    return _ascending(text)
 
 
 def synthetic_spec(text: str) -> experiments.SyntheticSpec:
@@ -238,7 +239,7 @@ def _with_config(parser: _Parser, argv: list) -> list:
     if path is None or i == len(argv):
         return argv
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None

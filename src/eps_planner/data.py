@@ -37,7 +37,7 @@ from operator import itemgetter, methodcaller
 import numpy as np
 
 from .errors import DataError
-from .model import Dataset, _adopt, validate_dataset
+from .model import Dataset, _adopt, _count, validate_dataset
 
 FORMATS = ("csv", "sparse_text")
 
@@ -391,10 +391,8 @@ def gen_synthetic(n: int, p: int, separation: float, seed: int) -> Dataset:
     separation=0 gives label-free noise; large separation gives nearly
     separable classes. Deterministic per seed.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _count("n", n, 2)
+    _count("p", p, 1)
     if separation < 0:
         raise ValueError("separation must be nonnegative")
     rng = np.random.default_rng(seed)

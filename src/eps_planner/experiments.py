@@ -24,14 +24,13 @@ one `train_many` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
 from .chooser import measure_many
 from .data import gen_synthetic
 from .losses import make_loss_spec
-from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget
+from .model import Dataset, LossSpec, NoiseDraw, PrivacyBudget, _count, _positive
 from .sensitivity import extrapolate
 from .trainer import TrainConfig, train_many, utility
 
@@ -77,20 +76,18 @@ class ExperimentConfig:
     smooth_t: float = 0.1
 
     def __post_init__(self):
-        if not isinstance(self.repeats, Integral) or self.repeats < 1:
-            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not isinstance(self.base_seed, Integral) or self.base_seed < 0:
-            raise ValueError(f"base_seed must be an integer >= 0, got {self.base_seed!r}")
-        if not self.measure_eps_list or any(e <= 0 for e in self.measure_eps_list):
-            raise ValueError("measure_eps_list must list at least one positive eps")
-        if not self.target_grid or any(e <= 0 for e in self.target_grid):
-            raise ValueError("target_grid must list at least one positive eps")
+        _count("repeats", self.repeats, 1)
+        _count("base_seed", self.base_seed, 0)
+        for name in ("measure_eps_list", "target_grid", "sample_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must list at least one value")
+        for name in ("measure_eps_list", "target_grid"):
+            for eps in getattr(self, name):
+                _positive(f"each {name} entry", eps)
+        for n in self.sample_grid:
+            _count("each sample_grid entry", n, 1)
         if list(self.target_grid) != sorted(self.target_grid):
             raise ValueError("target grid must be sorted ascending")
-        if not self.sample_grid or not all(
-            isinstance(n, Integral) and n >= 1 for n in self.sample_grid
-        ):
-            raise ValueError("sample_grid must list at least one integer >= 1")
 
 
 def resolve(

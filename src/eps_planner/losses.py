@@ -52,7 +52,7 @@ import math
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from .model import Dataset, LossSpec
+from .model import Dataset, LossSpec, _count
 
 
 def _softplus(x):
@@ -235,8 +235,7 @@ def make_loss_spec(
     or huber_h whose constants leave the float range is a ValueError
     naming it.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _count("p", p, 1)
     if mode not in BOUNDS_MODES:
         raise ValueError(f"unknown bounds mode {mode!r}")
     if kind == "huber_svm" and not huber_h > 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -24,6 +25,17 @@ NORM_SLACK = 1e-9
 
 LOSS_KINDS = ("logistic", "huber_svm", "quadratic", "smooth_hinge")
 SOLVER_MODES = ("exact", "sgd_repro")
+
+
+# the two value rules of the package's entry points, each stated once here
+def _positive(name: str, value) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _count(name: str, value, least: int) -> None:
+    if not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _readonly(a) -> np.ndarray:
@@ -144,8 +156,7 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _positive("epsilon", self.epsilon)
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -169,10 +180,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not 0 < self.zeta < math.inf:
-            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
-        if not 0 < self.lambda_hess < math.inf:
-            raise ValueError(f"lambda_hess must be positive and finite, got {self.lambda_hess}")
+        _positive("zeta", self.zeta)
+        _positive("lambda_hess", self.lambda_hess)
         if not 0 <= self.s_third < math.inf:
             raise ValueError(f"s_third must be nonnegative and finite, got {self.s_third}")
         if self.kind == "huber_svm" and not self.huber_h > 0:
@@ -200,8 +209,7 @@ class NoiseDraw(_FieldwiseEq):
 
     @classmethod
     def generate(cls, p: int, seed: int) -> "NoiseDraw":
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        _count("p", p, 1)
         return cls(_box_muller(p, seed), seed)
 
     @property
@@ -273,5 +281,4 @@ class ExtrapolationLine:
     slope: float
 
     def __post_init__(self):
-        if not self.measure_eps > 0:
-            raise ValueError("measure_eps must be positive")
+        _positive("measure_eps", self.measure_eps)

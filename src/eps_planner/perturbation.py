@@ -3,9 +3,9 @@
 Two terms depend on the privacy budget: the Gaussian linear term
 b_eps = sigma(eps) * u and the extra ridge coefficient
 Delta_eps = 2 * lambda / eps. With the base vector u held fixed, both are
-smooth in eps; this module supplies their values and derivatives.
-
-All logarithms are natural.
+smooth in eps; this module supplies their values and derivatives. zeta,
+lambda_hess and eps must be positive and finite, and delta must lie in
+(0, 1); else ValueError names the argument. Logarithms are natural.
 """
 from __future__ import annotations
 
@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import NoiseDraw, _readonly
-
-
-def _check_domain(zeta: float | None, delta: float | None, eps: float) -> None:
-    if zeta is not None and not zeta > 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    if delta is not None and not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+from .model import NoiseDraw, _positive, _readonly
 
 
 def _finite(derivative, eps: float) -> float:
@@ -41,8 +32,10 @@ def _finite(derivative, eps: float) -> float:
 
 
 def _log_two_over(delta: float) -> float:
-    """ln(2/delta), or ValueError naming delta where 2/delta overflows
-    (delta below about 1.1e-308)."""
+    """ln(2/delta), or ValueError naming delta outside (0, 1) or where
+    2/delta overflows (delta below about 1.1e-308)."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     ratio = 2.0 / float(delta)
     if ratio == math.inf:
         raise ValueError(f"delta={delta!r} is too small: 2/delta leaves the float range")
@@ -51,17 +44,15 @@ def _log_two_over(delta: float) -> float:
 
 def delta_coeff(lambda_hess: float, eps: float) -> float:
     """Ridge coefficient Delta_eps = 2 * lambda / eps."""
-    if not lambda_hess > 0:
-        raise ValueError(f"lambda_hess must be positive, got {lambda_hess}")
-    _check_domain(None, None, eps)
+    _positive("lambda_hess", lambda_hess)
+    _positive("eps", eps)
     return 2.0 * lambda_hess / eps
 
 
 def delta_coeff_prime(lambda_hess: float, eps: float) -> float:
     """d(Delta_eps)/d(eps) = -2 * lambda / eps^2, negative everywhere."""
-    if not lambda_hess > 0:
-        raise ValueError(f"lambda_hess must be positive, got {lambda_hess}")
-    _check_domain(None, None, eps)
+    _positive("lambda_hess", lambda_hess)
+    _positive("eps", eps)
     # a Python float raises where a numpy scalar's eps**2 would warn
     eps = float(eps)
     return _finite(lambda: -2.0 * lambda_hess / eps**2, eps)
@@ -69,7 +60,8 @@ def delta_coeff_prime(lambda_hess: float, eps: float) -> float:
 
 def noise_sigma(zeta: float, delta: float, eps: float) -> float:
     """Noise standard deviation zeta * sqrt(8 ln(2/delta) + 4 eps) / eps."""
-    _check_domain(zeta, delta, eps)
+    _positive("zeta", zeta)
+    _positive("eps", eps)
     return zeta * math.sqrt(8.0 * _log_two_over(delta) + 4.0 * eps) / eps
 
 
@@ -80,7 +72,8 @@ def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
     valid input. (A published form of this coefficient omits the sign;
     finite differences of noise_sigma confirm the negative one.)
     """
-    _check_domain(zeta, delta, eps)
+    _positive("zeta", zeta)
+    _positive("eps", eps)
     a, eps = _log_two_over(delta), float(eps)
     return _finite(
         lambda: -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps)), eps

@@ -45,6 +45,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NoiseMismatchError, NumericalError
 from .losses import aggregate, hessian, margins
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
+from .model import _count, _positive
 from .perturbation import PerturbationAtEps, materialize
 
 
@@ -114,8 +115,7 @@ def utility_slope(
 
 def extrapolate(line: ExtrapolationLine, target_eps: float) -> float:
     """First-order utility prediction at target_eps; exactly affine."""
-    if not 0 < target_eps < np.inf:
-        raise ValueError(f"target_eps must be positive and finite, got {target_eps}")
+    _positive("target_eps", target_eps)
     return line.base_utility + line.slope * (target_eps - line.measure_eps)
 
 
@@ -139,8 +139,7 @@ def error_scale(measure_eps: float, target_eps: float, n: int) -> ErrorScale:
     """
     if not (0 < measure_eps < np.inf and 0 < target_eps < np.inf):
         raise ValueError("both budgets must be positive and finite")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _count("n", n, 1)
     tilde = min(measure_eps, target_eps)
     try:
         scale = (measure_eps - target_eps) ** 2 / (n * tilde**3)

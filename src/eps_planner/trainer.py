@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -60,6 +59,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NumericalError
 from .losses import aggregate, hessian, margin_slopes, margin_values, margins
 from .model import SOLVER_MODES, Dataset, LossSpec, NoiseDraw, PrivacyBudget, PrivateModel
+from .model import _count, _positive
 from .perturbation import PerturbationAtEps, materialize
 
 # module-level counter used by callers to assert how many trainings ran
@@ -82,11 +82,8 @@ class TrainConfig:
             raise ValueError(f"reg_lambda must be nonnegative and finite, got {self.reg_lambda}")
         if self.solver_mode not in SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.solver_mode!r}")
-        steps, tol = self.max_exact_iterations, self.stationarity_tol
-        if not isinstance(steps, Integral) or steps < 0:
-            raise ValueError(f"max_exact_iterations must be an integer >= 0, got {steps!r}")
-        if not 0 < tol < math.inf:
-            raise ValueError(f"stationarity_tol must be positive and finite, got {tol}")
+        _count("max_exact_iterations", self.max_exact_iterations, 0)
+        _positive("stationarity_tol", self.stationarity_tol)
 
 
 def perturbed_objective(
@@ -157,10 +154,12 @@ def _train_runs(d, spec, cfg, runs, theta0=None):
     whose loop forms neither."""
     global TRAIN_CALL_COUNT
     runs = list(runs)
+    start = None if theta0 is None else np.array(theta0, dtype=np.float64)
+    if start is not None and start.shape != (d.p,):
+        raise ValueError(f"theta0 has shape {start.shape}, dataset has p={d.p}")
     # every run is checked before any trains
     perts = [_perturbation(d, spec, budget, noise) for budget, noise in runs]
     TRAIN_CALL_COUNT += len(runs)
-    start = None if theta0 is None else np.array(theta0, dtype=np.float64)
     # the solvers' finiteness checks report an overflow or NaN as one
     # NumericalError, so numpy does not also warn of it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -42,6 +42,29 @@ class TestTargetsSpec:
                 targets_spec(bad)
 
 
+class TestUnsortedTargets:
+    """A comma list of targets out of ascending order is a usage error
+    naming --targets, before any training: it named no flag, nor the
+    config file and line it came from."""
+
+    def test_flag(self, capsys):
+        before = trainer.TRAIN_CALL_COUNT
+        assert run_cli(["estimate", "--synthetic", "200,3,2.0", "--targets", "0.5,0.1",
+                        "--repeats", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: eps-planner estimate: argument --targets: '0.5,0.1' is not in ascending order\n"
+        )
+        assert trainer.TRAIN_CALL_COUNT == before
+
+    def test_config_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("repeats=1\ntargets=0.5,0.1\n")
+        assert run_cli(["--config", str(cfg), "estimate", "--synthetic", "200,3,2.0"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: argument --targets: '0.5,0.1' is not in ascending order\n"
+        )
+
+
 class TestSampleCounts:
     def test_comma_list(self):
         assert sample_counts("100, 200,4000") == (100, 200, 4000)
@@ -173,7 +196,7 @@ class TestDataErrors:
     def test_config_error_comes_before_reading_the_file(self, capsys):
         code = run_cli(["estimate", "--data", "/nonexistent/x.csv", "--targets", "0.5,0.2"])
         assert code == 1
-        assert "target grid must be sorted ascending" in capsys.readouterr().err
+        assert "argument --targets: '0.5,0.2' is not in ascending order" in capsys.readouterr().err
 
     def test_bad_label_is_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
@@ -608,6 +631,19 @@ class TestConfigFile:
         assert run_cli(["--config", str(cfgfile), "train", "--synthetic", "100,3,1.0"]) == 1
         assert f"{cfgfile}:3: argument --eps:" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A file saved with a UTF-8 byte-order mark runs as the same file
+        without it; the mark was read into the first key."""
+        runs = []
+        for mark in ("", "\ufeff"):
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{mark}synthetic=100,3,2.0\nsolver=exact\n", encoding="utf-8")
+            out = tmp_path / "train.json"
+            argv = ["--config", str(cfgfile), "train", "--eps", "1", "--out", str(out)]
+            assert run_cli(argv) == 0
+            runs.append((capsys.readouterr(), out.read_text()))
+        assert runs[0] == runs[1]
+
     def test_hash_inside_a_value_is_not_a_comment(self, tmp_path, capsys):
         """`#` opens a comment only at the start of a line or after whitespace."""
         folder = tmp_path / "a#b"
@@ -939,6 +975,9 @@ GENERATOR_BOUNDS = [
     (["train", "--synthetic", "100,0,2.0"], "argument --synthetic: '0' is not a positive integer"),
     (["train", "--synthetic", "100,3,-1"],
      "argument --synthetic: '-1' is not a nonnegative number"),
+    (["train", "--synthetic", "1,2"], "argument --synthetic: '1,2' is not n,p,separation"),
+    (["train", "--synthetic", "1,2,3,4"],
+     "argument --synthetic: '1,2,3,4' is not n,p,separation"),
     (["gen-data", "--n", "1", "--p", "3"], "argument --n: '1' is not an integer >= 2"),
     (["gen-data", "--n", "100", "--p", "3", "--separation", "-1"],
      "argument --separation: '-1' is not a nonnegative number"),

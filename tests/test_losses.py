@@ -513,7 +513,7 @@ class TestDefaultBounds:
             make_loss_spec("hinge", 4, "tight")
         with pytest.raises(ValueError, match="^unknown bounds mode 'loose'$"):
             make_loss_spec("logistic", 4, "loose")
-        with pytest.raises(ValueError, match="^p must be >= 1$"):
+        with pytest.raises(ValueError, match="^p must be an integer >= 1, got 0$"):
             make_loss_spec("logistic", 0)
 
     @pytest.mark.parametrize("mode", ["paper", "tight"])

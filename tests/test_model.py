@@ -80,7 +80,7 @@ class TestNoiseDraw:
         assert abs(u.std() - 1.0) < 0.01
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="p must be >= 1"):
+        with pytest.raises(ValueError, match="p must be an integer >= 1"):
             NoiseDraw.generate(0, 1)
 
     def test_immutable(self):

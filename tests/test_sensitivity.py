@@ -460,6 +460,6 @@ class TestErrorScale:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_n_below_one_is_value_error(self, n):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             error_scale(0.1, 1.0, n)
 

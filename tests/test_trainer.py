@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,21 @@ class TestTrainExact:
             NumericalError, match=r"Newton matrix is not positive definite \(min eigenvalue -"
         ):
             train(d, spec, TrainConfig(), PrivacyBudget(0.5, 1e-3), NoiseDraw.generate(4, 9))
+
+
+@pytest.mark.parametrize("solver", ["exact", "sgd_repro"])
+@pytest.mark.parametrize("shape", [(3,), (5, 2)])
+def test_theta0_of_another_shape_is_named_before_training(solver, shape):
+    """It failed inside numpy's matmul (sgd_repro), or named the margins'
+    shape (exact)."""
+    d = gen_synthetic(50, 5, 1.5, 31)
+    spec = make_loss_spec("logistic", 5, "tight")
+    args = (d, spec, TrainConfig(solver_mode=solver), PrivacyBudget(0.5, 1e-3))
+    before = trainer.TRAIN_CALL_COUNT
+    message = f"theta0 has shape {shape}, dataset has p=5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train(*args, NoiseDraw.generate(5, 4), theta0=np.zeros(shape))
+    assert trainer.TRAIN_CALL_COUNT == before
 
 
 class TestNewtonExits:
