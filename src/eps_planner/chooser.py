@@ -45,12 +45,14 @@ def choose_epsilon(line: ExtrapolationLine, expected_utility: float) -> float:
     `expected_utility`.
 
     Raises ValueError for a non-finite `expected_utility`, FlatSlopeError
-    when the slope is numerically zero and UnreachableUtilityError when
-    the inversion lands at a nonpositive budget or past the float range.
+    when the slope is numerically zero relative to the utility (the
+    elasticity |slope| * measure_eps / |base_utility| is at most
+    SLOPE_TOL) and UnreachableUtilityError when the inversion lands at a
+    nonpositive budget or past the float range.
     """
     if not math.isfinite(expected_utility):
         raise ValueError(f"expected utility {expected_utility} is not finite")
-    if abs(line.slope) <= SLOPE_TOL:
+    if abs(line.slope) * line.measure_eps <= SLOPE_TOL * abs(line.base_utility):
         raise FlatSlopeError(
             f"utility locally insensitive to eps (slope {line.slope:.3e})"
         )

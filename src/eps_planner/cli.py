@@ -35,6 +35,8 @@ from .model import LOSS_KINDS, Dataset, NoiseDraw, PrivacyBudget
 from .trainer import classification_error_rate, train, utility
 
 SUMMARY_OUT_HELP = "path of the JSON run summary"
+# the reference protocol: each flag standing for one of its fields defaults to it
+_REF = experiments.ExperimentConfig()
 
 
 def finite_float(text: str) -> float:
@@ -148,20 +150,20 @@ def build_parser() -> _Parser:
             "--synthetic", type=synthetic_spec,
             help="use generated data: n,p,separation",
         )
-        p.add_argument("--loss", choices=LOSS_KINDS, default="logistic")
-        p.add_argument("--bounds", choices=BOUNDS_MODES, default="tight")
-        p.add_argument("--reg-lambda", type=nonnegative_float, default=0.01)
-        p.add_argument("--delta", type=positive_float, default=1e-3)
-        p.add_argument("--seed", type=nonnegative_int, default=0)
+        p.add_argument("--loss", choices=LOSS_KINDS, default=_REF.loss_kind)
+        p.add_argument("--bounds", choices=BOUNDS_MODES, default=_REF.bounds_mode)
+        p.add_argument("--reg-lambda", type=nonnegative_float, default=_REF.reg_lambda)
+        p.add_argument("--delta", type=positive_float, default=_REF.delta)
+        p.add_argument("--seed", type=nonnegative_int, default=_REF.base_seed)
         if solver is not None:
             p.add_argument("--solver", choices=("exact", "sgd"), default=solver)
-        p.add_argument("--huber-h", type=positive_float, default=0.1)
-        p.add_argument("--smooth-t", type=positive_float, default=0.1)
+        p.add_argument("--huber-h", type=positive_float, default=_REF.huber_h)
+        p.add_argument("--smooth-t", type=positive_float, default=_REF.smooth_t)
         p.add_argument("--out", help=out_help)
 
     def add_table(p, *, solver="sgd"):
         add_common(p, solver=solver)
-        p.add_argument("--repeats", type=positive_int, default=10)
+        p.add_argument("--repeats", type=positive_int, default=_REF.repeats)
 
     p_train = sub.add_parser("train", help="train one private model")
     add_common(p_train, out_help=SUMMARY_OUT_HELP)
@@ -169,8 +171,8 @@ def build_parser() -> _Parser:
 
     p_est = sub.add_parser("estimate", help="estimated vs actual loss over a target grid")
     add_table(p_est)
-    p_est.add_argument("--measure-eps", type=eps_list, default=experiments.DEFAULT_MEASURING_LOW)
-    p_est.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
+    p_est.add_argument("--measure-eps", type=eps_list, default=_REF.measure_eps_list)
+    p_est.add_argument("--targets", type=targets_spec, default=_REF.target_grid)
 
     p_choose = sub.add_parser("choose-eps", help="pick the budget for an expected utility")
     add_common(p_choose, out_help=SUMMARY_OUT_HELP, solver="exact")
@@ -179,13 +181,13 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep-measuring", help="average error per measuring point")
     add_table(p_sweep)
-    p_sweep.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
+    p_sweep.add_argument("--targets", type=targets_spec, default=_REF.target_grid)
 
     p_samp = sub.add_parser("sweep-samples", help="estimation error against sample count")
     add_table(p_samp)
     p_samp.add_argument("--measure-eps", type=positive_float, default=0.25)
-    p_samp.add_argument("--targets", type=targets_spec, default=experiments.DEFAULT_TARGETS_LOW)
-    p_samp.add_argument("--samples", type=sample_counts, default=experiments.DEFAULT_SAMPLE_GRID)
+    p_samp.add_argument("--targets", type=targets_spec, default=_REF.target_grid)
+    p_samp.add_argument("--samples", type=sample_counts, default=_REF.sample_grid)
 
     # always retrains with the exact solver, so it takes no --solver
     p_oracle = sub.add_parser("oracle-compare", help="finite-difference check of the solve")
@@ -195,8 +197,9 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as CSV")
     p_gen.add_argument("--n", type=_sample_size, required=True)
     p_gen.add_argument("--p", type=positive_int, required=True)
-    p_gen.add_argument("--separation", type=nonnegative_float, default=2.0)
-    p_gen.add_argument("--seed", type=nonnegative_int, default=0)
+    p_gen.add_argument("--separation", type=nonnegative_float,
+                       default=experiments.SyntheticSpec.separation)
+    p_gen.add_argument("--seed", type=nonnegative_int, default=_REF.base_seed)
     p_gen.add_argument("--out", required=True)
 
     return parser
@@ -269,8 +272,7 @@ def _inputs(args) -> tuple[experiments.ExperimentConfig, Dataset | None]:
     """The run's config, then its `--data` dataset (None without one). A
     config field the subcommand has no flag for keeps its default; the
     config is built first, so its errors come before the file is read."""
-    default = experiments.ExperimentConfig()
-    budgets = getattr(args, "measure_eps", default.measure_eps_list)
+    budgets = getattr(args, "measure_eps", _REF.measure_eps_list)
     cfg = experiments.ExperimentConfig(
         synthetic=args.synthetic,
         loss_kind=args.loss,
@@ -278,10 +280,10 @@ def _inputs(args) -> tuple[experiments.ExperimentConfig, Dataset | None]:
         reg_lambda=args.reg_lambda,
         delta=args.delta,
         measure_eps_list=budgets if isinstance(budgets, tuple) else (budgets,),
-        target_grid=getattr(args, "targets", default.target_grid),
-        repeats=getattr(args, "repeats", default.repeats),
+        target_grid=getattr(args, "targets", _REF.target_grid),
+        repeats=getattr(args, "repeats", _REF.repeats),
         base_seed=args.seed,
-        sample_grid=getattr(args, "samples", default.sample_grid),
+        sample_grid=getattr(args, "samples", _REF.sample_grid),
         solver_mode="sgd_repro" if getattr(args, "solver", "exact") == "sgd" else "exact",
         huber_h=args.huber_h,
         smooth_t=args.smooth_t,
@@ -439,16 +441,13 @@ def run_cli(argv=None) -> int:
         if args.out:
             _check_writable(args.out)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # after LinAlgError, itself a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

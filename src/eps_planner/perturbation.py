@@ -5,7 +5,10 @@ b_eps = sigma(eps) * u and the extra ridge coefficient
 Delta_eps = 2 * lambda / eps. With the base vector u held fixed, both are
 smooth in eps; this module supplies their values and derivatives. zeta,
 lambda_hess and eps must be positive and finite, and delta must lie in
-(0, 1); else ValueError names the argument. Logarithms are natural.
+(0, 1); else ValueError names the argument. A value or derivative that
+leaves the float range is ValueError naming zeta or lambda_hess when the
+same formula with 1.0 in that constant's place stays finite, else
+NumericalError naming eps. Logarithms are natural.
 """
 from __future__ import annotations
 
@@ -18,17 +21,29 @@ from .errors import NumericalError
 from .model import NoiseDraw, _positive, _readonly
 
 
-def _finite(derivative, eps: float) -> float:
-    """derivative(), or NumericalError naming eps where it leaves the float
-    range: eps**2 overflows above about 1.3e154 and rounds to 0 below
-    about 1e-162, and the quotients by it overflow below about 1e-154."""
-    try:
-        value = derivative()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericalError(f"eps={eps!r} is too extreme: its derivatives leave the float range")
-    return value
+def _coefficient(formula, name: str, constant: float, eps: float, what: str) -> float:
+    """formula(constant, eps) in Python floats, which raise where numpy
+    scalars would warn. Past the float range it is ValueError naming the
+    bound constant `name` if formula(1.0, eps) is finite, else
+    NumericalError naming eps: eps**2 overflows above about 1.3e154 and
+    rounds to 0 below about 1e-162, and quotients by it overflow below
+    about 1e-154."""
+    constant, eps = float(constant), float(eps)
+
+    def value(c):
+        try:
+            return formula(c, eps)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    out = value(constant)
+    if math.isfinite(out):
+        return out
+    if math.isfinite(value(1.0)):
+        raise ValueError(
+            f"{name}={constant!r} is too large: at eps={eps!r} it leaves the float range"
+        )
+    raise NumericalError(f"eps={eps!r} is too extreme: its {what} leave the float range")
 
 
 def _log_two_over(delta: float) -> float:
@@ -46,23 +61,26 @@ def delta_coeff(lambda_hess: float, eps: float) -> float:
     """Ridge coefficient Delta_eps = 2 * lambda / eps."""
     _positive("lambda_hess", lambda_hess)
     _positive("eps", eps)
-    return 2.0 * lambda_hess / eps
+    return _coefficient(lambda lam, e: 2.0 * lam / e, "lambda_hess", lambda_hess, eps, "values")
 
 
 def delta_coeff_prime(lambda_hess: float, eps: float) -> float:
     """d(Delta_eps)/d(eps) = -2 * lambda / eps^2, negative everywhere."""
     _positive("lambda_hess", lambda_hess)
     _positive("eps", eps)
-    # a Python float raises where a numpy scalar's eps**2 would warn
-    eps = float(eps)
-    return _finite(lambda: -2.0 * lambda_hess / eps**2, eps)
+    return _coefficient(
+        lambda lam, e: -2.0 * lam / e**2, "lambda_hess", lambda_hess, eps, "derivatives"
+    )
 
 
 def noise_sigma(zeta: float, delta: float, eps: float) -> float:
     """Noise standard deviation zeta * sqrt(8 ln(2/delta) + 4 eps) / eps."""
     _positive("zeta", zeta)
     _positive("eps", eps)
-    return zeta * math.sqrt(8.0 * _log_two_over(delta) + 4.0 * eps) / eps
+    a = _log_two_over(delta)
+    return _coefficient(
+        lambda z, e: z * math.sqrt(8.0 * a + 4.0 * e) / e, "zeta", zeta, eps, "values"
+    )
 
 
 def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
@@ -74,9 +92,10 @@ def noise_sigma_prime(zeta: float, delta: float, eps: float) -> float:
     """
     _positive("zeta", zeta)
     _positive("eps", eps)
-    a, eps = _log_two_over(delta), float(eps)
-    return _finite(
-        lambda: -zeta * (4.0 * a + eps) / (eps**2 * math.sqrt(2.0 * a + eps)), eps
+    a = _log_two_over(delta)
+    return _coefficient(
+        lambda z, e: -z * (4.0 * a + e) / (e**2 * math.sqrt(2.0 * a + e)), "zeta", zeta, eps,
+        "derivatives",
     )
 
 

@@ -25,41 +25,6 @@ def random_unit_ball(rng, p):
     return v * rng.uniform() ** (1.0 / p) / np.linalg.norm(v)
 
 
-@pytest.fixture
-def hessian_builds(monkeypatch):
-    """List with one entry per `hessian` call that trainer and sensitivity
-    make. A call on constant curvature scales the dataset's cached
-    X^T X / n and builds nothing; `blocked_builds` counts the builds."""
-    from eps_planner import losses, sensitivity, trainer
-
-    builds = []
-
-    def counting_hessian(spec, m, d):
-        builds.append("hessian")
-        return losses.hessian(spec, m, d)
-
-    for mod in (trainer, sensitivity):
-        monkeypatch.setattr(mod, "hessian", counting_hessian)
-    return builds
-
-
-@pytest.fixture
-def blocked_builds(monkeypatch):
-    """List with one entry per blocked O(n p^2) Hessian build, the work
-    `hessian` does unless it scales the dataset's cached X^T X / n."""
-    from eps_planner import losses
-
-    builds = []
-    blocked = losses._mean_hessian
-
-    def counting(d, curvatures):
-        builds.append("blocked")
-        return blocked(d, curvatures)
-
-    monkeypatch.setattr(losses, "_mean_hessian", counting)
-    return builds
-
-
 def _record_sites(monkeypatch, name, original, modules):
     """List that records, for each call of `original` through the `name`
     binding of one of `modules`, that module's short name."""
@@ -75,6 +40,26 @@ def _record_sites(monkeypatch, name, original, modules):
     for mod in modules:
         monkeypatch.setattr(mod, name, counting(mod.__name__.rsplit(".", 1)[-1]))
     return calls
+
+
+@pytest.fixture
+def hessian_builds(monkeypatch):
+    """List that records the module of each `hessian` call that trainer
+    and sensitivity make. A call on constant curvature scales the
+    dataset's cached X^T X / n and builds nothing; `blocked_builds` counts
+    the builds."""
+    from eps_planner import losses, sensitivity, trainer
+
+    return _record_sites(monkeypatch, "hessian", losses.hessian, (trainer, sensitivity))
+
+
+@pytest.fixture
+def blocked_builds(monkeypatch):
+    """List with one entry per blocked O(n p^2) Hessian build, the work
+    `hessian` does unless it scales the dataset's cached X^T X / n."""
+    from eps_planner import losses
+
+    return _record_sites(monkeypatch, "_mean_hessian", losses._mean_hessian, (losses,))
 
 
 @pytest.fixture

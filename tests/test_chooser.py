@@ -44,6 +44,16 @@ class TestChooseEpsilon:
         with pytest.raises(FlatSlopeError, match="insensitive"):
             choose_epsilon(flat, 0.4)
 
+    def test_flatness_is_relative_to_the_utility(self):
+        """A slope of -4e-13 on a utility of 1e-12 has elasticity
+        |slope| * eps / F = 0.1, so it is inverted; a slope of -1e-7 on a
+        utility of 1e6 has elasticity 1e-13, so it is flat."""
+        small = ExtrapolationLine(measure_eps=0.25, base_utility=1e-12, slope=-4e-13)
+        assert choose_epsilon(small, 0.95e-12) == pytest.approx(0.375, rel=1e-12)
+        large = ExtrapolationLine(measure_eps=1.0, base_utility=1e6, slope=-1e-7)
+        with pytest.raises(FlatSlopeError, match="insensitive"):
+            choose_epsilon(large, 1e6 - 1)
+
     def test_unreachable_utility_rejected(self):
         with pytest.raises(UnreachableUtilityError, match="unreachable"):
             choose_epsilon(self.LINE, 1.5)  # would need eps <= 0

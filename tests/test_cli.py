@@ -19,7 +19,7 @@ from eps_planner.cli import (
 )
 from eps_planner.data import gen_synthetic, write_csv_dataset
 from eps_planner.errors import UsageError
-from eps_planner.experiments import DEFAULT_TARGETS_LOW
+from eps_planner.experiments import DEFAULT_TARGETS_LOW, ExperimentConfig, SyntheticSpec
 
 
 class TestTargetsSpec:
@@ -388,6 +388,23 @@ class TestChooseEps:
         assert "warning: chosen and measuring eps differ" in printed.out
         assert json.loads(out.read_text())["result"]["magnitude_warning"] is True
 
+    @pytest.mark.parametrize("target, gap", [("0.3", False), ("0.6", True)])
+    def test_prints_the_summary_values(self, target, gap, tmp_path, capsys):
+        """Each printed number is the repr of the summary's value, and the
+        warning line is printed exactly when the summary flags the gap."""
+        out = tmp_path / "plan.json"
+        assert run_cli(["choose-eps", "--synthetic", "2000,10,2.0", "--seed", "7",
+                        "--target-utility", target, "--out", str(out)]) == 0
+        r = json.loads(out.read_text())["result"]
+        assert r["magnitude_warning"] is gap
+        lines = [
+            f"chosen_eps: {r['chosen_eps']!r}",
+            f"line: measure_eps={r['measure_eps']!r} "
+            f"base_utility={r['base_utility']!r} slope={r['slope']!r}",
+            f"remainder_scale: {r['remainder_scale']!r}",
+        ] + ["warning: chosen and measuring eps differ by more than an order of magnitude"] * gap
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
     def test_sgd_matches_library_plan(self, data_csv, tmp_path):
         """choose-eps --solver sgd and library plan() with sgd_repro pick
         the same budget bit for bit: both damp the solve the same way."""
@@ -546,6 +563,32 @@ class TestFlagSets:
         printed = capsys.readouterr()
         assert flag in printed.err
         assert printed.out == ""
+
+
+# the ExperimentConfig field each flag stands for
+_CONFIG_FIELD = {
+    "loss": "loss_kind", "bounds": "bounds_mode", "reg-lambda": "reg_lambda", "delta": "delta",
+    "seed": "base_seed", "huber-h": "huber_h", "smooth-t": "smooth_t", "repeats": "repeats",
+    "measure-eps": "measure_eps_list", "targets": "target_grid", "samples": "sample_grid",
+}
+# commands that measure at their own budgets, not at the config's list
+_OWN_MEASURE_EPS = {"choose-eps": 0.25, "sweep-samples": 0.25, "oracle-compare": (0.25, 1.0)}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flag in COMMAND_FLAGS
+    if flag in _CONFIG_FIELD or flag == "separation"
+])
+def test_flag_defaults_are_the_library_defaults(command, flag):
+    """A flag standing for a config field defaults to ExperimentConfig()'s
+    value, and gen-data --separation to SyntheticSpec()'s."""
+    if flag == "separation":
+        want = SyntheticSpec().separation
+    elif flag == "measure-eps" and command in _OWN_MEASURE_EPS:
+        want = _OWN_MEASURE_EPS[command]
+    else:
+        want = getattr(ExperimentConfig(), _CONFIG_FIELD[flag])
+    assert _long_flags(_subparsers(build_parser())[command])[flag].default == want
 
 
 # command: (the flags it requires, the config key it has no flag for)

@@ -11,6 +11,7 @@ import re
 import pytest
 
 from eps_planner.data import gen_synthetic
+from eps_planner.errors import NumericalError
 from eps_planner.experiments import ExperimentConfig
 from eps_planner.losses import make_loss_spec
 from eps_planner.model import ExtrapolationLine, LossSpec, NoiseDraw, PrivacyBudget
@@ -98,3 +99,31 @@ def test_integer_count(call, name, least, value):
 def test_delta_lies_in_the_unit_interval(call, delta):
     with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\), got "):
         call(delta)
+
+
+# finite but too extreme: (call, error, the start of its message). A
+# coefficient past the float range names zeta or lambda_hess when 1.0 in
+# that constant's place keeps it finite, and eps otherwise.
+TOO_EXTREME = [
+    ("noise_sigma.zeta", lambda: noise_sigma(1e308, 0.1, 1.0), ValueError, "zeta=1e+308"),
+    ("delta_coeff.lambda_hess", lambda: delta_coeff(1e308, 1e-3), ValueError,
+     "lambda_hess=1e+308"),
+    ("noise_sigma_prime.zeta", lambda: noise_sigma_prime(1e308, 0.1, 1.0), ValueError,
+     "zeta=1e+308"),
+    ("delta_coeff_prime.lambda_hess", lambda: delta_coeff_prime(1e308, 1.0), ValueError,
+     "lambda_hess=1e+308"),
+    ("materialize.zeta", lambda: materialize(NOISE, 1e308, 0.1, 1.0, 1.0), ValueError,
+     "zeta=1e+308"),
+    ("materialize.lambda_hess", lambda: materialize(NOISE, 1.0, 0.1, 1.0, 1e308), ValueError,
+     "lambda_hess=1e+308"),
+    ("noise_sigma.eps", lambda: noise_sigma(1.0, 0.1, 1e-310), NumericalError, "eps=1e-310"),
+    ("delta_coeff.eps", lambda: delta_coeff(1.0, 1e-310), NumericalError, "eps=1e-310"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, start", [row[1:] for row in TOO_EXTREME], ids=[row[0] for row in TOO_EXTREME]
+)
+def test_finite_but_too_extreme(call, error, start):
+    with pytest.raises(error, match=f"^{re.escape(start)} is too "):
+        call()
