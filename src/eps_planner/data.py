@@ -37,7 +37,7 @@ from operator import itemgetter, methodcaller
 import numpy as np
 
 from .errors import DataError
-from .model import Dataset, _adopt, _count, validate_dataset
+from .model import Dataset, _adopt, _count, _nonnegative, validate_dataset
 
 FORMATS = ("csv", "sparse_text")
 
@@ -393,8 +393,8 @@ def gen_synthetic(n: int, p: int, separation: float, seed: int) -> Dataset:
     """
     _count("n", n, 2)
     _count("p", p, 1)
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
+    _nonnegative("separation", separation)
+    _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(p)
     w /= np.linalg.norm(w)

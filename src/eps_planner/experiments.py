@@ -64,7 +64,7 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None = None
     loss_kind: str = "logistic"
     bounds_mode: str = "tight"
-    reg_lambda: float = 0.01
+    reg_lambda: float = TrainConfig.reg_lambda
     delta: float = 1e-3
     measure_eps_list: tuple = DEFAULT_MEASURING_LOW
     target_grid: tuple = DEFAULT_TARGETS_LOW
@@ -72,8 +72,8 @@ class ExperimentConfig:
     base_seed: int = 0
     sample_grid: tuple = DEFAULT_SAMPLE_GRID
     solver_mode: str = "sgd_repro"
-    huber_h: float = 0.1
-    smooth_t: float = 0.1
+    huber_h: float = LossSpec.huber_h
+    smooth_t: float = LossSpec.smooth_t
 
     def __post_init__(self):
         _count("repeats", self.repeats, 1)

@@ -52,7 +52,7 @@ import math
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from .model import Dataset, LossSpec, _count
+from .model import LOSS_KINDS, Dataset, LossSpec, _count, _one_of
 
 
 def _softplus(x):
@@ -222,8 +222,8 @@ def make_loss_spec(
     p: int,
     mode: str = "paper",
     *,
-    huber_h: float = 0.1,
-    smooth_t: float = 0.1,
+    huber_h: float = LossSpec.huber_h,
+    smooth_t: float = LossSpec.smooth_t,
 ) -> LossSpec:
     """LossSpec for a loss kind and dimensionality, bound constants filled in.
 
@@ -236,8 +236,8 @@ def make_loss_spec(
     naming it.
     """
     _count("p", p, 1)
-    if mode not in BOUNDS_MODES:
-        raise ValueError(f"unknown bounds mode {mode!r}")
+    _one_of("bounds mode", mode, BOUNDS_MODES)
+    _one_of("loss kind", kind, LOSS_KINDS)
     if kind == "huber_svm" and not huber_h > 0:
         raise ValueError("huber_h must be positive")
     if kind == "smooth_hinge" and not smooth_t > 0:
@@ -247,14 +247,12 @@ def make_loss_spec(
         s = 0.1  # 1/(6*sqrt(3)) ~ 0.0962, rounded up
     elif kind in ("huber_svm", "quadratic"):
         s = 0.0  # piecewise-constant curvature: third derivative vanishes a.e.
-    elif kind == "smooth_hinge":
+    else:  # smooth_hinge
         # smooth_t**2 overflows above about 1.3e154 and is 0 below about 1e-162
         try:
             s = _LOGISTIC_THIRD / smooth_t**2
         except (OverflowError, ZeroDivisionError):
             s = math.inf
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
 
     if mode == "paper":
         zeta, lam = 2.0 * math.sqrt(p), float(p)

@@ -27,15 +27,25 @@ LOSS_KINDS = ("logistic", "huber_svm", "quadratic", "smooth_hinge")
 SOLVER_MODES = ("exact", "sgd_repro")
 
 
-# the two value rules of the package's entry points, each stated once here
+# the value rules of the package's entry points, each stated once here
 def _positive(name: str, value) -> None:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _nonnegative(name: str, value) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def _count(name: str, value, least: int) -> None:
     if not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _one_of(what: str, value, allowed) -> None:
+    if value not in allowed:
+        raise ValueError(f"unknown {what} {value!r}")
 
 
 def _readonly(a) -> np.ndarray:
@@ -178,12 +188,10 @@ class LossSpec:
     smooth_t: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+        _one_of("loss kind", self.kind, LOSS_KINDS)
         _positive("zeta", self.zeta)
         _positive("lambda_hess", self.lambda_hess)
-        if not 0 <= self.s_third < math.inf:
-            raise ValueError(f"s_third must be nonnegative and finite, got {self.s_third}")
+        _nonnegative("s_third", self.s_third)
         if self.kind == "huber_svm" and not self.huber_h > 0:
             raise ValueError("huber_h must be positive for huber_svm")
         if self.kind == "smooth_hinge" and not self.smooth_t > 0:
@@ -205,11 +213,13 @@ class NoiseDraw(_FieldwiseEq):
 
     def __post_init__(self):
         object.__setattr__(self, "base_u", np.atleast_1d(_readonly(self.base_u)))
+        _count("seed", self.seed, 0)
         object.__setattr__(self, "seed", int(self.seed))
 
     @classmethod
     def generate(cls, p: int, seed: int) -> "NoiseDraw":
         _count("p", p, 1)
+        _count("seed", seed, 0)
         return cls(_box_muller(p, seed), seed)
 
     @property
@@ -249,10 +259,8 @@ class PrivateModel(_FieldwiseEq):
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.atleast_1d(_readonly(self.theta)))
-        if self.solver_mode not in SOLVER_MODES:
-            raise ValueError(f"unknown solver mode {self.solver_mode!r}")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be nonnegative")
+        _one_of("solver mode", self.solver_mode, SOLVER_MODES)
+        _nonnegative("reg_lambda", self.reg_lambda)
         if self.theta.shape != self.noise.base_u.shape:
             raise ValueError("theta and noise draw dimensionality disagree")
 

@@ -5,10 +5,14 @@ b_eps = sigma(eps) * u and the extra ridge coefficient
 Delta_eps = 2 * lambda / eps. With the base vector u held fixed, both are
 smooth in eps; this module supplies their values and derivatives. zeta,
 lambda_hess and eps must be positive and finite, and delta must lie in
-(0, 1); else ValueError names the argument. A value or derivative that
-leaves the float range is ValueError naming zeta or lambda_hess when the
-same formula with 1.0 in that constant's place stays finite, else
-NumericalError naming eps. Logarithms are natural.
+(0, 1); else ValueError names the argument. Each value or derivative is
+proportional to its bound constant (zeta or lambda_hess), so where the
+formula overflows partway through, the constant times the same formula
+at 1.0 is returned if that is finite. One still past the float range is
+ValueError naming the constant when the formula at 1.0 stays finite,
+else NumericalError naming eps; `materialize` names zeta or eps for the
+noise terms sigma * u and sigma' * u the same way. Logarithms are
+natural.
 """
 from __future__ import annotations
 
@@ -23,11 +27,15 @@ from .model import NoiseDraw, _positive, _readonly
 
 def _coefficient(formula, name: str, constant: float, eps: float, what: str) -> float:
     """formula(constant, eps) in Python floats, which raise where numpy
-    scalars would warn. Past the float range it is ValueError naming the
-    bound constant `name` if formula(1.0, eps) is finite, else
-    NumericalError naming eps: eps**2 overflows above about 1.3e154 and
-    rounds to 0 below about 1e-162, and quotients by it overflow below
-    about 1e-154."""
+    scalars would warn. Where that leaves the float range, the formula
+    is linear in `constant`, so constant * formula(1.0, eps) is returned
+    if finite: an intermediate product may overflow though the value
+    does not. Past the float range it is ValueError naming the bound
+    constant `name` if formula(1.0, eps) is finite, else NumericalError
+    naming eps: eps**2 overflows above about 1.3e154 and rounds to 0
+    below about 1e-162, and quotients by it overflow below about 1e-154.
+    Only that failure path forms the second formula, so every value
+    finite at the first keeps its bits."""
     constant, eps = float(constant), float(eps)
 
     def value(c):
@@ -39,7 +47,10 @@ def _coefficient(formula, name: str, constant: float, eps: float, what: str) -> 
     out = value(constant)
     if math.isfinite(out):
         return out
-    if math.isfinite(value(1.0)):
+    unit = value(1.0)
+    if math.isfinite(constant * unit):
+        return constant * unit
+    if math.isfinite(unit):
         raise ValueError(
             f"{name}={constant!r} is too large: at eps={eps!r} it leaves the float range"
         )
@@ -133,14 +144,27 @@ def materialize(
 
     Reusing the same NoiseDraw across eps values keeps b(eps) on one
     smooth path: every materialization shares base_u exactly. A finite
-    draw scaled out of the float range is NumericalError naming eps; a
-    draw that is itself not finite is left for the trainer to report.
+    draw scaled out of the float range is ValueError naming zeta if the
+    same draw scaled at zeta = 1.0 stays finite, else NumericalError
+    naming eps; a draw that is itself not finite is left for the trainer
+    to report.
     """
     s = noise_sigma(zeta, delta, eps)
     sp = noise_sigma_prime(zeta, delta, eps)
     with np.errstate(over="ignore"):
         b, b_prime = s * noise.base_u, sp * noise.base_u
     if np.isfinite(noise.base_u).all() and not np.isfinite([b, b_prime]).all():
+        # with zeta < 1 the coefficients at 1.0 can overflow; eps is then the culprit
+        try:
+            with np.errstate(over="ignore"):
+                unit = [f(1.0, delta, eps) * noise.base_u for f in (noise_sigma, noise_sigma_prime)]
+        except NumericalError:
+            unit = [math.inf]
+        if np.isfinite(unit).all():
+            raise ValueError(
+                f"zeta={float(zeta)!r} is too large: at eps={float(eps)!r} its noise terms"
+                " leave the float range"
+            )
         raise NumericalError(
             f"eps={float(eps)!r} is too extreme: its noise terms leave the float range"
         )

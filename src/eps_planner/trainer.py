@@ -48,7 +48,6 @@ and, for `train_many`'s sgd_repro runs, the block a run is stepped in.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import ClassVar
@@ -59,7 +58,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NumericalError
 from .losses import aggregate, hessian, margin_slopes, margin_values, margins
 from .model import SOLVER_MODES, Dataset, LossSpec, NoiseDraw, PrivacyBudget, PrivateModel
-from .model import _count, _positive
+from .model import _count, _nonnegative, _one_of, _positive
 from .perturbation import PerturbationAtEps, materialize
 
 # module-level counter used by callers to assert how many trainings ran
@@ -78,10 +77,8 @@ class TrainConfig:
     sgd_learning_rate: ClassVar[float] = 0.01
 
     def __post_init__(self):
-        if not 0 <= self.reg_lambda < math.inf:
-            raise ValueError(f"reg_lambda must be nonnegative and finite, got {self.reg_lambda}")
-        if self.solver_mode not in SOLVER_MODES:
-            raise ValueError(f"unknown solver mode {self.solver_mode!r}")
+        _nonnegative("reg_lambda", self.reg_lambda)
+        _one_of("solver mode", self.solver_mode, SOLVER_MODES)
         _count("max_exact_iterations", self.max_exact_iterations, 0)
         _positive("stationarity_tol", self.stationarity_tol)
 

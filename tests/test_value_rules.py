@@ -1,20 +1,30 @@
 """Every budget, bound constant and tolerance the library takes is
-positive and finite, and every count is an integer at or above its least
-value: anything else is a ValueError naming the argument.
+positive and finite, every regulariser and separation nonnegative and
+finite, every count (seeds included) an integer at or above its least
+value, and every option one of its listed names: anything else is a
+ValueError naming the argument.
 
-One table lists each entry point with each such argument, so an entry
-point whose check drifts from the rule, or that drops it, fails here.
+One table per rule lists each entry point with each such argument, so an
+entry point whose check drifts from the rule, or that drops it, fails
+here.
 """
 import math
 import re
 
+import numpy as np
 import pytest
 
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import NumericalError
 from eps_planner.experiments import ExperimentConfig
 from eps_planner.losses import make_loss_spec
-from eps_planner.model import ExtrapolationLine, LossSpec, NoiseDraw, PrivacyBudget
+from eps_planner.model import (
+    ExtrapolationLine,
+    LossSpec,
+    NoiseDraw,
+    PrivacyBudget,
+    PrivateModel,
+)
 from eps_planner.perturbation import (
     delta_coeff,
     delta_coeff_prime,
@@ -27,6 +37,17 @@ from eps_planner.trainer import TrainConfig
 
 NOISE = NoiseDraw.generate(3, 0)
 LINE = ExtrapolationLine(measure_eps=1.0, base_utility=0.5, slope=-0.1)
+# a draw whose first entry scales out of the float range before sigma does
+WIDE = NoiseDraw(np.array([1e10, 0.0, 0.0]), 0)
+
+
+def private_model(reg_lambda=0.01, solver_mode="exact"):
+    return PrivateModel(
+        theta=np.zeros(3), budget=PrivacyBudget(1.0, 0.1), reg_lambda=reg_lambda,
+        noise=NOISE, loss=LossSpec("logistic", 1.0, 1.0, 0.0), grad_norm_at_solution=0.0,
+        solver_mode=solver_mode, iterations_used=0,
+    )
+
 
 # (entry point with the argument, the name its message gives)
 POSITIVE = [
@@ -67,6 +88,26 @@ COUNT = [
     ("gen_synthetic.n", lambda v: gen_synthetic(v, 3, 1.0, 0), "n", 2),
     ("gen_synthetic.p", lambda v: gen_synthetic(10, v, 1.0, 0), "p", 1),
     ("error_scale.n", lambda v: error_scale(0.1, 0.2, v), "n", 1),
+    ("NoiseDraw.generate.seed", lambda v: NoiseDraw.generate(3, v), "seed", 0),
+    ("NoiseDraw.seed", lambda v: NoiseDraw(np.zeros(3), v), "seed", 0),
+    ("gen_synthetic.seed", lambda v: gen_synthetic(10, 2, 1.0, v), "seed", 0),
+]
+
+# (entry point with the argument, the name its message gives)
+NONNEGATIVE = [
+    ("TrainConfig.reg_lambda", lambda v: TrainConfig(reg_lambda=v), "reg_lambda"),
+    ("PrivateModel.reg_lambda", lambda v: private_model(reg_lambda=v), "reg_lambda"),
+    ("LossSpec.s_third", lambda v: LossSpec("logistic", 1.0, 1.0, v), "s_third"),
+    ("gen_synthetic.separation", lambda v: gen_synthetic(10, 2, v, 0), "separation"),
+]
+
+# (entry point with the option, what its message calls the option)
+ONE_OF = [
+    ("TrainConfig.solver_mode", lambda v: TrainConfig(solver_mode=v), "solver mode"),
+    ("PrivateModel.solver_mode", lambda v: private_model(solver_mode=v), "solver mode"),
+    ("LossSpec.kind", lambda v: LossSpec(v, 1.0, 1.0, 0.0), "loss kind"),
+    ("make_loss_spec.mode", lambda v: make_loss_spec("logistic", 3, v), "bounds mode"),
+    ("make_loss_spec.kind", lambda v: make_loss_spec(v, 3), "loss kind"),
 ]
 
 
@@ -90,6 +131,34 @@ def test_integer_count(call, name, least, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize(
+    "call, name", [row[1:] for row in NONNEGATIVE], ids=[row[0] for row in NONNEGATIVE]
+)
+def test_nonnegative_and_finite(call, name, value):
+    message = f"^{re.escape(name)} must be nonnegative and finite, got "
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call, what", [row[1:] for row in ONE_OF], ids=[row[0] for row in ONE_OF]
+)
+def test_one_of_the_listed_options(call, what):
+    with pytest.raises(ValueError, match=f"^unknown {what} 'bogus'$"):
+        call("bogus")
+
+
+def test_library_defaults_are_the_types_own():
+    """ExperimentConfig and make_loss_spec take their defaults from
+    TrainConfig and LossSpec, so the three agree."""
+    cfg, spec = ExperimentConfig(), make_loss_spec("logistic", 3)
+    assert cfg.reg_lambda == TrainConfig().reg_lambda
+    own = LossSpec("logistic", 1.0, 1.0, 0.0)
+    assert (cfg.huber_h, cfg.smooth_t) == (own.huber_h, own.smooth_t)
+    assert (spec.huber_h, spec.smooth_t) == (own.huber_h, own.smooth_t)
+
+
 @pytest.mark.parametrize("delta", [0.0, 1.0, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("call", [
     lambda delta: noise_sigma(1.0, delta, 1.0),
@@ -102,8 +171,9 @@ def test_delta_lies_in_the_unit_interval(call, delta):
 
 
 # finite but too extreme: (call, error, the start of its message). A
-# coefficient past the float range names zeta or lambda_hess when 1.0 in
-# that constant's place keeps it finite, and eps otherwise.
+# coefficient or noise term past the float range names zeta or
+# lambda_hess when 1.0 in that constant's place keeps it finite, and eps
+# otherwise.
 TOO_EXTREME = [
     ("noise_sigma.zeta", lambda: noise_sigma(1e308, 0.1, 1.0), ValueError, "zeta=1e+308"),
     ("delta_coeff.lambda_hess", lambda: delta_coeff(1e308, 1e-3), ValueError,
@@ -118,6 +188,16 @@ TOO_EXTREME = [
      "lambda_hess=1e+308"),
     ("noise_sigma.eps", lambda: noise_sigma(1.0, 0.1, 1e-310), NumericalError, "eps=1e-310"),
     ("delta_coeff.eps", lambda: delta_coeff(1.0, 1e-310), NumericalError, "eps=1e-310"),
+    ("materialize.noise_terms.zeta", lambda: materialize(WIDE, 1e300, 0.1, 1.0, 1.0),
+     ValueError, "zeta=1e+300"),
+    ("materialize.noise_terms.zeta_prime", lambda: materialize(NOISE, 3e307, 0.1, 1.0, 1.0),
+     ValueError, "zeta=3e+307"),
+    ("materialize.noise_terms.eps", lambda: materialize(WIDE, 1.0, 0.1, 1e-150, 1.0),
+     NumericalError, "eps=1e-150"),
+    # sigma' overflows at zeta = 1.0 but not at 0.5: eps, not zeta, is named
+    ("materialize.noise_terms.eps_small_zeta",
+     lambda: materialize(NoiseDraw(np.array([3.0, 0.0, 0.0]), 0), 0.5, 0.1, 1.6e-154, 1.0),
+     NumericalError, "eps=1.6e-154"),
 ]
 
 
@@ -127,3 +207,22 @@ TOO_EXTREME = [
 def test_finite_but_too_extreme(call, error, start):
     with pytest.raises(error, match=f"^{re.escape(start)} is too "):
         call()
+
+
+# (call, its bound constant): each formula overflows partway through,
+# though its value is finite
+PARTWAY = [
+    ("delta_coeff", lambda c: delta_coeff(c, 4.0), 1e308),
+    ("delta_coeff_prime", lambda c: delta_coeff_prime(c, 2.0), 1e308),
+    ("noise_sigma", lambda c: noise_sigma(c, 0.1, 10.0), 1e308),
+    ("noise_sigma_prime", lambda c: noise_sigma_prime(c, 0.1, 1.0), 3e307),
+]
+
+
+@pytest.mark.parametrize(
+    "call, constant", [row[1:] for row in PARTWAY], ids=[row[0] for row in PARTWAY]
+)
+def test_finite_coefficient_is_the_constant_times_the_unit_one(call, constant):
+    out = call(constant)
+    assert math.isfinite(out)
+    assert out == constant * call(1.0)
