@@ -16,7 +16,6 @@ or aggregate call; an sgd_repro iterate gets one of each.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from .model import (
     PrivateModel,
     SensitivityReport,
 )
+from .model import _finite
 from .sensitivity import ErrorScale, _dtheta_deps, error_scale
 from .trainer import TrainConfig, _train_runs
 
@@ -50,8 +50,7 @@ def choose_epsilon(line: ExtrapolationLine, expected_utility: float) -> float:
     SLOPE_TOL) and UnreachableUtilityError when the inversion lands at a
     nonpositive budget or past the float range.
     """
-    if not math.isfinite(expected_utility):
-        raise ValueError(f"expected utility {expected_utility} is not finite")
+    _finite("expected utility", expected_utility)
     if abs(line.slope) * line.measure_eps <= SLOPE_TOL * abs(line.base_utility):
         raise FlatSlopeError(
             f"utility locally insensitive to eps (slope {line.slope:.3e})"

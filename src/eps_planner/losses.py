@@ -52,7 +52,7 @@ import math
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from .model import LOSS_KINDS, Dataset, LossSpec, _count, _one_of
+from .model import LOSS_KINDS, Dataset, LossSpec, _count, _one_of, _vector
 
 
 def _softplus(x):
@@ -135,10 +135,7 @@ def margin_curvatures(spec: LossSpec, margins: np.ndarray) -> np.ndarray:
 
 def margins(theta: np.ndarray, d: Dataset) -> np.ndarray:
     """Vector of margins <theta, z_i> = y_i <theta, x_i>; theta must have length p."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape[0] != d.p:
-        raise ValueError(f"theta has length {theta.shape[0]}, dataset has p={d.p}")
-    return d.rows @ theta
+    return d.rows @ _vector("theta", theta, d.p)
 
 
 # bytes of rows per Hessian row block: a block and its scaled copy
@@ -172,17 +169,10 @@ def _mean_hessian(d: Dataset, curvatures: np.ndarray) -> np.ndarray:
     return hessL
 
 
-def _check_margins(m: np.ndarray, d: Dataset) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (d.n,):
-        raise ValueError(f"margins have shape {m.shape}, expected length n={d.n}")
-    return m
-
-
 def aggregate(spec: LossSpec, m: np.ndarray, d: Dataset) -> tuple[float, np.ndarray]:
     """Mean loss and mean gradient over the dataset, at the point whose
     margins `m = margins(theta, d)` are given."""
-    m = _check_margins(m, d)
+    m = _vector("margins", m, d.n)
     L = float(margin_values(spec, m).mean())
     return L, d.rows.T @ margin_slopes(spec, m) / d.n
 
@@ -202,7 +192,7 @@ def _gram(d: Dataset) -> np.ndarray:
 def hessian(spec: LossSpec, m: np.ndarray, d: Dataset) -> np.ndarray:
     """Mean loss Hessian (1/n) sum_i kappa_i x_i x_i^T, symmetric PSD, at
     the point whose margins `m = margins(theta, d)` are given."""
-    k = margin_curvatures(spec, _check_margins(m, d))
+    k = margin_curvatures(spec, _vector("margins", m, d.n))
     # one curvature c > 0 for every row (NaN equals nothing): c * X^T X / n
     if k.size and k[0] > 0.0 and (k == k[0]).all():
         return k[0] * _gram(d)

@@ -1,7 +1,7 @@
 """Shared domain types and their invariants.
 
 Everything here is immutable after construction and safe to share across
-threads. Array fields are read-only float64 arrays; a writable array
+threads. Array fields are read-only float64 vectors; a writable array
 passed in is copied, since the caller may still write to it or to a view
 of it. A `Dataset` folds its labels into its features, z_i = y_i x_i, in
 place in an array nothing else holds (its own float64 conversion, or one
@@ -46,6 +46,20 @@ def _count(name: str, value, least: int) -> None:
 def _one_of(what: str, value, allowed) -> None:
     if value not in allowed:
         raise ValueError(f"unknown {what} {value!r}")
+
+
+def _finite(what: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value} is not finite")
+
+
+def _vector(name: str, value, length: int | None = None) -> np.ndarray:
+    # uncopied where `value` is already a float64 vector; a scalar is lifted to length 1
+    v = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    if v.ndim != 1 or (length is not None and v.shape[0] != length):
+        of = "" if length is None else f" of length {length}"
+        raise ValueError(f"{name} must be a vector{of}, got shape {v.shape}")
+    return v
 
 
 def _readonly(a) -> np.ndarray:
@@ -212,7 +226,7 @@ class NoiseDraw(_FieldwiseEq):
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "base_u", np.atleast_1d(_readonly(self.base_u)))
+        object.__setattr__(self, "base_u", _readonly(_vector("base_u", self.base_u)))
         _count("seed", self.seed, 0)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -258,11 +272,9 @@ class PrivateModel(_FieldwiseEq):
     iterations_used: int
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", np.atleast_1d(_readonly(self.theta)))
+        object.__setattr__(self, "theta", _readonly(_vector("theta", self.theta, self.noise.p)))
         _one_of("solver mode", self.solver_mode, SOLVER_MODES)
         _nonnegative("reg_lambda", self.reg_lambda)
-        if self.theta.shape != self.noise.base_u.shape:
-            raise ValueError("theta and noise draw dimensionality disagree")
 
     @property
     def theta_norm(self) -> float:
@@ -277,7 +289,7 @@ class SensitivityReport(_FieldwiseEq):
     dtheta_deps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dtheta_deps", np.atleast_1d(_readonly(self.dtheta_deps)))
+        object.__setattr__(self, "dtheta_deps", _readonly(_vector("dtheta_deps", self.dtheta_deps)))
 
 
 @dataclass(frozen=True)
@@ -290,3 +302,5 @@ class ExtrapolationLine:
 
     def __post_init__(self):
         _positive("measure_eps", self.measure_eps)
+        _finite("base_utility", self.base_utility)
+        _finite("slope", self.slope)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import NoiseDraw, _positive, _readonly
+from .model import NoiseDraw, _positive, _readonly, _vector
 
 
 def _coefficient(formula, name: str, constant: float, eps: float, what: str) -> float:
@@ -50,11 +50,17 @@ def _coefficient(formula, name: str, constant: float, eps: float, what: str) -> 
     unit = value(1.0)
     if math.isfinite(constant * unit):
         return constant * unit
-    if math.isfinite(unit):
-        raise ValueError(
-            f"{name}={constant!r} is too large: at eps={eps!r} it leaves the float range"
+    raise _culprit(name, constant, eps, what, math.isfinite(unit))
+
+
+def _culprit(name, constant, eps, what: str, unit_finite: bool) -> Exception:
+    # the bound constant `name` is named if its terms at 1.0 are finite, else eps
+    if unit_finite:
+        return ValueError(
+            f"{name}={float(constant)!r} is too large: at eps={float(eps)!r} its {what}"
+            " leave the float range"
         )
-    raise NumericalError(f"eps={eps!r} is too extreme: its {what} leave the float range")
+    return NumericalError(f"eps={float(eps)!r} is too extreme: its {what} leave the float range")
 
 
 def _log_two_over(delta: float) -> float:
@@ -133,8 +139,9 @@ class PerturbationAtEps:
 
     def __post_init__(self):
         # a writable array the caller passes in is copied, not frozen in place
+        p = len(_vector("b", self.b))
         for name in ("b", "b_prime", "base_u"):
-            object.__setattr__(self, name, np.atleast_1d(_readonly(getattr(self, name))))
+            object.__setattr__(self, name, _readonly(_vector(name, getattr(self, name), p)))
 
 
 def materialize(
@@ -160,14 +167,7 @@ def materialize(
                 unit = [f(1.0, delta, eps) * noise.base_u for f in (noise_sigma, noise_sigma_prime)]
         except NumericalError:
             unit = [math.inf]
-        if np.isfinite(unit).all():
-            raise ValueError(
-                f"zeta={float(zeta)!r} is too large: at eps={float(eps)!r} its noise terms"
-                " leave the float range"
-            )
-        raise NumericalError(
-            f"eps={float(eps)!r} is too extreme: its noise terms leave the float range"
-        )
+        raise _culprit("zeta", zeta, eps, "noise terms", np.isfinite(unit).all())
     return PerturbationAtEps(
         eps=eps,
         sigma=s,

@@ -45,7 +45,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NoiseMismatchError, NumericalError
 from .losses import aggregate, hessian, margins
 from .model import Dataset, ExtrapolationLine, LossSpec, PrivateModel, SensitivityReport
-from .model import _count, _positive
+from .model import _count, _positive, _vector
 from .perturbation import PerturbationAtEps, materialize
 
 
@@ -110,7 +110,7 @@ def utility_slope(
     """Chain rule: dF/deps = <grad of F at theta_hat, dtheta/deps>."""
     _check_spec(model, spec)
     _, gradL = aggregate(spec, margins(model.theta, d), d)
-    return float(gradL @ report.dtheta_deps)
+    return float(gradL @ _vector("dtheta_deps", report.dtheta_deps, d.p))
 
 
 def extrapolate(line: ExtrapolationLine, target_eps: float) -> float:

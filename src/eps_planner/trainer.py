@@ -58,7 +58,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NumericalError
 from .losses import aggregate, hessian, margin_slopes, margin_values, margins
 from .model import SOLVER_MODES, Dataset, LossSpec, NoiseDraw, PrivacyBudget, PrivateModel
-from .model import _count, _nonnegative, _one_of, _positive
+from .model import _count, _nonnegative, _one_of, _positive, _vector
 from .perturbation import PerturbationAtEps, materialize
 
 # module-level counter used by callers to assert how many trainings ran
@@ -100,9 +100,8 @@ def perturbed_objective(
 def _objective(theta, m, d, spec, cfg, pert):
     # perturbed_objective, and the loss value and gradient it adds the
     # regularizer and perturbation terms to
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape[0] != d.p or pert.b.shape[0] != d.p:
-        raise ValueError("dimension mismatch between theta, dataset and perturbation")
+    theta = _vector("theta", theta, d.p)
+    _vector("b", pert.b, d.p)
     n = d.n
     L, gradL = aggregate(spec, m, d)
     ridge = cfg.reg_lambda + pert.delta_eps_coeff
@@ -151,9 +150,8 @@ def _train_runs(d, spec, cfg, runs, theta0=None):
     whose loop forms neither."""
     global TRAIN_CALL_COUNT
     runs = list(runs)
-    start = None if theta0 is None else np.array(theta0, dtype=np.float64)
-    if start is not None and start.shape != (d.p,):
-        raise ValueError(f"theta0 has shape {start.shape}, dataset has p={d.p}")
+    # a private copy, which the caller cannot write to during training
+    start = None if theta0 is None else _vector("theta0", theta0, d.p).copy()
     # every run is checked before any trains
     perts = [_perturbation(d, spec, budget, noise) for budget, noise in runs]
     TRAIN_CALL_COUNT += len(runs)
@@ -175,8 +173,7 @@ def _train_runs(d, spec, cfg, runs, theta0=None):
 
 
 def _perturbation(d, spec, budget, noise) -> PerturbationAtEps:
-    if noise.p != d.p:
-        raise ValueError(f"noise draw has length {noise.p}, dataset has p={d.p}")
+    _vector("base_u", noise.base_u, d.p)
     return materialize(noise, spec.zeta, budget.delta, budget.epsilon, spec.lambda_hess)
 
 

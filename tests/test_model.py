@@ -122,7 +122,7 @@ class TestDomainValidation:
     @pytest.mark.parametrize("field, value, match", [
         ("solver_mode", "adam", "unknown solver mode 'adam'"),
         ("reg_lambda", -0.1, "reg_lambda must be nonnegative"),
-        ("theta", np.zeros(3), "theta and noise draw dimensionality disagree"),
+        ("theta", np.zeros(3), r"^theta must be a vector of length 2, got shape \(3,\)$"),
     ])
     def test_model_rejects_bad_fields(self, field, value, match):
         fields = dict(

@@ -88,7 +88,8 @@ class TestPerturbedObjective:
         L, gradL = aggregate(spec, m, d)
         assert value == pytest.approx(L, rel=1e-12)
         np.testing.assert_allclose(grad, gradL, rtol=1e-12)
-        with pytest.raises(ValueError, match="dimension mismatch between theta, dataset"):
+        message = "theta must be a vector of length 3, got shape (4,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             perturbed_objective(np.zeros(4), m, d, spec, cfg, pert)
 
     def test_quadratic_one_example_minimum(self, quad_instance):
@@ -241,7 +242,7 @@ def test_theta0_of_another_shape_is_named_before_training(solver, shape):
     spec = make_loss_spec("logistic", 5, "tight")
     args = (d, spec, TrainConfig(solver_mode=solver), PrivacyBudget(0.5, 1e-3))
     before = trainer.TRAIN_CALL_COUNT
-    message = f"theta0 has shape {shape}, dataset has p=5"
+    message = f"theta0 must be a vector of length 5, got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         train(*args, NoiseDraw.generate(5, 4), theta0=np.zeros(shape))
     assert trainer.TRAIN_CALL_COUNT == before
@@ -442,7 +443,8 @@ class TestTrainMany:
         runs = self.runs(d.p)
         runs[-1] = (runs[-1][0], NoiseDraw.generate(d.p + 1, 0))
         before = trainer.TRAIN_CALL_COUNT
-        with pytest.raises(ValueError, match="noise draw has length 7, dataset has p=6"):
+        message = "base_u must be a vector of length 6, got shape (7,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train_many(d, spec, TrainConfig(solver_mode=solver_mode), runs)
         assert trainer.TRAIN_CALL_COUNT == before
 
@@ -506,9 +508,10 @@ class TestUtility:
     def test_theta_length_is_checked(self):
         d = Dataset(features=[[1.0, 0.0]], labels=[1])
         spec = make_loss_spec("logistic", 2, "tight")
-        with pytest.raises(ValueError, match="theta has length 3, dataset has p=2"):
+        message = f"^{re.escape('theta must be a vector of length 2, got shape (3,)')}$"
+        with pytest.raises(ValueError, match=message):
             utility(np.zeros(3), d, spec)
-        with pytest.raises(ValueError, match="theta has length 3, dataset has p=2"):
+        with pytest.raises(ValueError, match=message):
             classification_error_rate(np.zeros(3), d)
 
 

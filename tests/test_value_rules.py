@@ -1,29 +1,35 @@
 """Every budget, bound constant and tolerance the library takes is
 positive and finite, every regulariser and separation nonnegative and
 finite, every count (seeds included) an integer at or above its least
-value, and every option one of its listed names: anything else is a
-ValueError naming the argument.
+value, every option one of its listed names, every utility and slope of
+a line finite, and every parameter vector, margins vector and array
+field a vector (of length p, or n for margins, where it must match the
+data): anything else is a ValueError naming the argument.
 
 One table per rule lists each entry point with each such argument, so an
 entry point whose check drifts from the rule, or that drops it, fails
 here.
 """
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
+from eps_planner import trainer
+from eps_planner.chooser import choose_epsilon
 from eps_planner.data import gen_synthetic
 from eps_planner.errors import NumericalError
 from eps_planner.experiments import ExperimentConfig
-from eps_planner.losses import make_loss_spec
+from eps_planner.losses import aggregate, hessian, make_loss_spec, margins
 from eps_planner.model import (
     ExtrapolationLine,
     LossSpec,
     NoiseDraw,
     PrivacyBudget,
     PrivateModel,
+    SensitivityReport,
 )
 from eps_planner.perturbation import (
     delta_coeff,
@@ -32,8 +38,15 @@ from eps_planner.perturbation import (
     noise_sigma,
     noise_sigma_prime,
 )
-from eps_planner.sensitivity import error_scale, extrapolate
-from eps_planner.trainer import TrainConfig
+from eps_planner.sensitivity import error_scale, extrapolate, utility_slope
+from eps_planner.trainer import (
+    TrainConfig,
+    classification_error_rate,
+    perturbed_objective,
+    train,
+    train_many,
+    utility,
+)
 
 NOISE = NoiseDraw.generate(3, 0)
 LINE = ExtrapolationLine(measure_eps=1.0, base_utility=0.5, slope=-0.1)
@@ -41,9 +54,9 @@ LINE = ExtrapolationLine(measure_eps=1.0, base_utility=0.5, slope=-0.1)
 WIDE = NoiseDraw(np.array([1e10, 0.0, 0.0]), 0)
 
 
-def private_model(reg_lambda=0.01, solver_mode="exact"):
+def private_model(reg_lambda=0.01, solver_mode="exact", theta=np.zeros(3)):
     return PrivateModel(
-        theta=np.zeros(3), budget=PrivacyBudget(1.0, 0.1), reg_lambda=reg_lambda,
+        theta=theta, budget=PrivacyBudget(1.0, 0.1), reg_lambda=reg_lambda,
         noise=NOISE, loss=LossSpec("logistic", 1.0, 1.0, 0.0), grad_norm_at_solution=0.0,
         solver_mode=solver_mode, iterations_used=0,
     )
@@ -226,3 +239,89 @@ def test_finite_coefficient_is_the_constant_times_the_unit_one(call, constant):
     out = call(constant)
     assert math.isfinite(out)
     assert out == constant * call(1.0)
+
+
+# a 10 x 3 problem for the vector rule; no case reaches training
+D = gen_synthetic(10, 3, 1.0, 0)
+SPEC = make_loss_spec("logistic", 3)
+BUDGET = PrivacyBudget(1.0, 0.1)
+PERT = materialize(NOISE, 1.0, 0.1, 1.0, 1.0)
+MODEL = private_model()
+ZEROS = np.zeros(D.n)
+
+# (entry point with the vector, the name its message gives, the length
+# it must have, or None where any length will do)
+VECTOR = [
+    ("margins", lambda v: margins(v, D), "theta", 3),
+    ("utility", lambda v: utility(v, D, SPEC), "theta", 3),
+    ("classification_error_rate", lambda v: classification_error_rate(v, D), "theta", 3),
+    ("aggregate", lambda v: aggregate(SPEC, v, D), "margins", 10),
+    ("hessian", lambda v: hessian(SPEC, v, D), "margins", 10),
+    ("perturbed_objective", lambda v: perturbed_objective(v, ZEROS, D, SPEC, TrainConfig(), PERT),
+     "theta", 3),
+    ("train.theta0", lambda v: train(D, SPEC, TrainConfig(), BUDGET, NOISE, theta0=v), "theta0", 3),
+    ("train_many.noise", lambda v: train_many(D, SPEC, TrainConfig(), [(BUDGET, NoiseDraw(v, 0))]),
+     "base_u", 3),
+    ("NoiseDraw.base_u", lambda v: NoiseDraw(v, 0), "base_u", None),
+    ("PrivateModel.theta", lambda v: private_model(theta=v), "theta", 3),
+    ("SensitivityReport.dtheta_deps", lambda v: SensitivityReport(v), "dtheta_deps", None),
+    ("PerturbationAtEps.b", lambda v: dataclasses.replace(PERT, b=v), "b", None),
+    ("PerturbationAtEps.b_prime", lambda v: dataclasses.replace(PERT, b_prime=v), "b_prime", 3),
+    ("PerturbationAtEps.base_u", lambda v: dataclasses.replace(PERT, base_u=v), "base_u", 3),
+    ("utility_slope.report", lambda v: utility_slope(MODEL, D, MODEL.loss, SensitivityReport(v)),
+     "dtheta_deps", 3),
+]
+# each entry point gets a 2-d array, and one of the wrong length where it takes a length
+NOT_A_VECTOR = [(row[0] + ".2d", row[1], row[2], np.zeros((3, 2))) for row in VECTOR] + [
+    (row[0] + ".length", row[1], row[2], np.zeros(row[3] + 1)) for row in VECTOR if row[3]
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, value", [row[1:] for row in NOT_A_VECTOR], ids=[row[0] for row in NOT_A_VECTOR]
+)
+def test_vector(call, name, value):
+    """A 2-d theta gave a utility and an error rate, and margins an n x 2
+    matrix; the four types built with 2-d fields; utility_slope failed
+    inside numpy's matmul on a report of another length."""
+    before = trainer.TRAIN_CALL_COUNT
+    with pytest.raises(
+        ValueError,
+        match=f"^{re.escape(name)} must be a vector.*, got shape {re.escape(str(value.shape))}$",
+    ):
+        call(value)
+    assert trainer.TRAIN_CALL_COUNT == before
+
+
+def test_a_draw_of_another_shape_is_refused_before_training():
+    """The draw was built, and train then failed inside numpy with a TypeError."""
+    d, spec = gen_synthetic(10, 2, 1.0, 0), make_loss_spec("logistic", 2)
+    before = trainer.TRAIN_CALL_COUNT
+    with pytest.raises(ValueError, match=r"^base_u must be a vector, got shape \(2, 2\)$"):
+        train(d, spec, TrainConfig(), BUDGET, NoiseDraw(np.zeros((2, 2)), 0))
+    assert trainer.TRAIN_CALL_COUNT == before
+
+
+def test_perturbation_of_another_length():
+    pert = materialize(NoiseDraw.generate(4, 0), 1.0, 0.1, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^b must be a vector of length 3, got shape \(4,\)$"):
+        perturbed_objective(np.zeros(3), ZEROS, D, SPEC, TrainConfig(), pert)
+
+
+# (entry point with the value, what its message calls it)
+FINITE = [
+    ("ExtrapolationLine.base_utility", lambda v: ExtrapolationLine(1.0, v, -0.1), "base_utility"),
+    ("ExtrapolationLine.slope", lambda v: ExtrapolationLine(1.0, 0.5, v), "slope"),
+    ("choose_epsilon.expected_utility", lambda v: choose_epsilon(LINE, v), "expected utility"),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call, what", [row[1:] for row in FINITE], ids=[row[0] for row in FINITE]
+)
+def test_finite(call, what, value):
+    """A NaN slope was blamed on the target utility; an infinite base
+    utility was extrapolated to inf."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {value} is not finite')}$"):
+        call(value)
